@@ -8,18 +8,8 @@ signature estimator, a scalar-function vulnerability checker, and a lock-step
 TCP harness with a man-in-the-middle attack proxy.
 """
 
-from .kinematics import BodyVelocity, Posture, jacobian, derivative, step
-from .tracking import (
-    ControllerGains,
-    PostureError,
-    RefConfig,
-    RefSample,
-    body_frame_error,
-    feedforward,
-    gen_reference,
-    kanayama,
-    lyapunov,
-)
+from .kinematics import Posture
+from .tracking import ControllerGains, RefConfig, control
 from .fdia import (
     AffineAttack,
     AttackKind,
@@ -42,7 +32,6 @@ from .simloop import (
     SimTrace,
     TRACE_COLUMNS,
     UndetectabilityReport,
-    error_series,
     run,
     undetectability_report,
 )

@@ -223,19 +223,3 @@ def estimation_study(trace, truth: PolySignature | None = None, ns=(150, 500, 10
             estimate = fit_signature(samples, cfg)
             rows.append(StudyRow(source, int(n), nrmse(estimate, truth, grid)))
     return rows
-
-
-def samples_to_csv(samples: SampleSet, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("x,y,phi\n")
-        for xv, yv, pv in zip(samples.x, samples.y, samples.phi):
-            fh.write(f"{xv:.17g},{yv:.17g},{pv:.17g}\n")
-
-
-def samples_from_csv(path, source: str = "grid") -> SampleSet:
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "x,y,phi":
-            raise ValueError(f"unexpected sample header in {path}")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    return SampleSet(data[:, 0], data[:, 1], data[:, 2], source=source)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kinematics import BodyVelocity, Posture
+from .kinematics import Posture
 
 KIND_REFLECTION = "Reflection"
 KIND_SCALING = "Scaling"
@@ -126,16 +126,14 @@ def build_scaling(beta11: float, p0: Posture) -> AffineAttack:
     return AffineAttack(s_x, d_x, s_u, np.zeros(2), kind=KIND_SCALING, beta11=beta11)
 
 
-def attack_state(a: AffineAttack, p: Posture) -> Posture:
-    """Observable the controller sees for the actual posture p."""
-    out = a.s_x @ p.as_array() + a.d_x
-    return Posture.from_array(out)
+def attack_state(a: AffineAttack, x: float, y: float, theta: float) -> tuple:
+    """Observable (x~, y~, theta~) = s_x p + d_x the controller sees for the actual p."""
+    return tuple((a.s_x @ np.array((x, y, theta)) + a.d_x).tolist())
 
 
-def attack_command(a: AffineAttack, q: BodyVelocity) -> BodyVelocity:
-    """Command the plant receives for the controller output q."""
-    out = a.s_u @ q.as_array() + a.d_u
-    return BodyVelocity(float(out[0]), float(out[1]))
+def attack_command(a: AffineAttack, v: float, omega: float) -> tuple:
+    """Command (v~, omega~) = s_u q + d_u the plant receives for the controller output q."""
+    return tuple((a.s_u @ np.array((v, omega)) + a.d_u).tolist())
 
 
 def check_condition1(a: AffineAttack, p0: Posture) -> float:

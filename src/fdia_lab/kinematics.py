@@ -35,37 +35,6 @@ class Posture:
         return Posture(float(arr[0]), float(arr[1]), float(arr[2]))
 
 
-@dataclass(frozen=True)
-class BodyVelocity:
-    """Body-frame command (v [m/s], omega [rad/s])."""
-
-    v: float
-    omega: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.v) and math.isfinite(self.omega)):
-            raise ValueError("BodyVelocity components must be finite")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.v, self.omega], dtype=float)
-
-
-def jacobian(theta: float) -> np.ndarray:
-    """Input Jacobian J(theta) mapping (v, omega) to (xdot, ydot, thetadot).
-
-    Columns: [cos(theta), sin(theta), 0] and [0, 0, 1]; the first column is a
-    unit vector for every heading.
-    """
-    return np.array([[math.cos(theta), 0.0], [math.sin(theta), 0.0], [0.0, 1.0]])
-
-
-def derivative(p: Posture, q: BodyVelocity) -> np.ndarray:
-    """Posture rate J(theta) @ (v, omega) as a length-3 array."""
-    return np.array(
-        [q.v * math.cos(p.theta), q.v * math.sin(p.theta), q.omega]
-    )
-
-
 def rk4_step(x: float, y: float, theta: float, v: float, omega: float, dt: float):
     """One classical RK4 step with the command held constant over dt.
 
@@ -87,21 +56,3 @@ def rk4_step(x: float, y: float, theta: float, v: float, omega: float, dt: float
         y + dt * ((k1y + 4.0 * k2y + k4y) / 6.0),
         th_end,
     )
-
-
-def step(p: Posture, q: BodyVelocity, dt: float) -> Posture:
-    """Advance the posture by one zero-order-hold RK4 step of length dt.
-
-    Parameters
-    ----------
-    p : Posture
-        Current posture.
-    q : BodyVelocity
-        Command held constant over the step.
-    dt : float
-        Step length in seconds, strictly positive.
-    """
-    if not dt > 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    x, y, theta = rk4_step(p.x, p.y, p.theta, q.v, q.omega, dt)
-    return Posture(x, y, theta)

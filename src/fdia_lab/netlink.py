@@ -26,10 +26,10 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import smsf
-from .fdia import AffineAttack
-from .kinematics import Posture, rk4_step
+from .fdia import AffineAttack, attack_command, attack_state
+from .kinematics import rk4_step
 from .simloop import SimConfig, SimTrace
-from .tracking import body_frame_error, feedforward, kanayama, lyapunov, reference_table
+from .tracking import control, reference_table
 
 MSG_KINDS = ("Obs", "Cmd", "Sig", "Hello", "Bye")
 _NUMERIC_ARITY = {"Obs": 3, "Cmd": 2, "Sig": 1}
@@ -130,9 +130,14 @@ def decode(frame: bytes) -> WireMessage:
     if len(frame) > 4 + length:
         raise WireFormatError(f"{len(frame) - 4 - length} trailing bytes after the frame")
     try:
-        obj = json.loads(frame[4:].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        return _message_from(json.loads(frame[4:].decode("utf-8")))
+    except (ValueError, OverflowError, RecursionError) as exc:
+        # bad UTF-8 or JSON, an integer past the digit limit or past float64's
+        # range, or nesting deeper than the parser's recursion limit
         raise WireFormatError(f"invalid frame body: {exc}") from exc
+
+
+def _message_from(obj) -> WireMessage:
     if not isinstance(obj, dict) or set(obj) != {"kind", "seq", "t", "payload"}:
         raise WireFormatError("frame body must carry exactly kind/seq/t/payload")
     kind = obj["kind"]
@@ -201,6 +206,18 @@ class _SeqChecker:
             raise ProtocolError(f"seq gap: expected {self.expected}, got {msg.seq}")
         self.expected += 1
         return msg
+
+
+def _expect(sock: socket.socket, rx: _SeqChecker, kind: str,
+            where: str = "mid-run") -> WireMessage:
+    """Receive the next in-sequence message of the given kind."""
+    msg = recv_message(sock)
+    if msg is None:
+        raise ConnectionError(f"peer closed {where}")
+    rx.check(msg)
+    if msg.kind != kind:
+        raise ProtocolError(f"expected {kind}, got {msg.kind}")
+    return msg
 
 
 def config_digest(cfg: SimConfig, signature: smsf.PolySignature) -> str:
@@ -310,23 +327,12 @@ def _plant_session(conn: socket.socket, cfg: SimConfig, sig) -> PlantLog:
             phi = smsf.eval_signature(sig, x, y)
             send_message(conn, WireMessage("Obs", tx.next(), t, (x, y, th)))
             send_message(conn, WireMessage("Sig", tx.next(), t, (phi,)))
-            msg = recv_message(conn)
-            if msg is None:
-                raise ConnectionError("peer closed mid-run")
-            rx.check(msg)
-            if msg.kind != "Cmd":
-                raise ProtocolError(f"expected Cmd, got {msg.kind}")
-            v, w = msg.payload
+            v, w = _expect(conn, rx, "Cmd").payload
             if k % cfg.log_stride == 0:
                 rows.append((t, x, y, th, v, w, phi))
             if k < n_steps:
                 x, y, th = rk4_step(x, y, th, v, w, cfg.dt)
-        bye = recv_message(conn)
-        if bye is None:
-            raise ConnectionError("peer closed before Bye")
-        rx.check(bye)
-        if bye.kind != "Bye":
-            raise ProtocolError(f"expected Bye, got {bye.kind}")
+        _expect(conn, rx, "Bye", "before Bye")
         send_message(conn, WireMessage("Bye", tx.next(), n_steps * cfg.dt, ("complete",)))
         complete = True
     except (OSError, TruncatedFrameError):
@@ -365,58 +371,35 @@ def _controller_session(sock: socket.socket, cfg: SimConfig, sig) -> CtrlLog:
     if hello.payload[1] != digest:
         raise ProtocolError(f"config digest mismatch: ours {digest}, peer {hello.payload[1]}")
 
-    table = reference_table(cfg.ref, cfg.dt)
-    gains = cfg.gains
+    refs = reference_table(cfg.ref, cfg.dt).tolist()
+    ref, gains = cfg.ref, cfg.gains
     rows = []
     complete = False
     try:
         for k in range(cfg.n_steps() + 1):
             t = k * cfg.dt
-            obs = recv_message(sock)
-            if obs is None:
-                raise ConnectionError("peer closed mid-run")
-            rx.check(obs)
-            if obs.kind != "Obs":
-                raise ProtocolError(f"expected Obs, got {obs.kind}")
-            sig_msg = recv_message(sock)
-            if sig_msg is None:
-                raise ConnectionError("peer closed mid-run")
-            rx.check(sig_msg)
-            if sig_msg.kind != "Sig":
-                raise ProtocolError(f"expected Sig, got {sig_msg.kind}")
-            p_obs = Posture(*obs.payload)
-            p_ref = Posture.from_array(table[k])
-            q_ref = feedforward(cfg.ref, t)
-            err = body_frame_error(p_ref, p_obs)
-            q_cmd = kanayama(q_ref, err, gains)
-            send_message(sock, WireMessage("Cmd", tx.next(), t, (q_cmd.v, q_cmd.omega)))
+            x, y, th = _expect(sock, rx, "Obs").payload
+            (phi_rx,) = _expect(sock, rx, "Sig").payload
+            v, w, xe, ye, the, lyap = control(ref, gains, refs[k], t, x, y, th)
+            send_message(sock, WireMessage("Cmd", tx.next(), t, (v, w)))
             if k % cfg.log_stride == 0:
-                rows.append((t, p_obs.x, p_obs.y, p_obs.theta, q_cmd.v, q_cmd.omega,
-                             err.xe, err.ye, err.thetae, lyapunov(err, gains),
-                             sig_msg.payload[0],
-                             smsf.eval_signature(sig, p_obs.x, p_obs.y)))
+                rows.append((t, x, y, th, v, w, xe, ye, the, lyap, phi_rx))
         send_message(sock, WireMessage("Bye", tx.next(), cfg.duration, ("complete",)))
-        bye = recv_message(sock)
-        if bye is None:
-            raise ConnectionError("peer closed before Bye")
-        rx.check(bye)
-        if bye.kind != "Bye":
-            raise ProtocolError(f"expected Bye, got {bye.kind}")
+        _expect(sock, rx, "Bye", "before Bye")
         complete = True
     except (OSError, TruncatedFrameError):
         pass
-    arr = np.array(rows, dtype=float).reshape(-1, 12)
-    return CtrlLog(*(arr[:, i] for i in range(12)), complete=complete)
+    arr = np.array(rows, dtype=float).reshape(-1, 11)
+    phi_ctrl = smsf.eval_signature(sig, arr[:, 1], arr[:, 2])
+    return CtrlLog(*(arr[:, i] for i in range(11)), phi_ctrl, complete=complete)
 
 
 def _transform_factory(attack: AffineAttack | None, sig_scale: float, sig_offset: float):
     def transform(msg: WireMessage) -> WireMessage:
         if msg.kind == "Obs" and attack is not None:
-            p = attack.s_x @ np.array(msg.payload) + attack.d_x
-            return WireMessage("Obs", msg.seq, msg.t, (float(p[0]), float(p[1]), float(p[2])))
+            return WireMessage("Obs", msg.seq, msg.t, attack_state(attack, *msg.payload))
         if msg.kind == "Cmd" and attack is not None:
-            q = attack.s_u @ np.array(msg.payload) + attack.d_u
-            return WireMessage("Cmd", msg.seq, msg.t, (float(q[0]), float(q[1])))
+            return WireMessage("Cmd", msg.seq, msg.t, attack_command(attack, *msg.payload))
         if msg.kind == "Sig" and not (sig_scale == 1.0 and sig_offset == 0.0):
             return WireMessage("Sig", msg.seq, msg.t,
                                (sig_scale * msg.payload[0] + sig_offset,))

@@ -17,15 +17,7 @@ import numpy as np
 from . import smsf
 from .fdia import AffineAttack, attack_command, attack_state
 from .kinematics import Posture, rk4_step
-from .tracking import (
-    ControllerGains,
-    RefConfig,
-    body_frame_error,
-    feedforward,
-    kanayama,
-    lyapunov,
-    reference_table,
-)
+from .tracking import ControllerGains, RefConfig, control, reference_table
 
 TRACE_COLUMNS = (
     "t",
@@ -67,6 +59,11 @@ class SimConfig:
             raise ValueError(f"SimConfig.log_stride must be a positive int, got {self.log_stride}")
         if not (math.isfinite(self.duration) and self.duration > 0.0):
             raise ValueError(f"SimConfig.duration must be positive, got {self.duration}")
+        steps = round(self.duration / self.dt)
+        if steps < 1 or abs(self.duration / self.dt - steps) > 1e-9 * steps:
+            raise ValueError(
+                f"SimConfig.duration {self.duration} is not a whole number of dt={self.dt} steps"
+            )
         if self.ref.duration < self.duration - 1e-9:
             raise ValueError(
                 f"reference duration {self.ref.duration} shorter than run duration {self.duration}"
@@ -120,54 +117,39 @@ def run(cfg: SimConfig, attack: AffineAttack | None = None,
         signature: smsf.PolySignature | None = None) -> SimTrace:
     """Execute one closed-loop run and return its trace.
 
-    Per tick: observe (through the attack's state map if present), look up
-    the reference, form the body-frame error, apply the Kanayama law, pass
-    the command through the attack's command map, log if due, then advance
-    the plant one RK4 step. The final tick at t = duration is logged without
-    stepping. Identical configs yield bit-identical traces.
+    Per tick: observe (through the attack's state map if present), apply the
+    controller tick against the reference, pass the command through the
+    attack's command map, log if due, then advance the plant one RK4 step.
+    The final tick at t = duration is logged without stepping. The signature
+    columns are evaluated on the logged positions after the loop. Identical
+    configs yield bit-identical traces; a run that diverges to a non-finite
+    state or command raises ValueError.
     """
     sig = signature if signature is not None else smsf.default_signature()
     table = reference_table(cfg.ref, cfg.dt)
     n_steps = cfg.n_steps()
     if len(table) < n_steps + 1:
         raise ValueError("reference table shorter than the run")
-    gains = cfg.gains
+    refs = table.tolist()
+    ref, gains, dt, stride = cfg.ref, cfg.gains, cfg.dt, cfg.log_stride
     x, y, th = cfg.p0.x, cfg.p0.y, cfg.p0.theta
     rows = []
     for k in range(n_steps + 1):
-        t = k * cfg.dt
-        p_act = Posture(x, y, th)
-        p_obs = attack_state(attack, p_act) if attack is not None else p_act
-        p_ref = Posture.from_array(table[k])
-        q_ref = feedforward(cfg.ref, t)
-        err = body_frame_error(p_ref, p_obs)
-        q_cmd = kanayama(q_ref, err, gains)
-        q_rx = attack_command(attack, q_cmd) if attack is not None else q_cmd
-        if k % cfg.log_stride == 0:
-            rows.append(
-                (
-                    t,
-                    x,
-                    y,
-                    th,
-                    p_obs.x,
-                    p_obs.y,
-                    p_obs.theta,
-                    q_cmd.v,
-                    q_cmd.omega,
-                    q_rx.v,
-                    q_rx.omega,
-                    err.xe,
-                    err.ye,
-                    err.thetae,
-                    lyapunov(err, gains),
-                    smsf.eval_signature(sig, x, y),
-                    smsf.eval_signature(sig, p_obs.x, p_obs.y),
-                )
-            )
+        t = k * dt
+        xo, yo, tho = (x, y, th) if attack is None else attack_state(attack, x, y, th)
+        v, w, xe, ye, the, lyap = control(ref, gains, refs[k], t, xo, yo, tho)
+        v_rx, w_rx = (v, w) if attack is None else attack_command(attack, v, w)
+        if k % stride == 0:
+            rows.append((t, x, y, th, xo, yo, tho, v, w, v_rx, w_rx, xe, ye, the, lyap))
         if k < n_steps:
-            x, y, th = rk4_step(x, y, th, q_rx.v, q_rx.omega, cfg.dt)
-    return SimTrace(np.array(rows, dtype=float))
+            x, y, th = rk4_step(x, y, th, v_rx, w_rx, dt)
+    data = np.empty((len(rows), len(TRACE_COLUMNS)))
+    data[:, :-2] = rows
+    if not np.isfinite(data[:, :-2]).all():
+        raise ValueError("run diverged: the trace holds non-finite values")
+    data[:, -2] = smsf.eval_signature(sig, data[:, 1], data[:, 2])
+    data[:, -1] = smsf.eval_signature(sig, data[:, 4], data[:, 5])
+    return SimTrace(data)
 
 
 @dataclass
@@ -199,8 +181,3 @@ def undetectability_report(attacked: SimTrace, nominal: SimTrace,
     mapped = np.linalg.solve(attack.s_x, (nom - attack.d_x).T).T
     sup_act = float(np.max(np.abs(act - mapped)))
     return UndetectabilityReport(sup_obs, sup_act, sup_obs <= tol, tol)
-
-
-def error_series(trace: SimTrace):
-    """(t, xe, ye, thetae) arrays of the observed body-frame error."""
-    return trace.t, trace.xe, trace.ye, trace.thetae

@@ -10,7 +10,6 @@ neighborhood of the attack's anchor posture.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -234,14 +233,3 @@ def signature_from_dict(d: dict) -> PolySignature:
         i, j = key.split(",")
         terms[(int(i), int(j))] = float(coeff)
     return PolySignature(terms, max_degree=int(d.get("max_degree", 4)))
-
-
-def save_signature(sig: PolySignature, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(signature_to_dict(sig), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_signature(path) -> PolySignature:
-    with open(path, "r", encoding="utf-8") as fh:
-        return signature_from_dict(json.load(fh))

@@ -14,9 +14,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .kinematics import BodyVelocity, Posture, rk4_step
+from .kinematics import rk4_step
 
 TWO_PI = 2.0 * math.pi
+REFERENCE_CACHE_SIZE = 8  # reference tables kept by reference_table
 
 
 @dataclass(frozen=True)
@@ -54,34 +55,18 @@ class RefConfig:
             raise ValueError(f"RefConfig.duration must be positive, got {self.duration}")
 
 
-@dataclass(frozen=True)
-class RefSample:
-    """Reference posture and feedforward command at one instant."""
-
-    p_r: Posture
-    q_r: BodyVelocity
+def _omega_ref(cfg: RefConfig, t: float) -> float:
+    """Feedforward turn rate omega_r(t); the feedforward speed is cfg.v_ref."""
+    return cfg.omega_amp * math.sin(TWO_PI * t / cfg.omega_period)
 
 
-@dataclass(frozen=True)
-class PostureError:
-    """Tracking error rotated into the current body frame."""
-
-    xe: float
-    ye: float
-    thetae: float
-
-
-def feedforward(cfg: RefConfig, t: float) -> BodyVelocity:
-    """Feedforward command q_r(t)."""
-    return BodyVelocity(cfg.v_ref, cfg.omega_amp * math.sin(TWO_PI * t / cfg.omega_period))
-
-
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=REFERENCE_CACHE_SIZE)
 def reference_table(cfg: RefConfig, dt: float = 0.01) -> np.ndarray:
     """Reference postures on the grid k*dt for k = 0..ceil(duration/dt).
 
     Integrated from the origin posture by holding q_r(k*dt) over each step,
-    matching the plant's own discretization. Cached per (cfg, dt).
+    matching the plant's own discretization. Cached per (cfg, dt), keeping
+    the REFERENCE_CACHE_SIZE most recently used tables.
     """
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -90,59 +75,41 @@ def reference_table(cfg: RefConfig, dt: float = 0.01) -> np.ndarray:
     x = y = th = 0.0
     table[0] = (x, y, th)
     for k in range(n):
-        q = feedforward(cfg, k * dt)
-        x, y, th = rk4_step(x, y, th, q.v, q.omega, dt)
+        x, y, th = rk4_step(x, y, th, cfg.v_ref, _omega_ref(cfg, k * dt), dt)
         table[k + 1] = (x, y, th)
     table.setflags(write=False)
     return table
 
 
-def gen_reference(cfg: RefConfig, t: float, dt: float = 0.01) -> RefSample:
-    """Reference sample at time t in [0, duration].
+def control(ref: RefConfig, gains: ControllerGains, p_ref, t: float,
+            x: float, y: float, theta: float):
+    """One controller tick: the Kanayama law at the observed posture (x, y, theta).
 
-    Off-grid times are reached by a partial zero-order-hold step from the
-    last grid node, keeping the sample consistent with the discrete loop.
-    """
-    if not (-1e-9 <= t <= cfg.duration + 1e-9):
-        raise ValueError(f"t={t} outside [0, {cfg.duration}]")
-    t = min(max(t, 0.0), cfg.duration)
-    table = reference_table(cfg, dt)
-    idx = int(math.floor(t / dt + 1e-9))
-    idx = min(idx, len(table) - 1)
-    rem = t - idx * dt
-    if rem <= 1e-12:
-        p = Posture.from_array(table[idx])
-    else:
-        q = feedforward(cfg, idx * dt)
-        p = Posture(*rk4_step(*table[idx], q.v, q.omega, rem))
-    return RefSample(p, feedforward(cfg, t))
+    p_ref is the reference posture (xr, yr, thr) at time t. The error is the
+    world-frame offset to the reference rotated into the body frame:
 
+    xe = cos(theta)*(xr-x) + sin(theta)*(yr-y)
+    ye = -sin(theta)*(xr-x) + cos(theta)*(yr-y)
+    thetae = thr - theta   (headings unwrapped on both sides)
 
-def body_frame_error(p_r: Posture, p_c: Posture) -> PostureError:
-    """World-frame offset to the reference, rotated into the current body frame.
-
-    xe = cos(thc)*(xr-xc) + sin(thc)*(yr-yc)
-    ye = -sin(thc)*(xr-xc) + cos(thc)*(yr-yc)
-    thetae = thr - thc   (headings unwrapped on both sides)
-    """
-    c = math.cos(p_c.theta)
-    s = math.sin(p_c.theta)
-    dx = p_r.x - p_c.x
-    dy = p_r.y - p_c.y
-    return PostureError(c * dx + s * dy, -s * dx + c * dy, p_r.theta - p_c.theta)
-
-
-def kanayama(q_r: BodyVelocity, e: PostureError, gains: ControllerGains) -> BodyVelocity:
-    """Kanayama tracking law.
+    and with the feedforward (v_r, omega_r) = (v_ref, omega_r(t)):
 
     v = v_r*cos(thetae) + kx*xe
     omega = omega_r + v_r*(ky*ye + ktheta*sin(thetae))
+    V = (xe^2 + ye^2)/2 + (1 - cos(thetae))/ky   (tracking Lyapunov value)
+
+    Returns (v, omega, xe, ye, thetae, V).
     """
-    v = q_r.v * math.cos(e.thetae) + gains.kx * e.xe
-    omega = q_r.omega + q_r.v * (gains.ky * e.ye + gains.ktheta * math.sin(e.thetae))
-    return BodyVelocity(v, omega)
-
-
-def lyapunov(e: PostureError, gains: ControllerGains) -> float:
-    """Tracking Lyapunov value V = (xe^2 + ye^2)/2 + (1 - cos(thetae))/ky."""
-    return 0.5 * (e.xe * e.xe + e.ye * e.ye) + (1.0 - math.cos(e.thetae)) / gains.ky
+    xr, yr, thr = p_ref
+    c = math.cos(theta)
+    s = math.sin(theta)
+    dx = xr - x
+    dy = yr - y
+    xe = c * dx + s * dy
+    ye = -s * dx + c * dy
+    thetae = thr - theta
+    v_r = ref.v_ref
+    v = v_r * math.cos(thetae) + gains.kx * xe
+    omega = _omega_ref(ref, t) + v_r * (gains.ky * ye + gains.ktheta * math.sin(thetae))
+    lyap = 0.5 * (xe * xe + ye * ye) + (1.0 - math.cos(thetae)) / gains.ky
+    return v, omega, xe, ye, thetae, lyap

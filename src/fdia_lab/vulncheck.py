@@ -27,6 +27,10 @@ CLASS_CONTINUOUS = "continuous-family"
 CLASS_DISCRETE = "discrete-nontrivial"
 CLASS_TRIVIAL = "trivial-only"
 
+# classify() scores the beta grid this many rows at a time, which bounds its
+# working set to a few (BETA_BLOCK, n_grid) temporaries
+BETA_BLOCK = 256
+
 
 @dataclass(frozen=True)
 class ScalarFamily:
@@ -112,11 +116,15 @@ def classify(fam: ScalarFamily, tol: float = 1e-9, alpha_range=(-3.0, 3.0),
     betas = np.linspace(beta_range[0], beta_range[1], n_beta + 1)
     betas = betas[np.abs(betas) > 0.5 * step]  # beta = 0 collapses the argument
 
-    gbx = g(betas[:, None] * x[None, :])  # (n_beta, n_grid)
-    denom = np.sum(gbx * gbx, axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        alphas = np.where(denom > 0.0, (gbx @ gx) / denom, np.inf)
-    residuals = np.max(np.abs(alphas[:, None] * gbx - gx[None, :]), axis=1)
+    alphas = np.empty(len(betas))
+    residuals = np.empty(len(betas))
+    for lo in range(0, len(betas), BETA_BLOCK):
+        block = slice(lo, lo + BETA_BLOCK)
+        gbx = g(betas[block, None] * x[None, :])  # (rows of the block, n_grid)
+        denom = np.sum(gbx * gbx, axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            alphas[block] = np.where(denom > 0.0, (gbx @ gx) / denom, np.inf)
+        residuals[block] = np.max(np.abs(alphas[block, None] * gbx - gx[None, :]), axis=1)
 
     in_range = np.isfinite(alphas) & (alphas >= alpha_range[0]) & (alphas <= alpha_range[1])
     trivial = (np.abs(betas - 1.0) <= 0.5 * step) & (np.abs(alphas - 1.0) <= 1e-6)

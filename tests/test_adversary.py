@@ -18,8 +18,6 @@ from fdia_lab.adversary import (
     holdout_grid,
     monomial_basis,
     nrmse,
-    samples_from_csv,
-    samples_to_csv,
     spiral_samples,
     spoof,
     trajectory_samples,
@@ -231,28 +229,3 @@ def test_spoof_with_sparse_estimate_is_caught(scenario_runs):
     assert result.caught
     assert result.sup_residual > 0.1
     assert result.detect_t is not None
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def test_samples_csv_round_trip(tmp_path):
-    samples = spiral_samples(40, noise_std=0.02, seed=9)
-    path = tmp_path / "samples.csv"
-    samples_to_csv(samples, path)
-    with open(path, "r", encoding="utf-8") as fh:
-        assert fh.readline().strip() == "x,y,phi"
-    back = samples_from_csv(path, source="spiral")
-    assert back.source == "spiral"
-    np.testing.assert_array_equal(back.x, samples.x)
-    np.testing.assert_array_equal(back.y, samples.y)
-    np.testing.assert_array_equal(back.phi, samples.phi)
-    assert samples_from_csv(path).source == "grid"
-
-
-def test_samples_csv_rejects_foreign_header(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("u,v,w\n1,2,3\n", encoding="utf-8")
-    with pytest.raises(ValueError):
-        samples_from_csv(path)

@@ -21,7 +21,7 @@ from fdia_lab.fdia import (
     load_attack,
     save_attack,
 )
-from fdia_lab.kinematics import BodyVelocity, Posture
+from fdia_lab.kinematics import Posture
 
 P0 = Posture(0.0, 0.02, 0.0)
 P0_TILTED = Posture(0.0, 0.02, math.pi / 6)
@@ -86,33 +86,34 @@ def test_attack_requires_invertible_state_map():
 
 def test_attack_state_examples():
     ident = identity_attack()
-    p = Posture(0.3, -0.7, 2.2)
-    assert attack_state(ident, p) == p
+    p = (0.3, -0.7, 2.2)
+    assert attack_state(ident, *p) == p
 
     s1 = build_reflection(1.0, P0)
-    mapped = attack_state(s1, P0)
-    assert abs(mapped.x - P0.x) <= 1e-15
-    assert abs(mapped.y - P0.y) <= 1e-15
-    assert abs(mapped.theta - P0.theta) <= 1e-15
+    mapped = attack_state(s1, P0.x, P0.y, P0.theta)
+    assert all(isinstance(c, float) for c in mapped)
+    assert np.max(np.abs(np.subtract(mapped, P0.as_array()))) <= 1e-15
 
     s2 = build_scaling(0.5, P0)
-    mapped = attack_state(s2, Posture(0.1, 0.02, 0.5))
-    assert abs(mapped.x - 0.2) <= 1e-15
-    assert abs(mapped.y - 0.02) <= 1e-15
-    assert abs(mapped.theta - 0.5) <= 1e-15
+    mapped = attack_state(s2, 0.1, 0.02, 0.5)
+    assert np.max(np.abs(np.subtract(mapped, (0.2, 0.02, 0.5)))) <= 1e-15
 
 
 def test_attack_command_examples():
-    q = BodyVelocity(0.02, 0.3)
-    s1 = build_reflection(1.0, P0)
-    out = attack_command(s1, q)
-    assert (out.v, out.omega) == (0.02, -0.3)
+    q = (0.02, 0.3)
+    assert attack_command(build_reflection(1.0, P0), *q) == (0.02, -0.3)
+    assert attack_command(build_scaling(0.5, P0), *q) == (0.01, 0.3)
+    assert attack_command(identity_attack(), *q) == q
 
-    s2 = build_scaling(0.5, P0)
-    out = attack_command(s2, q)
-    assert (out.v, out.omega) == (0.01, 0.3)
 
-    assert attack_command(identity_attack(), q) == q
+def test_attack_maps_equal_the_matrix_product_bitwise():
+    # the float maps keep numpy's matrix product: a hand-expanded sum would
+    # differ in the last bit under a tilted reflection
+    a = build_reflection(1.0, P0_TILTED)
+    rng = np.random.default_rng(36)
+    for p, q in zip(rng.uniform(-2, 2, (200, 3)), rng.uniform(-2, 2, (200, 2))):
+        assert attack_state(a, *p.tolist()) == tuple(a.s_x @ p + a.d_x)
+        assert attack_command(a, *q.tolist()) == tuple(a.s_u @ q + a.d_u)
 
 
 def test_attack_state_is_affine():
@@ -124,11 +125,11 @@ def test_attack_state_is_affine():
         p = rng.uniform(-2, 2, 3)
         p2 = rng.uniform(-2, 2, 3)
         lam = float(rng.uniform(-1.0, 2.0))
-        blended = attack_state(a, Posture(*(float(c) for c in lam * p + (1 - lam) * p2)))
-        part = lam * attack_state(a, Posture(*(float(c) for c in p))).as_array() + (
-            1 - lam
-        ) * attack_state(a, Posture(*(float(c) for c in p2))).as_array()
-        assert np.max(np.abs(blended.as_array() - part)) <= 1e-12
+        blended = attack_state(a, *(float(c) for c in lam * p + (1 - lam) * p2))
+        part = lam * np.array(attack_state(a, *p.tolist())) + (1 - lam) * np.array(
+            attack_state(a, *p2.tolist())
+        )
+        assert np.max(np.abs(np.array(blended) - part)) <= 1e-12
 
 
 def test_reflection_mirrors_heading():
@@ -138,8 +139,7 @@ def test_reflection_mirrors_heading():
         theta0 = float(rng.uniform(-2, 2))
         a = build_reflection(1.0, Posture(0.0, 0.02, theta0))
         theta = float(rng.uniform(-10, 10))
-        mapped = attack_state(a, Posture(0.0, 0.0, theta))
-        assert abs(mapped.theta - (2.0 * theta0 - theta)) <= 1e-12
+        assert abs(attack_state(a, 0.0, 0.0, theta)[2] - (2.0 * theta0 - theta)) <= 1e-12
 
 
 def test_condition1_examples():

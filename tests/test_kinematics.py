@@ -1,11 +1,11 @@
-"""Integrator and Jacobian checks against closed-form motion oracles."""
+"""Integrator checks against closed-form motion oracles."""
 
 import math
 
 import numpy as np
 import pytest
 
-from fdia_lab.kinematics import BodyVelocity, Posture, derivative, jacobian, rk4_step, step
+from fdia_lab.kinematics import Posture, rk4_step
 
 DT = 0.01
 
@@ -17,33 +17,9 @@ def test_posture_rejects_non_finite():
         Posture(float("inf"), 0.0, 0.0)
 
 
-def test_body_velocity_rejects_non_finite():
-    with pytest.raises(ValueError):
-        BodyVelocity(float("nan"), 0.0)
-
-
 def test_posture_array_round_trip():
     p = Posture(0.1, -0.2, 3.5)
     assert Posture.from_array(p.as_array()) == p
-
-
-def test_jacobian_structure():
-    """First column is a unit heading vector; second column is the pure turn."""
-    rng = np.random.default_rng(7)
-    for theta in rng.uniform(-10.0, 10.0, 50):
-        j = jacobian(float(theta))
-        assert j.shape == (3, 2)
-        assert abs(np.linalg.norm(j[:, 0]) - 1.0) <= 1e-15
-        assert j[0, 1] == 0.0 and j[1, 1] == 0.0
-        assert j[2, 0] == 0.0 and j[2, 1] == 1.0
-
-
-def test_derivative_matches_jacobian_product():
-    rng = np.random.default_rng(8)
-    for _ in range(50):
-        p = Posture(*(float(c) for c in rng.uniform(-1, 1, 3)))
-        q = BodyVelocity(*(float(c) for c in rng.uniform(-1, 1, 2)))
-        assert np.allclose(derivative(p, q), jacobian(p.theta) @ q.as_array(), atol=1e-15)
 
 
 def test_straight_line_is_exact():
@@ -53,13 +29,13 @@ def test_straight_line_is_exact():
         theta0 = float(rng.uniform(-math.pi, math.pi))
         v = float(rng.uniform(-1.0, 1.0))
         n = int(rng.integers(1, 400))
-        p = Posture(0.0, 0.0, theta0)
-        q = BodyVelocity(v, 0.0)
+        x = y = 0.0
+        th = theta0
         for _ in range(n):
-            p = step(p, q, DT)
-        assert abs(p.x - n * DT * v * math.cos(theta0)) <= 1e-12
-        assert abs(p.y - n * DT * v * math.sin(theta0)) <= 1e-12
-        assert p.theta == theta0
+            x, y, th = rk4_step(x, y, th, v, 0.0, DT)
+        assert abs(x - n * DT * v * math.cos(theta0)) <= 1e-12
+        assert abs(y - n * DT * v * math.sin(theta0)) <= 1e-12
+        assert th == theta0
 
 
 def test_constant_turn_matches_circular_arc():
@@ -70,45 +46,28 @@ def test_constant_turn_matches_circular_arc():
         v = float(rng.uniform(-1.0, 1.0))
         omega = float(rng.uniform(0.1, 1.5)) * (1.0 if rng.random() < 0.5 else -1.0)
         n = int(rng.integers(50, 500))
-        p = Posture(0.2, -0.1, theta0)
-        q = BodyVelocity(v, omega)
+        x, y, th = 0.2, -0.1, theta0
         for _ in range(n):
-            p = step(p, q, DT)
+            x, y, th = rk4_step(x, y, th, v, omega, DT)
         t = n * DT
         x_true = 0.2 + (v / omega) * (math.sin(theta0 + omega * t) - math.sin(theta0))
         y_true = -0.1 - (v / omega) * (math.cos(theta0 + omega * t) - math.cos(theta0))
         tol = 1e-9 * t
-        assert abs(p.x - x_true) <= tol, f"x off by {abs(p.x - x_true):.2e} after {t} s"
-        assert abs(p.y - y_true) <= tol, f"y off by {abs(p.y - y_true):.2e} after {t} s"
-        assert abs(p.theta - (theta0 + omega * t)) <= 1e-12
+        assert abs(x - x_true) <= tol, f"x off by {abs(x - x_true):.2e} after {t} s"
+        assert abs(y - y_true) <= tol, f"y off by {abs(y - y_true):.2e} after {t} s"
+        assert abs(th - (theta0 + omega * t)) <= 1e-12
 
 
 def test_theta_update_is_linear():
     """The heading row integrates exactly: one step adds dt*omega bitwise."""
     rng = np.random.default_rng(13)
     for _ in range(50):
-        p = Posture(*(float(c) for c in rng.uniform(-2, 2, 3)))
-        q = BodyVelocity(*(float(c) for c in rng.uniform(-2, 2, 2)))
-        assert step(p, q, DT).theta == p.theta + DT * q.omega
+        x, y, th = (float(c) for c in rng.uniform(-2, 2, 3))
+        v, omega = (float(c) for c in rng.uniform(-2, 2, 2))
+        assert rk4_step(x, y, th, v, omega, DT)[2] == th + DT * omega
 
 
 def test_step_is_deterministic():
-    p = Posture(0.3, -0.7, 1.1)
-    q = BodyVelocity(0.4, -0.9)
-    first = step(p, q, DT)
+    first = rk4_step(0.3, -0.7, 1.1, 0.4, -0.9, DT)
     for _ in range(5):
-        assert step(p, q, DT) == first
-
-
-def test_step_rejects_nonpositive_dt():
-    with pytest.raises(ValueError):
-        step(Posture(0.0, 0.0, 0.0), BodyVelocity(0.1, 0.0), 0.0)
-    with pytest.raises(ValueError):
-        step(Posture(0.0, 0.0, 0.0), BodyVelocity(0.1, 0.0), -0.01)
-
-
-def test_rk4_step_matches_step_wrapper():
-    p = Posture(1.0, 2.0, 0.5)
-    q = BodyVelocity(0.2, 0.3)
-    x, y, th = rk4_step(p.x, p.y, p.theta, q.v, q.omega, DT)
-    assert step(p, q, DT) == Posture(x, y, th)
+        assert rk4_step(0.3, -0.7, 1.1, 0.4, -0.9, DT) == first

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import socket
 import struct
@@ -9,6 +10,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fdia_lab.fdia import build_reflection
 from fdia_lab.netlink import (
@@ -124,6 +127,62 @@ def test_decode_error_taxonomy():
         decode(struct.pack(">I", len(bad_kind)) + bad_kind)
     assert issubclass(UnknownKindError, WireFormatError)
     assert issubclass(FrameLengthError, NetlinkError)
+
+
+def _frame(body: bytes) -> bytes:
+    return struct.pack(">I", len(body)) + body
+
+
+def _decodes_or_netlink_error(frame: bytes) -> None:
+    try:
+        msg = decode(frame)
+    except NetlinkError:
+        return
+    assert isinstance(msg, WireMessage)
+
+
+def test_decode_rejects_oversized_numbers_and_deep_nesting():
+    huge = b"9" * 400
+    for body in (
+        b'{"kind":"Obs","seq":0,"t":' + huge + b',"payload":[1,2,3]}',
+        b'{"kind":"Obs","seq":0,"t":0,"payload":[' + huge + b',2,3]}',
+        b'{"kind":"Sig","seq":0,"t":0,"payload":[-' + huge + b']}',
+        b'{"kind":"Obs","seq":' + b"9" * 5000 + b',"t":0,"payload":[1,2,3]}',
+        b'{"kind":"Obs","seq":0,"t":0,"payload":' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+    ):
+        with pytest.raises(WireFormatError):
+            decode(_frame(body))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.binary(max_size=64))
+def test_any_bytes_decode_or_raise_netlink_errors(data):
+    _decodes_or_netlink_error(data)
+    _decodes_or_netlink_error(_frame(data))
+
+
+_JSON_SCALARS = (st.none() | st.booleans() | st.floats()
+                 | st.integers(min_value=-(10**400), max_value=10**400) | st.text(max_size=8))
+_JSONISH = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner,
+                                                                 max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    _JSONISH,
+    st.fixed_dictionaries({
+        "kind": st.sampled_from(MSG_KINDS) | _JSONISH,
+        "seq": st.integers(min_value=-2, max_value=10**400) | _JSONISH,
+        "t": _JSON_SCALARS,
+        "payload": st.lists(_JSON_SCALARS, max_size=4) | _JSONISH,
+    }),
+))
+def test_jsonish_bodies_decode_or_raise_netlink_errors(obj):
+    _decodes_or_netlink_error(_frame(json.dumps(obj).encode("utf-8")))
 
 
 def test_random_messages_round_trip():

@@ -118,6 +118,14 @@ def test_document_validation_errors():
         scenario_from_dict(_quick_doc(seed=-3))
 
 
+def test_duration_off_the_step_grid_is_rejected():
+    # 0.015 s would quietly run to 0.02 s; the document is refused instead
+    for duration in (0.015, 0.004):
+        with pytest.raises(ScenarioError, match="whole number of dt"):
+            scenario_from_dict(_quick_doc(duration=duration))
+    assert scenario_from_dict(_quick_doc(duration=0.02)).sim.n_steps() == 2
+
+
 def test_custom_file_loads_and_validates(tmp_path):
     path = tmp_path / "tilted.json"
     doc = _quick_doc(

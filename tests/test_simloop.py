@@ -2,21 +2,22 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
-from fdia_lab.fdia import build_reflection
+from fdia_lab.fdia import attack_command, attack_state, build_reflection
 from fdia_lab.kinematics import Posture
 from fdia_lab.simloop import (
     TRACE_COLUMNS,
     SimConfig,
     SimTrace,
-    error_series,
     run,
     undetectability_report,
 )
 from fdia_lab.smsf import eval_signature
-from fdia_lab.tracking import PostureError, RefConfig, feedforward, lyapunov
+from fdia_lab.tracking import RefConfig, control, reference_table
 
 
 def test_trace_column_order():
@@ -36,6 +37,22 @@ def test_config_validation():
         SimConfig(duration=-1.0)
     with pytest.raises(ValueError):
         SimConfig(ref=RefConfig(duration=10.0), duration=30.0)
+
+
+def test_duration_must_be_whole_steps():
+    # 0.015 and 0.025 would both end at t = 0.02, and 0.004 would run no step
+    for bad in (0.015, 0.025, 0.004, 1.005):
+        with pytest.raises(ValueError):
+            SimConfig(duration=bad)
+    # 30 / 0.01 is 2999.9999999999995 in floating point: still 3000 steps
+    for good, steps in ((30.0, 3000), (5.0, 500), (1.0, 100), (0.2, 20), (0.01, 1)):
+        assert SimConfig(duration=good).n_steps() == steps
+
+
+def test_diverging_run_raises():
+    # a start 1e308 m off the reference commands an infinite speed at once
+    with pytest.raises(ValueError):
+        run(SimConfig(p0=Posture(1e308, 0.0, 0.0), duration=1.0))
 
 
 def test_time_grid_shape(scenario_runs):
@@ -63,10 +80,9 @@ def test_zero_initial_error_stays_on_reference():
     np.testing.assert_array_equal(trace.xe, np.zeros(len(trace)))
     np.testing.assert_array_equal(trace.ye, np.zeros(len(trace)))
     np.testing.assert_array_equal(trace.thetae, np.zeros(len(trace)))
-    for k in range(len(trace)):
-        q_ff = feedforward(cfg.ref, float(trace.t[k]))
-        assert trace.v_cmd[k] == q_ff.v
-        assert trace.w_cmd[k] == q_ff.omega
+    for t, v, w in zip(trace.t.tolist(), trace.v_cmd.tolist(), trace.w_cmd.tolist()):
+        assert v == cfg.ref.v_ref
+        assert w == cfg.ref.omega_amp * math.sin(2.0 * math.pi * t / cfg.ref.omega_period)
 
 
 def test_observed_columns_follow_attack_map(scenario_runs):
@@ -107,10 +123,7 @@ def test_logged_lyapunov_and_signature_columns(scenario_runs):
     trace = bundle.attacked
     sig = bundle.scenario.signature
     gains = bundle.scenario.sim.gains
-    v_re = np.array([
-        lyapunov(PostureError(xe, ye, te), gains)
-        for xe, ye, te in zip(trace.xe, trace.ye, trace.thetae)
-    ])
+    v_re = 0.5 * (trace.xe**2 + trace.ye**2) + (1.0 - np.cos(trace.thetae)) / gains.ky
     assert float(np.max(np.abs(trace.V - v_re))) <= 1e-12
     np.testing.assert_allclose(trace.phi_plant, eval_signature(sig, trace.x, trace.y),
                                rtol=0.0, atol=1e-15)
@@ -122,6 +135,22 @@ def test_unknown_column_raises():
     trace = run(SimConfig(duration=1.0))
     with pytest.raises(AttributeError):
         trace.no_such_column
+
+
+def test_logged_columns_are_the_controller_tick(scenario_runs):
+    # the logged observation, command and error columns are control() at the
+    # observed posture, bitwise, on an attacked run
+    bundle = scenario_runs["scenario3"]
+    cfg = bundle.scenario.sim
+    trace = bundle.attacked
+    table = reference_table(cfg.ref, cfg.dt)
+    for row in trace.data[::25].tolist():
+        k = round(row[0] / cfg.dt)
+        assert row[0] == k * cfg.dt
+        assert tuple(row[4:7]) == attack_state(bundle.attack, *row[1:4])
+        tick = control(cfg.ref, cfg.gains, table[k].tolist(), row[0], *row[4:7])
+        assert (row[7], row[8], *row[11:15]) == tick
+        assert tuple(row[9:11]) == attack_command(bundle.attack, row[7], row[8])
 
 
 def test_undetectability_report_on_builtin_attacks(scenario_runs):
@@ -151,15 +180,6 @@ def test_wrong_anchor_breaks_undetectability(scenario_runs):
     report = undetectability_report(attacked, nominal, bad)
     assert not report.undetectable
     assert report.sup_obs_dev >= 0.009
-
-
-def test_error_series_matches_columns(scenario_runs):
-    trace = scenario_runs["scenario1"].attacked
-    t, xe, ye, thetae = error_series(trace)
-    np.testing.assert_array_equal(t, trace.t)
-    np.testing.assert_array_equal(xe, trace.xe)
-    np.testing.assert_array_equal(ye, trace.ye)
-    np.testing.assert_array_equal(thetae, trace.thetae)
 
 
 def test_attacked_error_signals_match_nominal(scenario_runs):

@@ -15,10 +15,8 @@ from fdia_lab.smsf import (
     affine_fit,
     default_signature,
     eval_signature,
-    load_signature,
     monitor,
     resilience_check,
-    save_signature,
     signature_from_dict,
     signature_to_dict,
     validate_smsf,
@@ -308,12 +306,3 @@ def test_signature_dict_round_trip():
     back = signature_from_dict(d)
     assert back.terms == sig.terms
     assert back.max_degree == sig.max_degree
-
-
-def test_signature_file_round_trip(tmp_path):
-    sig = PolySignature({(2, 0): 1.5, (0, 2): 2.5, (1, 1): -0.25}, max_degree=3)
-    path = tmp_path / "sig.json"
-    save_signature(sig, path)
-    back = load_signature(path)
-    assert back.terms == sig.terms
-    assert back.max_degree == 3

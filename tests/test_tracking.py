@@ -1,4 +1,4 @@
-"""Reference generation, body-frame error, control law, and Lyapunov value."""
+"""Reference generation and the controller tick: error, control law, Lyapunov value."""
 
 import math
 from dataclasses import replace
@@ -6,21 +6,33 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fdia_lab.kinematics import BodyVelocity, Posture, rk4_step
+from fdia_lab.kinematics import Posture, rk4_step
 from fdia_lab.scenarios import load_scenario
 from fdia_lab.simloop import run
 from fdia_lab.tracking import (
+    REFERENCE_CACHE_SIZE,
     ControllerGains,
-    PostureError,
     RefConfig,
-    body_frame_error,
-    feedforward,
-    gen_reference,
-    kanayama,
-    lyapunov,
+    control,
+    reference_table,
 )
 
 GAINS = ControllerGains(2.0, 2000.0, 100.0)
+REF = RefConfig()
+
+
+def tick(p_ref, pose, ref=REF, t=0.0):
+    """control() at the observed pose; returns (v, omega, xe, ye, thetae, V)."""
+    return control(ref, GAINS, p_ref, t, *pose)
+
+
+def error(p_ref, pose):
+    """Body-frame error (xe, ye, thetae) of the pose against the reference."""
+    return tick(p_ref, pose)[2:5]
+
+
+def lyapunov(p_ref, pose=(0.0, 0.0, 0.0)):
+    return tick(p_ref, pose)[5]
 
 
 def test_gains_must_be_positive():
@@ -39,11 +51,13 @@ def test_ref_config_validation():
 
 
 def test_feedforward_profile():
+    """On the reference the command is the feedforward (v_ref, omega_amp*sin(2*pi*t/period))."""
     cfg = RefConfig(omega_amp=0.7)
-    assert feedforward(cfg, 0.0) == BodyVelocity(0.02, 0.0)
-    quarter = feedforward(cfg, 1.0)
-    assert quarter.v == 0.02
-    assert abs(quarter.omega - 0.7) <= 1e-15
+    on_ref = (0.3, -0.2, 0.1)
+    assert tick(on_ref, on_ref, cfg, 0.0)[:2] == (0.02, 0.0)
+    v, omega = tick(on_ref, on_ref, cfg, 1.0)[:2]
+    assert v == 0.02
+    assert abs(omega - 0.7) <= 1e-15
 
 
 def test_reference_follows_its_own_feedforward():
@@ -51,87 +65,92 @@ def test_reference_follows_its_own_feedforward():
     cfg = RefConfig(duration=4.0)
     x = y = th = 0.0
     for k in range(200):
-        q = feedforward(cfg, k * 0.01)
-        x, y, th = rk4_step(x, y, th, q.v, q.omega, 0.01)
-    ref = gen_reference(cfg, 2.0)
-    assert ref.p_r == Posture(x, y, th)
-    assert abs(ref.q_r.omega) <= 1e-12, "half a period later the turn rate crosses zero"
-    assert ref.q_r.v == 0.02
+        on_ref = (x, y, th)
+        v, omega = tick(on_ref, on_ref, cfg, k * 0.01)[:2]
+        x, y, th = rk4_step(x, y, th, v, omega, 0.01)
+    table = reference_table(cfg, 0.01)
+    assert tuple(table[200]) == (x, y, th)
+    on_ref = tuple(table[200])
+    v, omega = tick(on_ref, on_ref, cfg, 2.0)[:2]
+    assert abs(omega) <= 1e-12, "half a period later the turn rate crosses zero"
+    assert v == 0.02
 
 
-def test_reference_rejects_out_of_range_times():
-    cfg = RefConfig(duration=4.0)
-    with pytest.raises(ValueError):
-        gen_reference(cfg, -0.1)
-    with pytest.raises(ValueError):
-        gen_reference(cfg, 4.2)
+def test_reference_cache_is_bounded():
+    reference_table.cache_clear()
+    for k in range(REFERENCE_CACHE_SIZE + 3):
+        reference_table(RefConfig(duration=0.1 + 0.01 * k), 0.01)
+    info = reference_table.cache_info()
+    assert info.maxsize == REFERENCE_CACHE_SIZE
+    assert info.currsize == REFERENCE_CACHE_SIZE
+    reference_table.cache_clear()
 
 
 def test_body_frame_error_examples():
-    origin = Posture(0.0, 0.0, 0.0)
-    assert body_frame_error(origin, origin) == PostureError(0.0, 0.0, 0.0)
+    origin = (0.0, 0.0, 0.0)
+    assert error(origin, origin) == (0.0, 0.0, 0.0)
 
-    e = body_frame_error(Posture(1.0, 2.0, 0.3), origin)
-    assert (e.xe, e.ye, e.thetae) == (1.0, 2.0, 0.3)
+    assert error((1.0, 2.0, 0.3), origin) == (1.0, 2.0, 0.3)
 
-    e = body_frame_error(Posture(1.0, 0.0, math.pi / 2), Posture(0.0, 0.0, math.pi / 2))
-    assert abs(e.xe) <= 1e-15
-    assert abs(e.ye + 1.0) <= 1e-15
-    assert e.thetae == 0.0
+    xe, ye, thetae = error((1.0, 0.0, math.pi / 2), (0.0, 0.0, math.pi / 2))
+    assert abs(xe) <= 1e-15
+    assert abs(ye + 1.0) <= 1e-15
+    assert thetae == 0.0
 
 
 def test_body_frame_error_inverts():
     """Rotating the error back out of the body frame recovers the reference."""
     rng = np.random.default_rng(21)
     for _ in range(50):
-        p_r = Posture(*(float(c) for c in rng.uniform(-2, 2, 3)))
-        p_c = Posture(*(float(c) for c in rng.uniform(-2, 2, 3)))
-        e = body_frame_error(p_r, p_c)
-        c = math.cos(p_c.theta)
-        s = math.sin(p_c.theta)
-        x_back = p_c.x + c * e.xe - s * e.ye
-        y_back = p_c.y + s * e.xe + c * e.ye
-        th_back = p_c.theta + e.thetae
-        assert abs(x_back - p_r.x) <= 1e-12
-        assert abs(y_back - p_r.y) <= 1e-12
-        assert abs(th_back - p_r.theta) <= 1e-12
+        p_r = tuple(float(c) for c in rng.uniform(-2, 2, 3))
+        x, y, th = (float(c) for c in rng.uniform(-2, 2, 3))
+        xe, ye, thetae = error(p_r, (x, y, th))
+        c = math.cos(th)
+        s = math.sin(th)
+        assert abs(x + c * xe - s * ye - p_r[0]) <= 1e-12
+        assert abs(y + s * xe + c * ye - p_r[1]) <= 1e-12
+        assert abs(th + thetae - p_r[2]) <= 1e-12
 
 
 def test_kanayama_zero_error_passes_feedforward_bitwise():
     rng = np.random.default_rng(22)
-    zero = PostureError(0.0, 0.0, 0.0)
     for _ in range(50):
-        q_r = BodyVelocity(float(rng.uniform(0.0, 1.0)), float(rng.uniform(-1.0, 1.0)))
-        out = kanayama(q_r, zero, GAINS)
-        assert out == q_r
+        ref = RefConfig(v_ref=float(rng.uniform(0.01, 1.0)),
+                        omega_amp=float(rng.uniform(-1.0, 1.0)))
+        t = float(rng.uniform(0.0, 30.0))
+        on_ref = tuple(float(c) for c in rng.uniform(-2, 2, 3))
+        v, omega = tick(on_ref, on_ref, ref, t)[:2]
+        assert v == ref.v_ref
+        assert omega == ref.omega_amp * math.sin(2.0 * math.pi * t / ref.omega_period)
 
 
 def test_kanayama_hand_examples():
-    out = kanayama(BodyVelocity(1.0, 0.0), PostureError(0.1, 0.0, math.pi / 2), GAINS)
-    assert abs(out.v - 0.2) <= 1e-12
-    assert abs(out.omega - 100.0) <= 1e-12
+    # error (0.1, 0, pi/2) against the feedforward (1, 0)
+    v, omega = tick((0.1, 0.0, math.pi / 2), (0.0, 0.0, 0.0), RefConfig(v_ref=1.0))[:2]
+    assert abs(v - 0.2) <= 1e-12
+    assert abs(omega - 100.0) <= 1e-12
 
-    out = kanayama(BodyVelocity(0.02, 0.0), PostureError(0.0, 0.001, 0.0), GAINS)
-    assert out.v == 0.02
-    assert abs(out.omega - 0.04) <= 1e-15
+    # error (0, 0.001, 0) against the feedforward (0.02, 0)
+    v, omega = tick((0.0, 0.001, 0.0), (0.0, 0.0, 0.0))[:2]
+    assert v == 0.02
+    assert abs(omega - 0.04) <= 1e-15
 
 
 def test_lyapunov_examples():
-    assert lyapunov(PostureError(0.0, 0.0, 0.0), GAINS) == 0.0
-    assert lyapunov(PostureError(1.0, 0.0, 0.0), GAINS) == 0.5
-    assert abs(lyapunov(PostureError(0.0, 0.0, math.pi), GAINS) - 0.001) <= 1e-18
+    assert lyapunov((0.0, 0.0, 0.0)) == 0.0
+    assert lyapunov((1.0, 0.0, 0.0)) == 0.5
+    assert abs(lyapunov((0.0, 0.0, math.pi)) - 0.001) <= 1e-18
 
 
 def test_lyapunov_nonnegative_and_zero_only_at_equilibrium():
     rng = np.random.default_rng(23)
     for _ in range(200):
-        e = PostureError(*(float(c) for c in rng.uniform(-3, 3, 3)))
-        assert lyapunov(e, GAINS) >= 0.0
+        assert lyapunov(tuple(float(c) for c in rng.uniform(-3, 3, 3))) >= 0.0
     for k in (-2, -1, 1, 2):
-        assert lyapunov(PostureError(0.0, 0.0, 2.0 * math.pi * k), GAINS) <= 1e-12
+        assert lyapunov((0.0, 0.0, 2.0 * math.pi * k)) <= 1e-12
     for _ in range(50):
         thetae = float(rng.uniform(0.1, 6.0))
-        assert lyapunov(PostureError(0.0, 0.0, thetae), GAINS) > 0.0
+        assert lyapunov((0.0, 0.0, thetae)) > 0.0
 
 
 def test_closed_loop_regulates_small_initial_error():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from fdia_lab.vulncheck import (
+    BETA_BLOCK,
     CLASS_CONTINUOUS,
     CLASS_DISCRETE,
     CLASS_TRIVIAL,
@@ -21,6 +22,7 @@ from fdia_lab.vulncheck import (
     classify,
     default_families,
     default_grid,
+    family_function,
     verdict_table,
 )
 
@@ -155,3 +157,29 @@ def test_loose_tolerance_cannot_fake_an_exponential_family():
     v = verdict_table()[4]
     tight = classify(ScalarFamily(TAG_EXPONENTIAL), tol=v.residual * 0.99)
     assert tight.kind == CLASS_TRIVIAL
+
+
+@pytest.mark.parametrize("tag", [TAG_COSINE, TAG_QUADRATIC])
+def test_blocked_scan_equals_the_dense_formula(tag, verdicts):
+    """classify() scores the beta grid in blocks; the result is the one-block result bitwise."""
+    fam = ScalarFamily(tag)
+    x = default_grid(fam)
+    g = family_function(fam)
+    gx = g(x)
+    betas = np.linspace(-3.0, 3.0, 6001)
+    betas = betas[np.abs(betas) > 0.0005]
+    assert len(betas) > BETA_BLOCK
+    gbx = g(betas[:, None] * x[None, :])
+    denom = np.sum(gbx * gbx, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        alphas = np.where(denom > 0.0, (gbx @ gx) / denom, np.inf)
+    residuals = np.max(np.abs(alphas[:, None] * gbx - gx[None, :]), axis=1)
+    in_range = np.isfinite(alphas) & (np.abs(alphas) <= 3.0)
+    trivial = (np.abs(betas - 1.0) <= 0.0005) & (np.abs(alphas - 1.0) <= 1e-6)
+    nontrivial = in_range & ~trivial
+    admitted = nontrivial & (residuals <= 1e-9)
+
+    verdict = verdicts[tag]
+    assert np.array_equal(np.array(verdict.candidates),
+                          np.column_stack([alphas[admitted], betas[admitted]]))
+    assert np.array_equal(verdict.residual, np.min(residuals[nontrivial]))
