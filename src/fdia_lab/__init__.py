@@ -12,7 +12,6 @@ from .kinematics import Posture
 from .tracking import ControllerGains, RefConfig, control
 from .fdia import (
     AffineAttack,
-    AttackKind,
     SuVerdict,
     admissible_su,
     attack_command,
@@ -72,6 +71,6 @@ from .vulncheck import (
     default_families,
     verdict_table,
 )
-from .scenarios import Scenario, ScenarioError, builtin_names, build_attack, load_scenario, run_scenario
+from .scenarios import Scenario, ScenarioError, builtin_names, load_scenario, run_scenario
 
 __version__ = "0.1.0"

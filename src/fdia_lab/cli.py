@@ -20,17 +20,17 @@ import argparse
 import sys
 
 from . import adversary, netlink, vulncheck
-from .fdia import identity_attack, load_attack
+from .fdia import load_attack
 from .scenarios import (
     ScenarioError,
-    build_attack,
     builtin_names,
+    evaluate,
     load_scenario,
     resolve_out_dir,
     run_scenario,
-    validate_scenario,
+    write_monitor_csv,
 )
-from .simloop import run, undetectability_report
+from .simloop import run, write_csv
 from .smsf import DetectionConfig, monitor
 
 
@@ -144,13 +144,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    sc = load_scenario(args.scenario)
-    attack = validate_scenario(sc)
-    attacked = run(sc.sim, attack, sc.signature)
-    nominal = attacked if attack is None else run(sc.sim, None, sc.signature)
-    report = undetectability_report(
-        attacked, nominal, attack if attack is not None else identity_attack(), tol=args.tol
-    )
+    report = evaluate(load_scenario(args.scenario), tol=args.tol).report
     print(f"sup |observed(attacked) - actual(nominal)| = {report.sup_obs_dev:.3e}")
     print(f"sup |actual(attacked) - mapped(nominal)|   = {report.sup_actual_dev:.3e}")
     verdict = "PASS" if report.undetectable else "FAIL"
@@ -160,8 +154,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_monitor(args) -> int:
     sc = load_scenario(args.scenario)
-    attack = validate_scenario(sc)
-    trace = run(sc.sim, attack, sc.signature)
+    trace = run(sc.sim, sc.attack, sc.signature)
     cfg = DetectionConfig(
         epsilon=args.epsilon if args.epsilon is not None else sc.detection.epsilon,
         window=args.window if args.window is not None else sc.detection.window,
@@ -175,19 +168,14 @@ def _cmd_monitor(args) -> int:
     else:
         print("NOT DETECTED over the run")
     if args.out:
-        exceed = result.residual > cfg.epsilon
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("t,residual,exceeds\n")
-            for t, r, e in zip(result.t, result.residual, exceed):
-                fh.write(f"{format(t, '.17g')},{format(r, '.17g')},{int(e)}\n")
+        write_monitor_csv(args.out, result, cfg.epsilon)
         print(f"wrote {args.out}")
     return 0
 
 
 def _cmd_estimate(args) -> int:
     sc = load_scenario(args.scenario)
-    attack = validate_scenario(sc)
-    trace = run(sc.sim, attack, sc.signature)
+    trace = run(sc.sim, sc.attack, sc.signature)
     rows = adversary.estimation_study(trace, truth=sc.signature, ns=args.n,
                                       noise_std=args.noise_std, seed=args.seed)
     if args.source != "both":
@@ -197,10 +185,7 @@ def _cmd_estimate(args) -> int:
     for row in rows:
         print(f"{row.source:<12}{row.n:>6}  {row.nrmse:.4f}")
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("source,n,nrmse\n")
-            for row in rows:
-                fh.write(f"{row.source},{row.n},{format(row.nrmse, '.17g')}\n")
+        write_csv(args.out, ("source", "n", "nrmse"), [(r.source, r.n, r.nrmse) for r in rows])
         print(f"wrote {args.out}")
     return 0
 
@@ -218,11 +203,10 @@ def _cmd_vulncheck(args) -> int:
             shown = f"none (best residual {v.residual:.2e})"
         print(f"{v.family:<14}{v.kind:<22}{constraint:<28}{shown}")
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("family,classification,constraint,n_candidates,best_residual\n")
-            for v in verdicts:
-                fh.write(f"{v.family},{v.kind},{v.constraint or ''},"
-                         f"{len(v.candidates)},{format(v.residual, '.17g')}\n")
+        write_csv(args.out, ("family", "classification", "constraint", "n_candidates",
+                             "best_residual"),
+                  [(v.family, v.kind, v.constraint or "", len(v.candidates), v.residual)
+                   for v in verdicts])
         print(f"wrote {args.out}")
     return 0
 
@@ -232,12 +216,7 @@ def _cmd_serve_plant(args) -> int:
     host, port = args.listen
     print(f"plant: scenario {sc.name}, listening on {host}:{port}", flush=True)
     log = netlink.serve_plant(sc.sim, sc.signature, host=host, port=port)
-    state = "complete" if log.complete else "incomplete"
-    print(f"plant session {state}: {len(log.t)} logged rows")
-    if args.out:
-        log.to_csv(args.out)
-        print(f"wrote {args.out}")
-    return 0 if log.complete else 1
+    return _session_done("plant", log, args.out)
 
 
 def _cmd_serve_controller(args) -> int:
@@ -245,11 +224,16 @@ def _cmd_serve_controller(args) -> int:
     print(f"controller: scenario {sc.name}, connecting to {args.connect[0]}:{args.connect[1]}",
           flush=True)
     log = netlink.run_controller(sc.sim, connect=args.connect, signature=sc.signature)
+    return _session_done("controller", log, args.out)
+
+
+def _session_done(role: str, log, out) -> int:
+    """Report a networked session's end, write its view CSV if asked; 0 when complete."""
     state = "complete" if log.complete else "incomplete"
-    print(f"controller session {state}: {len(log.t)} logged rows")
-    if args.out:
-        log.to_csv(args.out)
-        print(f"wrote {args.out}")
+    print(f"{role} session {state}: {len(log.t)} logged rows")
+    if out:
+        log.to_csv(out)
+        print(f"wrote {out}")
     return 0 if log.complete else 1
 
 
@@ -258,8 +242,7 @@ def _cmd_proxy(args) -> int:
     if args.attack is not None:
         attack = load_attack(args.attack)
     elif args.scenario is not None:
-        sc = load_scenario(args.scenario)
-        attack = build_attack(sc.attack_kind, sc.sim.p0)
+        attack = load_scenario(args.scenario).attack
     label = attack.kind if attack is not None else "passthrough"
     print(f"proxy: {label}, {args.listen[0]}:{args.listen[1]}"
           f" -> {args.connect[0]}:{args.connect[1]}", flush=True)

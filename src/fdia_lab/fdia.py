@@ -30,22 +30,6 @@ KINDS = (KIND_REFLECTION, KIND_SCALING, KIND_IDENTITY, KIND_CUSTOM)
 _OFFDIAG_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class AttackKind:
-    """Family tag plus the scalar knob beta11 shared by both builders."""
-
-    tag: str
-    beta11: float = 1.0
-
-    def __post_init__(self):
-        if self.tag not in KINDS:
-            raise ValueError(f"unknown attack kind {self.tag!r}, expected one of {KINDS}")
-        if not math.isfinite(self.beta11):
-            raise ValueError("AttackKind.beta11 must be finite")
-        if self.tag in (KIND_REFLECTION, KIND_SCALING) and self.beta11 == 0.0:
-            raise ValueError(f"{self.tag} requires beta11 != 0")
-
-
 @dataclass(eq=False)
 class AffineAttack:
     """Affine channel maps: observable p -> s_x p + d_x, command q -> s_u q + d_u.

@@ -28,7 +28,7 @@ import numpy as np
 from . import smsf
 from .fdia import AffineAttack, attack_command, attack_state
 from .kinematics import rk4_step
-from .simloop import SimConfig, SimTrace
+from .simloop import SimConfig, SimTrace, write_csv
 from .tracking import control, reference_table
 
 MSG_KINDS = ("Obs", "Cmd", "Sig", "Hello", "Bye")
@@ -81,20 +81,29 @@ class WireMessage:
         object.__setattr__(self, "payload", tuple(self.payload))
 
 
+def _is_wire_number(v) -> bool:
+    """An int or float (not a bool) that float64 holds exactly and finitely."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(v) and float(v) == v
+    except OverflowError:  # an int beyond float64's range
+        return False
+
+
 def _check_message(msg: WireMessage) -> None:
     if msg.kind not in MSG_KINDS:
         raise UnknownKindError(f"unknown message kind {msg.kind!r}")
     if not isinstance(msg.seq, int) or isinstance(msg.seq, bool) or msg.seq < 0:
         raise WireFormatError(f"seq must be a non-negative int, got {msg.seq!r}")
-    if not (isinstance(msg.t, (int, float)) and not isinstance(msg.t, bool)
-            and math.isfinite(msg.t)):
-        raise WireFormatError(f"t must be finite, got {msg.t!r}")
+    if not _is_wire_number(msg.t):
+        raise WireFormatError(f"t must be a finite float64, got {msg.t!r}")
     if msg.kind in _NUMERIC_ARITY:
         arity = _NUMERIC_ARITY[msg.kind]
         if len(msg.payload) != arity:
             raise WireFormatError(f"{msg.kind} payload must have {arity} numbers")
         for v in msg.payload:
-            if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+            if not _is_wire_number(v):
                 raise WireFormatError(f"{msg.kind} payload must be finite numbers, got {v!r}")
     else:
         arity = _STRING_ARITY[msg.kind]
@@ -241,9 +250,7 @@ class PlantLog:
     complete: bool = True
 
     def to_csv(self, path) -> None:
-        _write_view_csv(path, PLANT_VIEW_COLUMNS,
-                        [self.t, self.x, self.y, self.theta,
-                         self.v_rx, self.w_rx, self.phi_plant])
+        _write_view_csv(path, self, PLANT_VIEW_COLUMNS)
 
 
 @dataclass
@@ -265,17 +272,12 @@ class CtrlLog:
     complete: bool = True
 
     def to_csv(self, path) -> None:
-        _write_view_csv(path, CTRL_VIEW_COLUMNS,
-                        [self.t, self.x_obs, self.y_obs, self.theta_obs,
-                         self.v_cmd, self.w_cmd, self.xe, self.ye, self.thetae,
-                         self.V, self.phi_plant, self.phi_ctrl])
+        _write_view_csv(path, self, CTRL_VIEW_COLUMNS)
 
 
-def _write_view_csv(path, columns, arrays) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(columns) + "\n")
-        for row in zip(*arrays):
-            fh.write(",".join(format(v, ".17g") for v in row) + "\n")
+def _write_view_csv(path, log, columns) -> None:
+    """A view log's fields named by its column tuple, in that order."""
+    write_csv(path, columns, np.column_stack([getattr(log, c) for c in columns]).tolist())
 
 
 def serve_plant(cfg: SimConfig, signature: smsf.PolySignature | None = None,

@@ -1,10 +1,10 @@
 """Named experiment setups: builtins, JSON loading, and one-call execution.
 
-A scenario bundles a closed-loop configuration, an optional attack family
-tag, the monitored signature, and detector settings under a stable name and
-seed. Loading validates the bundle: the signature must pass its structural
-checks and a declared attack must satisfy both undetectability conditions
-(initial-state consistency and kinematic closure) before anything runs.
+A scenario bundles a closed-loop configuration, an optional attack built at
+the start pose, the monitored signature, and detector settings under a stable
+name and seed. Loading validates the bundle: the signature must pass its
+structural checks and a declared attack must satisfy both undetectability
+conditions (initial-state consistency and kinematic closure) before anything runs.
 
 Builtins:
   nominal    no attack, p0 = (0, 0.02, 0)
@@ -27,7 +27,6 @@ from .fdia import (
     KIND_REFLECTION,
     KIND_SCALING,
     AffineAttack,
-    AttackKind,
     build_reflection,
     build_scaling,
     check_condition1,
@@ -36,9 +35,17 @@ from .fdia import (
     save_attack,
 )
 from .kinematics import Posture
-from .simloop import SimConfig, run, undetectability_report
+from .simloop import (
+    SimConfig,
+    SimTrace,
+    UndetectabilityReport,
+    run,
+    undetectability_report,
+    write_csv,
+)
 from .smsf import (
     DetectionConfig,
+    MonitorResult,
     PolySignature,
     default_signature,
     monitor,
@@ -48,7 +55,14 @@ from .smsf import (
 )
 from .tracking import ControllerGains, RefConfig
 
-_BUILTINS = ("nominal", "scenario1", "scenario2", "scenario3")
+# the builtins are scenario documents like any other
+_BUILTIN_DOCS = {
+    "nominal": {"seed": 100},
+    "scenario1": {"seed": 101, "attack": {"kind": KIND_REFLECTION, "beta11": 1.0}},
+    "scenario2": {"seed": 102, "attack": {"kind": KIND_SCALING, "beta11": 0.5}},
+    "scenario3": {"seed": 103, "p0": [0.0, 0.02, math.pi / 6.0],
+                  "attack": {"kind": KIND_REFLECTION, "beta11": 1.0}},
+}
 
 _CONDITION1_TOL = 1e-12
 _CONDITION2_TOL = 1e-10
@@ -72,7 +86,7 @@ class Scenario:
 
     name: str
     sim: SimConfig
-    attack_kind: AttackKind | None
+    attack: AffineAttack | None
     signature: PolySignature
     detection: DetectionConfig
     seed: int
@@ -85,38 +99,33 @@ class Scenario:
 
 
 def builtin_names() -> tuple:
-    return _BUILTINS
+    return tuple(_BUILTIN_DOCS)
 
 
-def _builtin(name: str) -> Scenario:
-    recipes = {
-        "nominal": (0.0, None, 100),
-        "scenario1": (0.0, AttackKind(KIND_REFLECTION, 1.0), 101),
-        "scenario2": (0.0, AttackKind(KIND_SCALING, 0.5), 102),
-        "scenario3": (math.pi / 6.0, AttackKind(KIND_REFLECTION, 1.0), 103),
-    }
-    theta0, kind, seed = recipes[name]
-    sim = SimConfig(p0=Posture(0.0, 0.02, theta0))
-    return Scenario(name, sim, kind, default_signature(), DetectionConfig(), seed)
+def _declared_attack(kind, beta11, p0: Posture) -> AffineAttack:
+    """Materialize a declared attack family and beta11 at the start pose."""
+    if kind == KIND_CUSTOM:
+        raise ScenarioError("custom attacks cannot be declared inline; use the attack file API")
+    if kind not in (KIND_REFLECTION, KIND_SCALING, KIND_IDENTITY):
+        raise ScenarioError(f"invalid attack declaration: unknown kind {kind!r}")
+    try:
+        beta11 = float(beta11)
+        if kind != KIND_IDENTITY:
+            return (build_reflection if kind == KIND_REFLECTION else build_scaling)(beta11, p0)
+        if beta11 != 1.0:
+            raise ValueError(f"Identity requires beta11 = 1, got {beta11}")
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"invalid attack declaration: {exc}") from exc
+    return identity_attack()
 
 
-def build_attack(kind: AttackKind | None, p0: Posture) -> AffineAttack | None:
-    """Materialize an attack family tag at a start pose; None stays None."""
-    if kind is None:
-        return None
-    if kind.tag == KIND_REFLECTION:
-        return build_reflection(kind.beta11, p0)
-    if kind.tag == KIND_SCALING:
-        return build_scaling(kind.beta11, p0)
-    if kind.tag == KIND_IDENTITY:
-        return identity_attack()
-    raise ScenarioError(
-        f"attack kind {kind.tag!r} has no builder; supply explicit matrices via the attack API"
-    )
+def _attack_doc(attack: AffineAttack | None) -> dict | None:
+    """The document form of an attack: its kind and beta11."""
+    return None if attack is None else {"kind": attack.kind, "beta11": attack.beta11}
 
 
 def validate_scenario(sc: Scenario) -> AffineAttack | None:
-    """Run the self-checks; returns the materialized attack (or None).
+    """Run the self-checks; returns the scenario's attack (or None).
 
     The signature must have no constant term and be nonnegative on the
     operational grid. A declared attack must satisfy the initial-state
@@ -127,7 +136,7 @@ def validate_scenario(sc: Scenario) -> AffineAttack | None:
         validate_smsf(sc.signature)
     except ValueError as exc:
         raise ScenarioError(f"scenario {sc.name!r}: invalid signature: {exc}") from exc
-    attack = build_attack(sc.attack_kind, sc.sim.p0)
+    attack = sc.attack
     if attack is not None:
         r1 = check_condition1(attack, sc.sim.p0)
         if r1 > _CONDITION1_TOL:
@@ -159,8 +168,7 @@ def scenario_to_dict(sc: Scenario) -> dict:
         },
         "gains": {"kx": sc.sim.gains.kx, "ky": sc.sim.gains.ky, "ktheta": sc.sim.gains.ktheta},
         "signature": signature_to_dict(sc.signature),
-        "attack": None if sc.attack_kind is None
-        else {"kind": sc.attack_kind.tag, "beta11": sc.attack_kind.beta11},
+        "attack": _attack_doc(sc.attack),
         "detection": {"epsilon": sc.detection.epsilon, "window": sc.detection.window},
     }
 
@@ -220,33 +228,26 @@ def scenario_from_dict(d: dict, fallback_name: str = "custom") -> Scenario:
 
     attack_raw = d.get("attack")
     if attack_raw is None:
-        attack_kind = None
+        attack = None
     else:
         if not isinstance(attack_raw, dict) or "kind" not in attack_raw:
             raise ScenarioError(f"attack must be null or an object with a kind, got {attack_raw!r}")
         _require_keys(attack_raw, _ATTACK_KEYS, "attack")
-        if attack_raw["kind"] == KIND_CUSTOM:
-            raise ScenarioError(
-                "custom attacks cannot be declared inline; use the attack file API"
-            )
-        try:
-            attack_kind = AttackKind(attack_raw["kind"], float(attack_raw.get("beta11", 1.0)))
-        except ValueError as exc:
-            raise ScenarioError(f"invalid attack declaration: {exc}") from exc
+        attack = _declared_attack(attack_raw["kind"], attack_raw.get("beta11", 1.0), p0)
 
-    return Scenario(name, sim, attack_kind, signature, detection, seed)
+    return Scenario(name, sim, attack, signature, detection, seed)
 
 
 def load_scenario(name_or_path) -> Scenario:
     """Resolve a builtin name or a JSON file path; validates before returning."""
     name = str(name_or_path)
-    if name in _BUILTINS:
-        sc = _builtin(name)
+    if name in _BUILTIN_DOCS:
+        sc = scenario_from_dict(_BUILTIN_DOCS[name], fallback_name=name)
     else:
         path = Path(name_or_path)
         if not path.is_file():
             raise ScenarioError(
-                f"unknown scenario {name!r}: not one of {_BUILTINS} and not a file"
+                f"unknown scenario {name!r}: not one of {builtin_names()} and not a file"
             )
         try:
             doc = json.loads(path.read_text(encoding="utf-8"))
@@ -267,6 +268,40 @@ def resolve_out_dir(name: str, out_dir=None) -> Path:
     return Path("runs") / name
 
 
+@dataclass
+class Evaluation:
+    """An attacked run beside its nominal shadow, scored two ways."""
+
+    channel: AffineAttack  # the scenario's attack, or the identity when it has none
+    attacked: SimTrace
+    nominal: SimTrace  # the attacked trace itself when there is no attack
+    report: UndetectabilityReport
+    monitor: MonitorResult
+
+
+def evaluate(sc: Scenario, tol: float = _UNDETECTABLE_TOL) -> Evaluation:
+    """Validate the scenario, run it attacked and nominal, and score the pair.
+
+    The report compares the attacked run's observed stream with the nominal
+    run to tol; the monitor scores the attacked trace with the scenario's
+    detector settings.
+    """
+    attack = validate_scenario(sc)
+    attacked = run(sc.sim, attack, sc.signature)
+    nominal = attacked if attack is None else run(sc.sim, None, sc.signature)
+    channel = attack if attack is not None else identity_attack()
+    report = undetectability_report(attacked, nominal, channel, tol=tol)
+    mon = monitor(attacked, sc.signature, channel=None, cfg=sc.detection)
+    return Evaluation(channel, attacked, nominal, report, mon)
+
+
+def write_monitor_csv(path, result: MonitorResult, epsilon: float) -> None:
+    """The monitor.csv schema: t, residual, and 1 where the residual exceeds epsilon."""
+    write_csv(path, ("t", "residual", "exceeds"),
+              zip(result.t.tolist(), result.residual.tolist(),
+                  (result.residual > epsilon).tolist()))
+
+
 def run_scenario(name_or_path, out_dir=None) -> dict:
     """Execute a scenario end to end and write its artifact set.
 
@@ -280,47 +315,33 @@ def run_scenario(name_or_path, out_dir=None) -> dict:
     Returns the summary dict.
     """
     sc = load_scenario(name_or_path)
-    attack = validate_scenario(sc)
     out = resolve_out_dir(sc.name, out_dir)
     out.mkdir(parents=True, exist_ok=True)
-
-    attacked = run(sc.sim, attack, sc.signature)
-    nominal = attacked if attack is None else run(sc.sim, None, sc.signature)
-    report = undetectability_report(
-        attacked, nominal, attack if attack is not None else identity_attack(),
-        tol=_UNDETECTABLE_TOL,
-    )
-    mon = monitor(attacked, sc.signature, channel=None, cfg=sc.detection)
-
-    attacked.to_csv(out / "trace.csv")
-    nominal.to_csv(out / "nominal.csv")
-    save_attack(attack if attack is not None else identity_attack(), out / "attack.json")
-    exceed = mon.residual > sc.detection.epsilon
-    with open(out / "monitor.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("t,residual,exceeds\n")
-        for t, r, e in zip(mon.t, mon.residual, exceed):
-            fh.write(f"{format(t, '.17g')},{format(r, '.17g')},{int(e)}\n")
+    ev = evaluate(sc)
+    ev.attacked.to_csv(out / "trace.csv")
+    ev.nominal.to_csv(out / "nominal.csv")
+    save_attack(ev.channel, out / "attack.json")
+    write_monitor_csv(out / "monitor.csv", ev.monitor, sc.detection.epsilon)
 
     summary = {
         "schema": 1,
         "name": sc.name,
         "seed": sc.seed,
-        "attack": None if sc.attack_kind is None
-        else {"kind": sc.attack_kind.tag, "beta11": sc.attack_kind.beta11},
-        "sup_obs_dev": report.sup_obs_dev,
-        "sup_actual_dev": report.sup_actual_dev,
-        "undetectable": report.undetectable,
+        "attack": _attack_doc(sc.attack),
+        "sup_obs_dev": ev.report.sup_obs_dev,
+        "sup_actual_dev": ev.report.sup_actual_dev,
+        "undetectable": ev.report.undetectable,
         "detection": {
-            "flag": mon.flag,
-            "first_exceed_t": mon.first_exceed_t,
-            "detect_t": mon.detect_t,
-            "peak_residual": float(mon.residual.max()),
+            "flag": ev.monitor.flag,
+            "first_exceed_t": ev.monitor.first_exceed_t,
+            "detect_t": ev.monitor.detect_t,
+            "peak_residual": float(ev.monitor.residual.max()),
         },
-        "lyapunov_final": float(attacked.V[-1]),
+        "lyapunov_final": float(ev.attacked.V[-1]),
         "terminal_error": {
-            "xe": float(attacked.xe[-1]),
-            "ye": float(attacked.ye[-1]),
-            "thetae": float(attacked.thetae[-1]),
+            "xe": float(ev.attacked.xe[-1]),
+            "ye": float(ev.attacked.ye[-1]),
+            "thetae": float(ev.attacked.thetae[-1]),
         },
         "artifacts": {
             "trace": "trace.csv",

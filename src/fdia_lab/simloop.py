@@ -105,12 +105,22 @@ class SimTrace:
         return SimTrace(data)
 
 
-def write_trace_csv(path, data: np.ndarray) -> None:
-    """17-significant-digit CSV so repeated runs produce byte-identical files."""
+def write_csv(path, columns, rows) -> None:
+    """The one CSV writer: a header, then rows of Python scalars (``array.tolist()``).
+
+    Strings are written as given and numbers as format(v, ".17g"), which
+    round-trips float64 exactly, so repeated runs write byte-identical files.
+    """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(TRACE_COLUMNS) + "\n")
-        for row in data:
-            fh.write(",".join(format(v, ".17g") for v in row) + "\n")
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join([v if isinstance(v, str) else format(v, ".17g")
+                               for v in row]) + "\n")
+
+
+def write_trace_csv(path, data: np.ndarray) -> None:
+    """Trace rows in TRACE_COLUMNS order, through the shared CSV writer."""
+    write_csv(path, TRACE_COLUMNS, np.asarray(data).tolist())
 
 
 def run(cfg: SimConfig, attack: AffineAttack | None = None,

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import pytest
 
 from fdia_lab.fdia import AffineAttack
-from fdia_lab.scenarios import Scenario, build_attack, load_scenario
+from fdia_lab.scenarios import Scenario, load_scenario
 from fdia_lab.simloop import SimTrace, run
 
 
@@ -23,7 +23,7 @@ class RunBundle:
 
 def _bundle(name: str) -> RunBundle:
     sc = load_scenario(name)
-    attack = build_attack(sc.attack_kind, sc.sim.p0)
+    attack = sc.attack
     nominal = run(sc.sim, signature=sc.signature)
     attacked = run(sc.sim, attack=attack, signature=sc.signature) if attack is not None else None
     return RunBundle(sc, attack, attacked, nominal)

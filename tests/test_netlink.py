@@ -96,6 +96,12 @@ def test_encode_rejects_malformed_messages():
         encode(WireMessage("Hello", 0, 0.0, ("only-one",)))
     with pytest.raises(WireFormatError):
         encode(WireMessage("Bye", 0, 0.0, (42,)))
+    # ints past float64's range, or that float64 cannot hold exactly
+    for big in (10**400, -(10**400), 2**53 + 1):
+        with pytest.raises(WireFormatError):
+            encode(WireMessage("Sig", 0, big, (1.0,)))
+        with pytest.raises(WireFormatError):
+            encode(WireMessage("Sig", 0, 0.0, (big,)))
 
 
 def test_decode_error_taxonomy():
@@ -183,6 +189,21 @@ _JSONISH = st.recursive(
 ))
 def test_jsonish_bodies_decode_or_raise_netlink_errors(obj):
     _decodes_or_netlink_error(_frame(json.dumps(obj).encode("utf-8")))
+
+
+_WIRE_NUMBERS = st.floats() | st.integers(min_value=-(10**400), max_value=10**400)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(MSG_KINDS), st.integers(min_value=-2, max_value=2**64), _WIRE_NUMBERS,
+       st.lists(_WIRE_NUMBERS | st.text(max_size=8), max_size=4))
+def test_messages_encode_exactly_or_raise_netlink_errors(kind, seq, t, payload):
+    msg = WireMessage(kind, seq, t, payload)
+    try:
+        frame = encode(msg)
+    except NetlinkError:
+        return
+    assert decode(frame) == msg
 
 
 def test_random_messages_round_trip():

@@ -11,7 +11,13 @@ import numpy as np
 import pytest
 
 from fdia_lab.cli import main
-from fdia_lab.fdia import KIND_REFLECTION, KIND_SCALING, load_attack
+from fdia_lab.fdia import (
+    KIND_IDENTITY,
+    KIND_REFLECTION,
+    KIND_SCALING,
+    attack_to_dict,
+    load_attack,
+)
 from fdia_lab.scenarios import (
     ScenarioError,
     builtin_names,
@@ -47,12 +53,11 @@ def test_builtins_load_and_validate(scenario_runs):
         assert sc.name == name
         assert sc.seed == seeds[name]
         assert sc.sim.p0.x == 0.0 and sc.sim.p0.y == 0.02
-        attack = validate_scenario(sc)
-        assert (attack is None) == (name == "nominal")
-    assert scenario_runs["nominal"].scenario.attack_kind is None
-    assert scenario_runs["scenario1"].scenario.attack_kind.tag == KIND_REFLECTION
-    assert scenario_runs["scenario2"].scenario.attack_kind.tag == KIND_SCALING
-    assert scenario_runs["scenario2"].scenario.attack_kind.beta11 == 0.5
+        assert validate_scenario(sc) is sc.attack
+        assert (sc.attack is None) == (name == "nominal")
+    assert scenario_runs["scenario1"].scenario.attack.kind == KIND_REFLECTION
+    assert scenario_runs["scenario2"].scenario.attack.kind == KIND_SCALING
+    assert scenario_runs["scenario2"].scenario.attack.beta11 == 0.5
     assert scenario_runs["scenario3"].scenario.sim.p0.theta == math.pi / 6.0
     assert scenario_runs["nominal"].scenario.sim.p0.theta == 0.0
 
@@ -86,7 +91,7 @@ def test_dict_round_trip():
     assert back.name == sc.name
     assert back.seed == sc.seed
     assert back.sim == sc.sim
-    assert back.attack_kind == sc.attack_kind
+    assert attack_to_dict(back.attack) == attack_to_dict(sc.attack)
     assert back.signature.terms == sc.signature.terms
     assert back.detection == sc.detection
 
@@ -108,6 +113,8 @@ def test_document_validation_errors():
         scenario_from_dict(_quick_doc(attack={"kind": "Warp"}))
     with pytest.raises(ScenarioError, match="custom attacks"):
         scenario_from_dict(_quick_doc(attack={"kind": "Custom"}))
+    with pytest.raises(ScenarioError, match="invalid attack"):
+        scenario_from_dict(_quick_doc(attack={"kind": "Reflection", "beta11": [2.0]}))
     with pytest.raises(ScenarioError, match="signature"):
         scenario_from_dict(_quick_doc(signature="secret"))
     with pytest.raises(ScenarioError, match="p0"):
@@ -116,6 +123,15 @@ def test_document_validation_errors():
         scenario_from_dict(_quick_doc(dt=-0.01))
     with pytest.raises(ScenarioError, match="seed"):
         scenario_from_dict(_quick_doc(seed=-3))
+
+
+def test_identity_attack_declares_beta11_one():
+    # the identity channel has no beta11 knob: a document may not claim another one
+    with pytest.raises(ScenarioError, match="Identity requires beta11 = 1"):
+        scenario_from_dict(_quick_doc(attack={"kind": "Identity", "beta11": 2.0}))
+    sc = scenario_from_dict(_quick_doc(attack={"kind": "Identity"}))
+    assert (sc.attack.kind, sc.attack.beta11) == (KIND_IDENTITY, 1.0)
+    assert scenario_to_dict(sc)["attack"] == {"kind": "Identity", "beta11": 1.0}
 
 
 def test_duration_off_the_step_grid_is_rejected():
@@ -210,6 +226,7 @@ def test_run_scenario_nominal_is_its_own_shadow(tmp_path):
     assert summary["sup_obs_dev"] == 0.0
     assert summary["detection"]["flag"] is False
     assert (out / "trace.csv").read_bytes() == (out / "nominal.csv").read_bytes()
+    assert load_attack(out / "attack.json").kind == KIND_IDENTITY
 
 
 def test_repeat_runs_are_byte_identical(tmp_path):
@@ -239,11 +256,21 @@ def test_cli_verify_pass_and_fail(capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_cli_verify_prints_the_summary_deviations(tmp_path, capsys):
+    summary = run_scenario("scenario2", tmp_path)
+    assert main(["verify", "--scenario", "scenario2"]) == 0
+    out = capsys.readouterr().out
+    assert f"= {summary['sup_obs_dev']:.3e}" in out
+    assert f"= {summary['sup_actual_dev']:.3e}" in out
+
+
 def test_cli_monitor_writes_csv(tmp_path, capsys):
     out = tmp_path / "mon.csv"
     assert main(["monitor", "--scenario", "scenario2", "--out", str(out)]) == 0
     assert "DETECTED" in capsys.readouterr().out
     assert out.read_text(encoding="utf-8").splitlines()[0] == "t,residual,exceeds"
+    run_scenario("scenario2", tmp_path / "s2")
+    assert out.read_bytes() == (tmp_path / "s2" / "monitor.csv").read_bytes()
 
 
 def test_cli_estimate_spiral_band(tmp_path, capsys):

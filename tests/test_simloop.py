@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fdia_lab.fdia import attack_command, attack_state, build_reflection
 from fdia_lab.kinematics import Posture
@@ -15,6 +17,7 @@ from fdia_lab.simloop import (
     SimTrace,
     run,
     undetectability_report,
+    write_csv,
 )
 from fdia_lab.smsf import eval_signature
 from fdia_lab.tracking import RefConfig, control, reference_table
@@ -201,6 +204,23 @@ def test_csv_round_trip_is_bitwise(tmp_path, scenario_runs):
         assert fh.readline().strip() == ",".join(TRACE_COLUMNS)
     back = SimTrace.from_csv(path)
     np.testing.assert_array_equal(back.data, trace.data)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(allow_nan=False), min_size=1, max_size=6))
+def test_write_csv_round_trips_float64_exactly(tmp_path_factory, values):
+    path = tmp_path_factory.getbasetemp() / "rows.csv"
+    write_csv(path, ("label", "count", "flag", "value"),
+              [("a b;c", 7, True, v) for v in values])
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "label,count,flag,value"
+    back = []
+    for line in lines[1:]:
+        label, count, flag, value = line.split(",")
+        assert (label, count, flag) == ("a b;c", "7", "1")
+        back.append(float(value))
+    # bitwise, so the sign of zero, subnormals and infinities all count
+    assert np.array(back).view(np.int64).tolist() == np.array(values).view(np.int64).tolist()
 
 
 def test_csv_rejects_foreign_header(tmp_path):
