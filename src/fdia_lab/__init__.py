@@ -52,7 +52,6 @@ from .smsf import (
 from .adversary import (
     EstimatorConfig,
     SampleSet,
-    SpoofResult,
     UnderdeterminedFit,
     estimation_study,
     fit_signature,

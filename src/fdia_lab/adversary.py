@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .smsf import DetectionConfig, PolySignature, default_signature, eval_signature, windowed_detect
+from .simloop import TRACE_COLUMNS, SimTrace
+from .smsf import PolySignature, default_signature, eval_signature
 
 # study protocol defaults: interception noise [m] and spiral geometry
 STUDY_NOISE_STD = 0.01
@@ -167,31 +168,17 @@ def holdout_grid(trace, n: int = 50, inflate: float = 0.2) -> np.ndarray:
     return np.column_stack([gx.ravel(), gy.ravel()])
 
 
-@dataclass
-class SpoofResult:
-    t: np.ndarray
-    residual: np.ndarray
-    caught: bool
-    detect_t: float | None
-    sup_residual: float
-
-
-def spoof(trace, estimate: PolySignature, cfg: DetectionConfig | None = None) -> SpoofResult:
-    """Replay a run with the plant-side stream replaced by the estimate.
+def spoof(trace, estimate: PolySignature) -> SimTrace:
+    """The trace with its plant-side stream replaced by the estimate.
 
     The attacker must reproduce the signature at the observable it feeds the
     controller, so the spoofed stream is the estimate evaluated at the
-    observed position; the monitor compares it against the controller-side
-    expectation already logged in the trace. An exact estimate is never
-    caught, on any run.
+    observed position. Judge it with monitor(spoof(trace, estimate), sig);
+    an exact estimate is never caught, on any run.
     """
-    cfg = cfg if cfg is not None else DetectionConfig()
-    spoofed = eval_signature(estimate, trace.x_obs, trace.y_obs)
-    residual = np.abs(spoofed - trace.phi_ctrl)
-    detect_t = windowed_detect(trace.t, residual > cfg.epsilon, cfg.window)
-    return SpoofResult(
-        np.array(trace.t), residual, detect_t is not None, detect_t, float(residual.max())
-    )
+    data = np.array(trace.data)
+    data[:, TRACE_COLUMNS.index("phi_plant")] = eval_signature(estimate, trace.x_obs, trace.y_obs)
+    return SimTrace(data, complete=trace.complete)
 
 
 @dataclass

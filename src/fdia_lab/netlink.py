@@ -91,20 +91,27 @@ def _is_wire_number(v) -> bool:
         return False
 
 
+def _shown(v) -> str:
+    """repr(v), short of an int too long for the interpreter's digit limit."""
+    if isinstance(v, int) and v.bit_length() > 1024:
+        return f"an int of {v.bit_length()} bits"
+    return repr(v)
+
+
 def _check_message(msg: WireMessage) -> None:
     if msg.kind not in MSG_KINDS:
         raise UnknownKindError(f"unknown message kind {msg.kind!r}")
-    if not isinstance(msg.seq, int) or isinstance(msg.seq, bool) or msg.seq < 0:
-        raise WireFormatError(f"seq must be a non-negative int, got {msg.seq!r}")
+    if not isinstance(msg.seq, int) or isinstance(msg.seq, bool) or not 0 <= msg.seq < 2**64:
+        raise WireFormatError(f"seq must be an int in [0, 2**64), got {_shown(msg.seq)}")
     if not _is_wire_number(msg.t):
-        raise WireFormatError(f"t must be a finite float64, got {msg.t!r}")
+        raise WireFormatError(f"t must be a finite float64, got {_shown(msg.t)}")
     if msg.kind in _NUMERIC_ARITY:
         arity = _NUMERIC_ARITY[msg.kind]
         if len(msg.payload) != arity:
             raise WireFormatError(f"{msg.kind} payload must have {arity} numbers")
         for v in msg.payload:
             if not _is_wire_number(v):
-                raise WireFormatError(f"{msg.kind} payload must be finite numbers, got {v!r}")
+                raise WireFormatError(f"{msg.kind} payload must be finite numbers, got {_shown(v)}")
     else:
         arity = _STRING_ARITY[msg.kind]
         if len(msg.payload) != arity or not all(isinstance(v, str) for v in msg.payload):

@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -74,6 +75,8 @@ _REF_KEYS = {"v_ref", "omega_amp", "omega_period", "duration"}
 _GAIN_KEYS = {"kx", "ky", "ktheta"}
 _DET_KEYS = {"epsilon", "window"}
 _ATTACK_KEYS = {"kind", "beta11"}
+_SIG_KEYS = {"terms", "max_degree"}
+_TERM_KEY = re.compile(r"(0|[1-9][0-9]*),(0|[1-9][0-9]*)")  # canonical exponents only
 
 
 class ScenarioError(Exception):
@@ -102,19 +105,18 @@ def builtin_names() -> tuple:
     return tuple(_BUILTIN_DOCS)
 
 
-def _declared_attack(kind, beta11, p0: Posture) -> AffineAttack:
+def _declared_attack(kind, beta11: float, p0: Posture) -> AffineAttack:
     """Materialize a declared attack family and beta11 at the start pose."""
     if kind == KIND_CUSTOM:
         raise ScenarioError("custom attacks cannot be declared inline; use the attack file API")
     if kind not in (KIND_REFLECTION, KIND_SCALING, KIND_IDENTITY):
         raise ScenarioError(f"invalid attack declaration: unknown kind {kind!r}")
     try:
-        beta11 = float(beta11)
         if kind != KIND_IDENTITY:
             return (build_reflection if kind == KIND_REFLECTION else build_scaling)(beta11, p0)
         if beta11 != 1.0:
             raise ValueError(f"Identity requires beta11 = 1, got {beta11}")
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ScenarioError(f"invalid attack declaration: {exc}") from exc
     return identity_attack()
 
@@ -179,7 +181,45 @@ def _require_keys(d: dict, allowed: set, where: str) -> None:
         raise ScenarioError(f"unknown {where} keys: {sorted(extra)}")
 
 
+def _section(d: dict, key: str, allowed: set) -> dict:
+    """An optional sub-object of the document over the allowed keys."""
+    sec = d.get(key, {})
+    if not isinstance(sec, dict):
+        raise ScenarioError(f"{key} must be an object, got {sec!r}")
+    _require_keys(sec, allowed, key)
+    return sec
+
+
+def _number(value, where: str) -> float:
+    """A JSON number (not a bool or a string) that float64 holds, as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ScenarioError(f"invalid {where}: expected a number, got {value!r}")
+    try:
+        out = float(value)
+    except OverflowError:
+        out = math.inf
+    if not math.isfinite(out):
+        raise ScenarioError(f"invalid {where}: not a finite float64")
+    return out
+
+
+def _integer(value, where: str) -> int:
+    """An integral JSON number (2 or 2.0, never 2.5 or true), as an int."""
+    if not _number(value, where).is_integer():
+        raise ScenarioError(f"invalid {where}: expected an integer, got {value!r}")
+    return int(value)
+
+
+def _numbers(sec: dict, where: str) -> dict:
+    return {k: _number(v, f"{where}.{k}") for k, v in sec.items()}
+
+
 def scenario_from_dict(d: dict, fallback_name: str = "custom") -> Scenario:
+    """Parse a scenario document; anything malformed raises ScenarioError.
+
+    Numbers must be JSON numbers that float64 holds, integer settings must be
+    integral and sections must be objects; nothing is coerced.
+    """
     if not isinstance(d, dict):
         raise ScenarioError(f"scenario document must be an object, got {type(d).__name__}")
     _require_keys(d, _TOP_KEYS, "scenario")
@@ -191,37 +231,39 @@ def scenario_from_dict(d: dict, fallback_name: str = "custom") -> Scenario:
     p0_raw = d.get("p0", [0.0, 0.02, 0.0])
     if not (isinstance(p0_raw, (list, tuple)) and len(p0_raw) == 3):
         raise ScenarioError(f"p0 must be a list of three numbers, got {p0_raw!r}")
-    p0 = Posture(float(p0_raw[0]), float(p0_raw[1]), float(p0_raw[2]))
+    p0 = Posture(*(_number(v, "p0") for v in p0_raw))
 
-    duration = float(d.get("duration", 30.0))
-    ref_raw = dict(d.get("ref", {}))
-    _require_keys(ref_raw, _REF_KEYS, "ref")
-    ref_raw.setdefault("duration", duration)
-    gains_raw = d.get("gains", {})
-    _require_keys(gains_raw, _GAIN_KEYS, "gains")
-    det_raw = d.get("detection", {})
-    _require_keys(det_raw, _DET_KEYS, "detection")
+    duration = _number(d.get("duration", 30.0), "duration")
+    ref_raw = {"duration": duration, **_numbers(_section(d, "ref", _REF_KEYS), "ref")}
+    gains_raw = _numbers(_section(d, "gains", _GAIN_KEYS), "gains")
+    det_raw = _section(d, "detection", _DET_KEYS)
+    det_kwargs = {k: (_integer if k == "window" else _number)(v, f"detection.{k}")
+                  for k, v in det_raw.items()}
+    dt = _number(d.get("dt", 0.01), "dt")
+    log_stride = _integer(d.get("log_stride", 2), "log_stride")
     try:
-        ref = RefConfig(**{k: float(v) for k, v in ref_raw.items()})
-        gains = ControllerGains(**{k: float(v) for k, v in gains_raw.items()})
-        det_kwargs = dict(det_raw)
-        if "epsilon" in det_kwargs:
-            det_kwargs["epsilon"] = float(det_kwargs["epsilon"])
-        if "window" in det_kwargs:
-            det_kwargs["window"] = int(det_kwargs["window"])
+        sim = SimConfig(ref=RefConfig(**ref_raw), gains=ControllerGains(**gains_raw), p0=p0,
+                        dt=dt, log_stride=log_stride, duration=duration)
         detection = DetectionConfig(**det_kwargs)
-        sim = SimConfig(ref=ref, gains=gains, p0=p0, dt=float(d.get("dt", 0.01)),
-                        log_stride=int(d.get("log_stride", 2)), duration=duration)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ScenarioError(f"invalid scenario settings: {exc}") from exc
 
     sig_raw = d.get("signature", "default")
     if sig_raw == "default":
         signature = default_signature()
     elif isinstance(sig_raw, dict):
+        _require_keys(sig_raw, _SIG_KEYS, "signature")
+        terms = sig_raw.get("terms")
+        if not isinstance(terms, dict):
+            raise ScenarioError(f"signature terms must be an object, got {terms!r}")
+        for key in terms:
+            if not (isinstance(key, str) and _TERM_KEY.fullmatch(key)):
+                raise ScenarioError(f'signature term keys must read "i,j", got {key!r}')
+        sig_doc = {"terms": _numbers(terms, "signature.terms"),
+                   "max_degree": _integer(sig_raw.get("max_degree", 4), "signature.max_degree")}
         try:
-            signature = signature_from_dict(sig_raw)
-        except (TypeError, ValueError, KeyError) as exc:
+            signature = signature_from_dict(sig_doc)
+        except ValueError as exc:
             raise ScenarioError(f"invalid signature: {exc}") from exc
     else:
         raise ScenarioError(f'signature must be "default" or an object, got {sig_raw!r}')
@@ -233,7 +275,8 @@ def scenario_from_dict(d: dict, fallback_name: str = "custom") -> Scenario:
         if not isinstance(attack_raw, dict) or "kind" not in attack_raw:
             raise ScenarioError(f"attack must be null or an object with a kind, got {attack_raw!r}")
         _require_keys(attack_raw, _ATTACK_KEYS, "attack")
-        attack = _declared_attack(attack_raw["kind"], attack_raw.get("beta11", 1.0), p0)
+        beta11 = _number(attack_raw.get("beta11", 1.0), "attack.beta11")
+        attack = _declared_attack(attack_raw["kind"], beta11, p0)
 
     return Scenario(name, sim, attack, signature, detection, seed)
 
@@ -250,8 +293,9 @@ def load_scenario(name_or_path) -> Scenario:
                 f"unknown scenario {name!r}: not one of {builtin_names()} and not a file"
             )
         try:
-            doc = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+            doc = json.loads(path.read_bytes().decode("utf-8"))
+        except (ValueError, RecursionError) as exc:
+            # bad UTF-8 or JSON, an integer past the digit limit, or deep nesting
             raise ScenarioError(f"scenario file {path} is not valid JSON: {exc}") from exc
         sc = scenario_from_dict(doc, fallback_name=path.stem)
     validate_scenario(sc)
@@ -291,7 +335,7 @@ def evaluate(sc: Scenario, tol: float = _UNDETECTABLE_TOL) -> Evaluation:
     nominal = attacked if attack is None else run(sc.sim, None, sc.signature)
     channel = attack if attack is not None else identity_attack()
     report = undetectability_report(attacked, nominal, channel, tol=tol)
-    mon = monitor(attacked, sc.signature, channel=None, cfg=sc.detection)
+    mon = monitor(attacked, sc.signature, cfg=sc.detection)
     return Evaluation(channel, attacked, nominal, report, mon)
 
 

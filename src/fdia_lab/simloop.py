@@ -59,8 +59,9 @@ class SimConfig:
             raise ValueError(f"SimConfig.log_stride must be a positive int, got {self.log_stride}")
         if not (math.isfinite(self.duration) and self.duration > 0.0):
             raise ValueError(f"SimConfig.duration must be positive, got {self.duration}")
-        steps = round(self.duration / self.dt)
-        if steps < 1 or abs(self.duration / self.dt - steps) > 1e-9 * steps:
+        ratio = self.duration / self.dt
+        steps = round(ratio) if math.isfinite(ratio) else 0
+        if steps < 1 or abs(ratio - steps) > 1e-9 * steps:
             raise ValueError(
                 f"SimConfig.duration {self.duration} is not a whole number of dt={self.dt} steps"
             )

@@ -200,19 +200,18 @@ def windowed_detect(t: np.ndarray, exceed: np.ndarray, window: int):
     return None
 
 
-def monitor(trace, sig: PolySignature, channel: AffineFit | None = None,
-            cfg: DetectionConfig | None = None) -> MonitorResult:
-    """Residual detector r(t) = |Phi_received(t) - Phi_expected(t)| over a trace.
+def monitor(trace, sig: PolySignature, cfg: DetectionConfig | None = None) -> MonitorResult:
+    """The one SMSF residual r(t) = |phi_plant(t) - Phi(x_obs(t), y_obs(t))| over a trace.
 
-    Phi_received is the plant-side evaluation at the actual position, passed
-    through the scalar channel if one is given; Phi_expected is the
-    controller-side evaluation at the observed position.
+    phi_plant is the signature stream as the controller received it, and sig
+    is the controller's own secret, evaluated at the posture it observed.
+    Only the t, phi_plant, x_obs and y_obs columns are read, so the same call
+    judges an in-process SimTrace, a merged networked trace and the
+    controller's own CtrlLog; a tampered or spoofed stream is simply a trace
+    whose phi_plant column differs.
     """
     cfg = cfg if cfg is not None else DetectionConfig()
-    phi_plant = eval_signature(sig, trace.x, trace.y)
-    received = phi_plant if channel is None else channel.s_phi * phi_plant + channel.d_phi
-    expected = eval_signature(sig, trace.x_obs, trace.y_obs)
-    residual = np.abs(received - expected)
+    residual = np.abs(trace.phi_plant - eval_signature(sig, trace.x_obs, trace.y_obs))
     exceed = residual > cfg.epsilon
     detect_t = windowed_detect(trace.t, exceed, cfg.window)
     first_exceed_t = float(trace.t[np.argmax(exceed)]) if bool(exceed.any()) else None

@@ -1,4 +1,4 @@
-"""Tests for signature estimation from intercepted samples and spoof replay."""
+"""Tests for signature estimation from intercepted samples and stream spoofing."""
 
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ from fdia_lab.adversary import (
     spoof,
     trajectory_samples,
 )
-from fdia_lab.smsf import PolySignature, default_signature, eval_signature
+from fdia_lab.smsf import PolySignature, default_signature, eval_signature, monitor
 
 
 def _grid_samples(sig, n, half=1.0):
@@ -180,7 +180,7 @@ def test_holdout_grid_covers_operating_box(scenario_runs):
 
 
 # ---------------------------------------------------------------------------
-# the coverage study and spoof replay
+# the coverage study and stream spoofing
 
 
 def test_estimation_study_layout_and_determinism(scenario_runs):
@@ -216,16 +216,16 @@ def test_trajectory_handicap_holds_across_seeds(scenario_runs):
 
 def test_spoof_with_exact_estimate_is_never_caught(scenario_runs):
     trace = scenario_runs["scenario1"].attacked
-    result = spoof(trace, default_signature())
-    assert not result.caught
-    assert result.sup_residual == 0.0
+    result = monitor(spoof(trace, default_signature()), default_signature())
+    assert not result.flag
+    assert float(result.residual.max()) == 0.0
     assert result.detect_t is None
 
 
 def test_spoof_with_sparse_estimate_is_caught(scenario_runs):
     trace = scenario_runs["nominal"].nominal
     estimate = fit_signature(spiral_samples(150, noise_std=STUDY_NOISE_STD, seed=0))
-    result = spoof(trace, estimate)
-    assert result.caught
-    assert result.sup_residual > 0.1
+    result = monitor(spoof(trace, estimate), default_signature())
+    assert result.flag
+    assert float(result.residual.max()) > 0.1
     assert result.detect_t is not None

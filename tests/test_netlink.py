@@ -39,7 +39,7 @@ from fdia_lab.netlink import (
     serve_proxy,
 )
 from fdia_lab.simloop import SimConfig, run
-from fdia_lab.smsf import PolySignature, default_signature
+from fdia_lab.smsf import PolySignature, default_signature, monitor
 
 TIMEOUT = 15.0
 
@@ -97,11 +97,19 @@ def test_encode_rejects_malformed_messages():
     with pytest.raises(WireFormatError):
         encode(WireMessage("Bye", 0, 0.0, (42,)))
     # ints past float64's range, or that float64 cannot hold exactly
-    for big in (10**400, -(10**400), 2**53 + 1):
+    for big in (10**400, -(10**400), 2**53 + 1, 10**5000):
         with pytest.raises(WireFormatError):
             encode(WireMessage("Sig", 0, big, (1.0,)))
         with pytest.raises(WireFormatError):
             encode(WireMessage("Sig", 0, 0.0, (big,)))
+    # seq is a 64-bit counter; a longer one is refused both ways
+    top = WireMessage("Sig", 2**64 - 1, 0.0, (1.0,))
+    assert decode(encode(top)) == top
+    for seq in (2**64, 10**5000):
+        with pytest.raises(WireFormatError):
+            encode(WireMessage("Sig", seq, 0.0, (1.0,)))
+    with pytest.raises(WireFormatError):
+        decode(_frame(b'{"kind":"Sig","seq":%d,"t":0,"payload":[1.0]}' % 2**64))
 
 
 def test_decode_error_taxonomy():
@@ -195,7 +203,7 @@ _WIRE_NUMBERS = st.floats() | st.integers(min_value=-(10**400), max_value=10**40
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.sampled_from(MSG_KINDS), st.integers(min_value=-2, max_value=2**64), _WIRE_NUMBERS,
+@given(st.sampled_from(MSG_KINDS), st.integers(min_value=-2, max_value=10**5000), _WIRE_NUMBERS,
        st.lists(_WIRE_NUMBERS | st.text(max_size=8), max_size=4))
 def test_messages_encode_exactly_or_raise_netlink_errors(kind, seq, t, payload):
     msg = WireMessage(kind, seq, t, payload)
@@ -360,9 +368,10 @@ def test_networked_attack_through_proxy_matches_in_process():
 
 
 def test_proxy_tampering_with_signature_stream_is_visible():
-    # Scaling the Sig channel leaves positions untouched, so the controller's
-    # own recomputation disagrees with what it was fed.
+    # Scaling the Sig channel leaves positions untouched, so the received
+    # stream disagrees with Phi at the observed posture.
     cfg = SimConfig(duration=2.0)
+    sig = default_signature()
     ports = []
     plant_bound, plant_wait = _bound_port(ports)
     plant_box = _spawn(serve_plant, cfg=cfg, port=0, on_bound=plant_bound, timeout=TIMEOUT)
@@ -373,16 +382,26 @@ def test_proxy_tampering_with_signature_stream_is_visible():
         sig_scale=2.0, on_bound=proxy_bound, timeout=TIMEOUT,
     )
     ctrl_log = run_controller(cfg, connect=("127.0.0.1", proxy_wait()), timeout=TIMEOUT)
-    _finish(plant_box)
+    plant_log = _finish(plant_box)
     _finish(proxy_box)
-    residual = np.abs(ctrl_log.phi_plant - ctrl_log.phi_ctrl)
-    assert float(residual.max()) > 1e-6
+    seen = monitor(ctrl_log, sig)
+    assert seen.flag
+    assert 1e-3 < float(seen.residual.max()) < 1e-1
+    # the merged trace is judged on the same received column, bitwise
+    merged = monitor(merge_views(plant_log, ctrl_log), sig)
+    np.testing.assert_array_equal(merged.t, seen.t)
+    np.testing.assert_array_equal(merged.residual, seen.residual)
+    assert (merged.flag, merged.first_exceed_t, merged.detect_t) == (
+        seen.flag, seen.first_exceed_t, seen.detect_t)
     # an honest direct session has a bitwise-clean signature stream
     on_bound, wait = _bound_port(ports)
     plant_box = _spawn(serve_plant, cfg=cfg, port=0, on_bound=on_bound, timeout=TIMEOUT)
     clean = run_controller(cfg, connect=("127.0.0.1", wait()), timeout=TIMEOUT)
     _finish(plant_box)
     np.testing.assert_array_equal(clean.phi_plant, clean.phi_ctrl)
+    clean_result = monitor(clean, sig)
+    assert not clean_result.flag
+    np.testing.assert_array_equal(clean_result.residual, np.zeros(len(clean.t)))
 
 
 def test_mismatched_configs_refuse_to_run():

@@ -9,6 +9,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fdia_lab.cli import main
 from fdia_lab.fdia import (
@@ -96,6 +98,33 @@ def test_dict_round_trip():
     assert back.detection == sc.detection
 
 
+_MALFORMED_VALUES = [
+    # a builtin exception must not escape from these
+    {"p0": ["a", 0, 0]},
+    {"duration": "x"},
+    {"p0": [math.nan, 0, 0]},
+    {"gains": []},
+    {"ref": 5},
+    {"signature": {"terms": []}},
+    {"duration": 10**400},
+    {"gains": {"kx": 10**400}},
+    {"attack": {"kind": "Reflection", "beta11": 10**400}},
+    {"log_stride": math.inf},
+    {"dt": 1e-308, "duration": 1e308},
+    # nor may these load through a silent coercion
+    {"log_stride": 2.5},
+    {"detection": {"window": 2.7}},
+    {"signature": {"terms": {"2,0": 1.0}, "max_degree": 4.5}},
+    {"log_stride": True},
+    {"ref": {"omega_period": True}},
+    {"dt": "0.01"},
+    {"detection": []},
+    {"signature": {"terms": {"2,0": "1.0"}}},
+    {"signature": {"terms": {" 2,0": 1.0}}},
+    {"signature": {"terms": {"2,0": 1.0}, "secret": 1}},
+]
+
+
 def test_document_validation_errors():
     with pytest.raises(ScenarioError, match="declare a seed"):
         scenario_from_dict({"name": "x"})
@@ -123,6 +152,61 @@ def test_document_validation_errors():
         scenario_from_dict(_quick_doc(dt=-0.01))
     with pytest.raises(ScenarioError, match="seed"):
         scenario_from_dict(_quick_doc(seed=-3))
+    for overrides in _MALFORMED_VALUES:
+        with pytest.raises(ScenarioError):
+            scenario_from_dict(_quick_doc(**overrides))
+
+
+def test_integral_settings_may_be_written_as_floats():
+    sc = scenario_from_dict(_quick_doc(log_stride=4.0, detection={"window": 3.0}))
+    assert (sc.sim.log_stride, sc.detection.window) == (4, 3)
+    assert isinstance(sc.sim.log_stride, int) and isinstance(sc.detection.window, int)
+
+
+_DOC_SCALARS = (st.none() | st.booleans() | st.floats()
+                | st.integers(min_value=-(10**400), max_value=10**400) | st.text(max_size=6))
+_DOC_JSONISH = st.recursive(
+    _DOC_SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner,
+                                                                 max_size=3),
+    max_leaves=8,
+)
+
+
+def _over(keys, values):
+    """Objects over the known keys (each optional) or anything JSON-ish."""
+    return st.dictionaries(st.sampled_from(sorted(keys)), values, max_size=len(keys)) | _DOC_JSONISH
+
+
+_TERM_KEYS = st.sampled_from(["0,1", "1,0", "2,2", "4,0", "0,0", "5,0", "01,2", "1,x", "a"])
+_DOCS = st.fixed_dictionaries(
+    {"seed": st.integers(min_value=-1, max_value=2**64) | _DOC_SCALARS},
+    optional={
+        "name": st.text(max_size=4) | _DOC_SCALARS,
+        "p0": st.lists(_DOC_SCALARS, min_size=3, max_size=3) | _DOC_JSONISH,
+        "dt": st.sampled_from([0.01, 0.02, 0.1]) | _DOC_SCALARS,
+        "duration": st.sampled_from([0.2, 1.0]) | _DOC_SCALARS,
+        "log_stride": st.integers(min_value=0, max_value=5) | _DOC_SCALARS,
+        "ref": _over({"v_ref", "omega_amp", "omega_period", "duration"}, _DOC_SCALARS),
+        "gains": _over({"kx", "ky", "ktheta"}, _DOC_SCALARS),
+        "detection": _over({"epsilon", "window"}, _DOC_SCALARS),
+        "signature": st.just("default") | _over(
+            {"terms", "max_degree"}, st.dictionaries(_TERM_KEYS, _DOC_SCALARS, max_size=3)
+            | _DOC_SCALARS),
+        "attack": st.none() | _over(
+            {"kind", "beta11"},
+            st.sampled_from(["Reflection", "Scaling", "Identity", "Custom"]) | _DOC_SCALARS),
+    },
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_DOCS)
+def test_any_document_loads_or_raises_scenario_error(doc):
+    try:
+        validate_scenario(scenario_from_dict(json.loads(json.dumps(doc))))
+    except ScenarioError:
+        pass
 
 
 def test_identity_attack_declares_beta11_one():
@@ -172,6 +256,12 @@ def test_non_json_file_is_rejected(tmp_path):
     path.write_text("{nope", encoding="utf-8")
     with pytest.raises(ScenarioError, match="not valid JSON"):
         load_scenario(path)
+    # bad UTF-8, an integer past the interpreter's digit limit, and deep nesting
+    for body in (b'{"seed": 1, "name": "\xff"}', b'{"seed": ' + b"1" * 5000 + b"}",
+                 b"[" * 100000 + b"]" * 100000):
+        path.write_bytes(body)
+        with pytest.raises(ScenarioError, match="not valid JSON"):
+            load_scenario(path)
 
 
 def test_fallback_name_comes_from_file_stem(tmp_path):

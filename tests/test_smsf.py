@@ -7,9 +7,8 @@ import pytest
 
 from fdia_lab.fdia import build_reflection, build_scaling
 from fdia_lab.kinematics import Posture
-from fdia_lab.simloop import SimConfig, run
+from fdia_lab.simloop import TRACE_COLUMNS, SimConfig, SimTrace, run
 from fdia_lab.smsf import (
-    AffineFit,
     DetectionConfig,
     PolySignature,
     affine_fit,
@@ -250,14 +249,16 @@ def test_monitor_is_silent_on_nominal_run(scenario_runs):
     np.testing.assert_array_equal(result.residual, np.zeros_like(result.residual))
 
 
-def test_monitor_recomputes_from_positions(scenario_runs):
-    # The verdict depends on the logged positions, not the logged phi columns,
-    # so a different signature still reads clean on an honest run.
+def test_monitor_ignores_actual_positions(scenario_runs):
+    # The controller never sees the actual (x, y); only the received stream
+    # and the observed posture enter the residual.
     nominal = scenario_runs["nominal"].nominal
-    other = PolySignature({(2, 0): 3.0, (0, 2): 7.0}, max_degree=2)
-    result = monitor(nominal, other)
+    moved = SimTrace(nominal.data.copy())
+    moved.data[:, TRACE_COLUMNS.index("x")] += 0.5
+    moved.data[:, TRACE_COLUMNS.index("y")] = -1.0
+    result = monitor(moved, default_signature())
     assert not result.flag
-    assert float(result.residual.max()) == 0.0
+    np.testing.assert_array_equal(result.residual, np.zeros_like(result.residual))
 
 
 def test_monitor_flags_attacked_runs_within_one_second(scenario_runs):
@@ -276,21 +277,41 @@ def test_monitor_scaling_residual_dominates_reflection(scenario_runs):
     assert peak2 > peak1
 
 
+def _tampered(trace, rewrite):
+    """The trace with its received signature stream passed through rewrite."""
+    data = trace.data.copy()
+    col = TRACE_COLUMNS.index("phi_plant")
+    data[:, col] = rewrite(data[:, col])
+    return SimTrace(data)
+
+
 def test_monitor_catches_scalar_channel_tampering(scenario_runs):
     # Even on an undetectable state attack, a sign-flipping channel on the
     # signature stream leaves an immediate residual.
     attacked = scenario_runs["scenario1"].attacked
-    result = monitor(attacked, default_signature(), channel=AffineFit(-1.0, 0.0, 0.0))
+    result = monitor(_tampered(attacked, lambda phi: -phi), default_signature())
     assert result.flag
 
 
 def test_monitor_catches_constant_offset_on_signature_stream(origin_trace):
     # Phi(0,0) = 0 anchors the residual, so even a tiny additive offset on the
     # stream exceeds epsilon from the first sample.
-    result = monitor(origin_trace, default_signature(), channel=AffineFit(1.0, 1e-3, 0.0))
+    result = monitor(_tampered(origin_trace, lambda phi: phi + 1e-3), default_signature())
     assert result.flag
     assert result.first_exceed_t == 0.0
     assert result.detect_t == float(origin_trace.t[DetectionConfig().window - 1])
+
+
+def test_monitor_residual_is_received_minus_expected_on_builtins(scenario_runs):
+    # run() fills phi_plant/phi_ctrl with the same array evaluation, so the one
+    # residual equals the logged columns' difference bitwise.
+    sig = default_signature()
+    for name in ("nominal", "scenario1", "scenario2", "scenario3"):
+        bundle = scenario_runs[name]
+        trace = bundle.attacked if bundle.attacked is not None else bundle.nominal
+        np.testing.assert_array_equal(
+            monitor(trace, sig).residual, np.abs(trace.phi_plant - trace.phi_ctrl)
+        )
 
 
 # ---------------------------------------------------------------------------
