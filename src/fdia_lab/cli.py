@@ -17,10 +17,11 @@ serve-plant, then proxy, then serve-controller, each in its own terminal.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import adversary, netlink, vulncheck
-from .fdia import load_attack
+from .fdia import AttackError, load_attack
 from .scenarios import (
     ScenarioError,
     builtin_names,
@@ -42,9 +43,12 @@ def _hostport(text: str, default_host: str = "127.0.0.1") -> tuple:
     else:
         host, port = default_host, text
     try:
-        return (host, int(port))
+        number = int(port)
     except ValueError:
+        number = -1
+    if not 0 <= number <= 65535:
         raise argparse.ArgumentTypeError(f"invalid port in {text!r}")
+    return (host, number)
 
 
 def _int_list(text: str) -> tuple:
@@ -52,9 +56,40 @@ def _int_list(text: str) -> tuple:
         values = tuple(int(part) for part in text.split(",") if part.strip())
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated ints, got {text!r}")
-    if not values:
-        raise argparse.ArgumentTypeError("expected at least one sample count")
+    if not values or min(values) < 1:
+        raise argparse.ArgumentTypeError(f"expected sample counts >= 1, got {text!r}")
     return values
+
+
+def _float_type(accept, want: str):
+    """An argparse type: a finite float for which accept(value) holds."""
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not (math.isfinite(value) and accept(value)):
+            raise argparse.ArgumentTypeError(f"expected {want}, got {text!r}")
+        return value
+    return parse
+
+
+_finite = _float_type(lambda v: True, "a finite number")
+_positive = _float_type(lambda v: v > 0.0, "a finite number > 0")
+_non_negative = _float_type(lambda v: v >= 0.0, "a finite number >= 0")
+
+
+def _int_type(low: int):
+    """An argparse type: an int >= low."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return value
+    return parse
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -74,12 +109,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check attacked run is undetectable vs nominal")
     p.add_argument("--scenario", default="scenario1")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_non_negative, default=1e-9)
 
     p = sub.add_parser("monitor", help="run the residual detector over a scenario")
     p.add_argument("--scenario", default="scenario1")
-    p.add_argument("--epsilon", type=float, default=None, help="override detector threshold")
-    p.add_argument("--window", type=int, default=None, help="override consecutive-sample window")
+    p.add_argument("--epsilon", type=_positive, default=None, help="override detector threshold")
+    p.add_argument("--window", type=_int_type(1), default=None,
+                   help="override consecutive-sample window")
     p.add_argument("--out", default=None, help="write t,residual,exceeds CSV here")
 
     p = sub.add_parser("estimate", help="signature regression study")
@@ -88,13 +124,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--source", choices=("both", "trajectory", "spiral"), default="both")
     p.add_argument("--n", type=_int_list, default=(150, 500, 1000),
                    help="comma-separated sample counts")
-    p.add_argument("--noise-std", type=float, default=adversary.STUDY_NOISE_STD,
+    p.add_argument("--noise-std", type=_non_negative, default=adversary.STUDY_NOISE_STD,
                    help="position measurement noise (standard deviation, meters)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_type(0), default=0)
     p.add_argument("--out", default=None, help="write source,n,nrmse CSV here")
 
     p = sub.add_parser("vulncheck", help="classify scalar signature families")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_positive, default=1e-9)
     p.add_argument("--out", default=None, help="write the verdict table CSV here")
 
     p = sub.add_parser("serve-plant", help="serve one lock-step plant session")
@@ -120,9 +156,9 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--attack", default=None, help="attack JSON file")
     group.add_argument("--scenario", default=None,
                        help="use this scenario's attack (identity if it has none)")
-    p.add_argument("--sig-scale", type=float, default=1.0,
+    p.add_argument("--sig-scale", type=_finite, default=1.0,
                    help="scalar channel applied to signature frames")
-    p.add_argument("--sig-offset", type=float, default=0.0)
+    p.add_argument("--sig-offset", type=_finite, default=0.0)
 
     return parser
 
@@ -268,10 +304,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ScenarioError, AttackError, adversary.UnderdeterminedFit, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -28,14 +28,21 @@ KIND_CUSTOM = "Custom"
 KINDS = (KIND_REFLECTION, KIND_SCALING, KIND_IDENTITY, KIND_CUSTOM)
 
 _OFFDIAG_TOL = 1e-12
+_SHAPES = {"s_x": (3, 3), "d_x": (3,), "s_u": (2, 2), "d_u": (2,)}
+_OPTIONAL_KEYS = {"kind", "beta11"}
 
 
-@dataclass(eq=False)
+class AttackError(ValueError):
+    """An attack is malformed: a bad document, a non-finite or singular map."""
+
+
+@dataclass(frozen=True, eq=False)
 class AffineAttack:
     """Affine channel maps: observable p -> s_x p + d_x, command q -> s_u q + d_u.
 
-    Arrays are stored read-only; s_x must be invertible so the actual
-    trajectory can be recovered from the observed one.
+    Immutable: the arrays are read-only and their rows are kept as Python
+    floats for attack_state/attack_command. s_x must be invertible so the
+    actual trajectory can be recovered from the observed one.
     """
 
     s_x: np.ndarray
@@ -46,21 +53,19 @@ class AffineAttack:
     beta11: float = 1.0
 
     def __post_init__(self):
-        self.s_x = np.array(self.s_x, dtype=float).reshape(3, 3)
-        self.d_x = np.array(self.d_x, dtype=float).reshape(3)
-        self.s_u = np.array(self.s_u, dtype=float).reshape(2, 2)
-        self.d_u = np.array(self.d_u, dtype=float).reshape(2)
-        for name in ("s_x", "d_x", "s_u", "d_u"):
-            arr = getattr(self, name)
+        for name, shape in _SHAPES.items():
+            arr = np.array(getattr(self, name), dtype=float).reshape(shape)
             if not np.all(np.isfinite(arr)):
-                raise ValueError(f"AffineAttack.{name} must be finite")
+                raise AttackError(f"AffineAttack.{name} must be finite")
             arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+            object.__setattr__(self, f"_{name}_floats", arr.tolist())
         if abs(np.linalg.det(self.s_x)) <= 1e-12:
-            raise ValueError("AffineAttack.s_x must be invertible")
+            raise AttackError("AffineAttack.s_x must be invertible")
         if self.kind not in KINDS:
-            raise ValueError(f"unknown attack kind {self.kind!r}")
+            raise AttackError(f"unknown attack kind {self.kind!r}")
         if not math.isfinite(self.beta11):
-            raise ValueError("AffineAttack.beta11 must be finite")
+            raise AttackError("AffineAttack.beta11 must be finite")
 
 
 def identity_attack() -> AffineAttack:
@@ -111,13 +116,26 @@ def build_scaling(beta11: float, p0: Posture) -> AffineAttack:
 
 
 def attack_state(a: AffineAttack, x: float, y: float, theta: float) -> tuple:
-    """Observable (x~, y~, theta~) = s_x p + d_x the controller sees for the actual p."""
-    return tuple((a.s_x @ np.array((x, y, theta)) + a.d_x).tolist())
+    """Observable (x~, y~, theta~) = s_x p + d_x the controller sees for the actual p.
+
+    Each row is the float sum s0*x + s1*y + s2*theta + d, left to right, so
+    the result does not depend on which BLAS kernel is loaded.
+    """
+    (s00, s01, s02), (s10, s11, s12), (s20, s21, s22) = a._s_x_floats
+    d0, d1, d2 = a._d_x_floats
+    return (s00 * x + s01 * y + s02 * theta + d0,
+            s10 * x + s11 * y + s12 * theta + d1,
+            s20 * x + s21 * y + s22 * theta + d2)
 
 
 def attack_command(a: AffineAttack, v: float, omega: float) -> tuple:
-    """Command (v~, omega~) = s_u q + d_u the plant receives for the controller output q."""
-    return tuple((a.s_u @ np.array((v, omega)) + a.d_u).tolist())
+    """Command (v~, omega~) = s_u q + d_u the plant receives for the controller output q.
+
+    Summed left to right per row, like attack_state.
+    """
+    (s00, s01), (s10, s11) = a._s_u_floats
+    d0, d1 = a._d_u_floats
+    return (s00 * v + s01 * omega + d0, s10 * v + s11 * omega + d1)
 
 
 def check_condition1(a: AffineAttack, p0: Posture) -> float:
@@ -189,15 +207,43 @@ def attack_to_dict(a: AffineAttack) -> dict:
     }
 
 
+def _number(value, where: str, error=AttackError) -> float:
+    """A JSON number (not a bool or a string) that float64 holds, as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise error(f"invalid {where}: expected a number, got {type(value).__name__}")
+    try:
+        out = float(value)
+    except OverflowError:
+        out = math.inf
+    if not math.isfinite(out):
+        raise error(f"invalid {where}: not a finite float64")
+    return out
+
+
 def attack_from_dict(d: dict) -> AffineAttack:
-    return AffineAttack(
-        np.array(d["s_x"], dtype=float).reshape(3, 3),
-        np.array(d["d_x"], dtype=float),
-        np.array(d["s_u"], dtype=float).reshape(2, 2),
-        np.array(d["d_u"], dtype=float),
-        kind=d.get("kind", KIND_CUSTOM),
-        beta11=float(d.get("beta11", 1.0)),
-    )
+    """Parse an attack document; anything malformed raises AttackError.
+
+    s_x, d_x, s_u and d_u are required lists of 9, 3, 4 and 2 JSON numbers
+    (row-major); kind and beta11 are optional. Nothing is coerced.
+    """
+    if not isinstance(d, dict):
+        raise AttackError(f"attack document must be an object, got {type(d).__name__}")
+    extra = set(d) - set(_SHAPES) - _OPTIONAL_KEYS
+    if extra:
+        raise AttackError(f"unknown attack keys: {sorted(map(str, extra))}")
+    maps = {}
+    for name, shape in _SHAPES.items():
+        if name not in d:
+            raise AttackError(f"attack document must declare {name}")
+        values = d[name]
+        size = math.prod(shape)
+        if not (isinstance(values, list) and len(values) == size):
+            raise AttackError(f"{name} must be a list of {size} numbers")
+        maps[name] = [_number(v, name) for v in values]
+    kind = d.get("kind", KIND_CUSTOM)
+    if not isinstance(kind, str):
+        raise AttackError(f"attack kind must be a string, got {type(kind).__name__}")
+    return AffineAttack(**maps, kind=kind, beta11=_number(d.get("beta11", 1.0), "beta11"))
 
 
 def save_attack(a: AffineAttack, path) -> None:
@@ -207,5 +253,12 @@ def save_attack(a: AffineAttack, path) -> None:
 
 
 def load_attack(path) -> AffineAttack:
-    with open(path, "r", encoding="utf-8") as fh:
-        return attack_from_dict(json.load(fh))
+    """Read an attack file; bad UTF-8, JSON or content raises AttackError."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        doc = json.loads(raw.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        # bad UTF-8 or JSON, an integer past the digit limit, or deep nesting
+        raise AttackError(f"attack file {path} is not valid JSON: {exc}") from exc
+    return attack_from_dict(doc)

@@ -28,6 +28,7 @@ from .fdia import (
     KIND_REFLECTION,
     KIND_SCALING,
     AffineAttack,
+    _number as _json_number,
     build_reflection,
     build_scaling,
     check_condition1,
@@ -192,15 +193,7 @@ def _section(d: dict, key: str, allowed: set) -> dict:
 
 def _number(value, where: str) -> float:
     """A JSON number (not a bool or a string) that float64 holds, as a float."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioError(f"invalid {where}: expected a number, got {value!r}")
-    try:
-        out = float(value)
-    except OverflowError:
-        out = math.inf
-    if not math.isfinite(out):
-        raise ScenarioError(f"invalid {where}: not a finite float64")
-    return out
+    return _json_number(value, where, ScenarioError)
 
 
 def _integer(value, where: str) -> int:

@@ -74,12 +74,18 @@ def validate_smsf(sig: PolySignature) -> bool:
     Requires no constant term (Phi(0,0) = 0, anchoring the zero of the
     residual) and nonnegativity on the operational grid [-1, 1]^2 sampled at
     0.01 resolution. Raises ValueError on violation.
+
+    Each term is an outer product of two axis powers. The grid value is
+    y^j * (c * x^i), the same IEEE product as eval_signature's
+    (c * x^i) * y^j, and the terms are summed in the same order, so every
+    value and the verdict equal the dense meshgrid evaluation bitwise.
     """
     if sig.terms.get((0, 0), 0.0) != 0.0:
         raise ValueError("signature has a constant term: Phi(0,0) != 0")
     axis = np.linspace(-1.0, 1.0, 201)
-    gx, gy = np.meshgrid(axis, axis)
-    vals = eval_signature(sig, gx, gy)
+    vals = np.zeros((axis.size, axis.size))
+    for (i, j), coeff in sig.terms.items():
+        vals += np.multiply.outer(axis**j, coeff * axis**i)
     if float(vals.min()) < 0.0:
         raise ValueError("signature is negative on the operational grid")
     return True

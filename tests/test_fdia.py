@@ -1,13 +1,17 @@
 """Attack construction, the two closure conditions, and command-map admissibility."""
 
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fdia_lab.fdia import (
     AffineAttack,
+    AttackError,
     admissible_su,
     attack_command,
     attack_from_dict,
@@ -106,14 +110,42 @@ def test_attack_command_examples():
     assert attack_command(identity_attack(), *q) == q
 
 
-def test_attack_maps_equal_the_matrix_product_bitwise():
-    # the float maps keep numpy's matrix product: a hand-expanded sum would
-    # differ in the last bit under a tilted reflection
-    a = build_reflection(1.0, P0_TILTED)
+def _written_order(s, d, p):
+    """Each row as the float sum s0*p0 + s1*p1 + ... + d, left to right."""
+    out = []
+    for row, offset in zip(s.tolist(), d.tolist()):
+        acc = row[0] * p[0]
+        for coeff, value in zip(row[1:], p[1:]):
+            acc = acc + coeff * value
+        out.append(acc + offset)
+    return tuple(out)
+
+
+def test_attack_maps_follow_the_written_order_bitwise():
+    # the maps are written-out float sums, so a tilted reflection (several
+    # nonzeros per row) gives the same bits whatever BLAS kernel is loaded
     rng = np.random.default_rng(36)
-    for p, q in zip(rng.uniform(-2, 2, (200, 3)), rng.uniform(-2, 2, (200, 2))):
-        assert attack_state(a, *p.tolist()) == tuple(a.s_x @ p + a.d_x)
-        assert attack_command(a, *q.tolist()) == tuple(a.s_u @ q + a.d_u)
+    attacks = [build_reflection(1.0, P0_TILTED)]
+    while len(attacks) < 6:
+        s_x = rng.uniform(-2, 2, (3, 3))
+        if abs(np.linalg.det(s_x)) > 0.1:
+            attacks.append(AffineAttack(s_x, rng.uniform(-1, 1, 3),
+                                        rng.uniform(-2, 2, (2, 2)), rng.uniform(-1, 1, 2)))
+    for a in attacks:
+        states, commands = rng.uniform(-2, 2, (200, 3)), rng.uniform(-2, 2, (200, 2))
+        for p, q in zip(states.tolist(), commands.tolist()):
+            assert attack_state(a, *p) == _written_order(a.s_x, a.d_x, p)
+            assert attack_command(a, *q) == _written_order(a.s_u, a.d_u, q)
+
+
+def test_attack_is_immutable():
+    a = build_reflection(1.0, P0_TILTED)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.s_x = np.eye(3)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.beta11 = 2.0
+    with pytest.raises(ValueError):
+        a.d_x[0] = 1.0
 
 
 def test_attack_state_is_affine():
@@ -215,3 +247,94 @@ def test_serialization_round_trip(tmp_path):
     loaded = load_attack(path)
     assert np.array_equal(loaded.s_x, a.s_x)
     assert json.loads(path.read_text())["kind"] == a.kind
+
+
+def _attack_doc(**overrides):
+    doc = attack_to_dict(build_reflection(1.0, P0_TILTED))
+    doc.update(overrides)
+    return doc
+
+
+_MALFORMED_ATTACKS = [
+    {},
+    [],
+    _attack_doc(d_x=["0", "0", "0"]),
+    _attack_doc(beta11=True),
+    _attack_doc(beta11="1.0"),
+    _attack_doc(beta11=math.inf),
+    _attack_doc(s_x=[1.0] * 8),
+    _attack_doc(s_x=[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+    _attack_doc(d_u=[0.0, True]),
+    _attack_doc(d_u=[0.0, math.nan]),
+    _attack_doc(s_u=[1.0, 0.0, 0.0, 10**400]),
+    _attack_doc(s_u="eye"),
+    _attack_doc(s_x=[0.0] * 9),
+    _attack_doc(kind="Warp"),
+    _attack_doc(kind=3),
+    _attack_doc(gamma=1.0),
+]
+
+
+def test_attack_documents_are_untrusted_input():
+    for doc in _MALFORMED_ATTACKS:
+        with pytest.raises(AttackError):
+            attack_from_dict(doc)
+    for missing in ("s_x", "d_x", "s_u", "d_u"):
+        doc = _attack_doc()
+        del doc[missing]
+        with pytest.raises(AttackError, match=missing):
+            attack_from_dict(doc)
+    # kind and beta11 are optional; integers are JSON numbers too
+    doc = _attack_doc(s_u=[1, 0, 0, -1])
+    del doc["kind"], doc["beta11"]
+    a = attack_from_dict(doc)
+    assert (a.kind, a.beta11) == ("Custom", 1.0)
+    assert np.array_equal(a.s_u, np.diag([1.0, -1.0]))
+
+
+def test_attack_file_rejects_non_json(tmp_path):
+    path = tmp_path / "attack.json"
+    for raw in (b"\xff\xfe", b"{not json", b"[" * 100_000 + b"]" * 100_000, b"1" * 5000):
+        path.write_bytes(raw)
+        with pytest.raises(AttackError, match="not valid JSON"):
+            load_attack(path)
+    path.write_text("{}", encoding="utf-8")
+    with pytest.raises(AttackError, match="s_x"):
+        load_attack(path)
+
+
+_SCALARS = (st.none() | st.booleans() | st.floats()
+            | st.integers(min_value=-(10**400), max_value=10**400) | st.text(max_size=4))
+_JSONISH = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=8,
+)
+_NUMBERS = st.floats(-2.0, 2.0) | st.integers(-2, 2)
+_SIZES = {"s_x": 9, "d_x": 3, "s_u": 4, "d_u": 2}
+_OPTIONAL = {
+    "kind": st.sampled_from(["Reflection", "Scaling", "Identity", "Custom"]) | _SCALARS,
+    "beta11": st.floats(-2.0, 2.0) | _SCALARS,
+    "gamma": _SCALARS,
+}
+_ATTACK_DOCS = (
+    # well-formed maps beside optional keys, which may be malformed
+    st.fixed_dictionaries({k: st.lists(_NUMBERS, min_size=n, max_size=n)
+                           for k, n in _SIZES.items()}, optional=_OPTIONAL)
+    # any entry may be missing, mis-sized or hold a non-number
+    | st.fixed_dictionaries({}, optional={
+        **{k: st.lists(_NUMBERS | _SCALARS, min_size=n - 1, max_size=n + 1) | _JSONISH
+           for k, n in _SIZES.items()}, **_OPTIONAL})
+    | _JSONISH
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ATTACK_DOCS)
+def test_any_attack_document_loads_or_raises_attack_error(doc):
+    try:
+        a = attack_from_dict(json.loads(json.dumps(doc)))
+    except AttackError:
+        return
+    assert a.s_x.shape == (3, 3) and np.all(np.isfinite(a.s_x))

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fdia_lab.fdia import build_reflection
+from fdia_lab.kinematics import Posture
 from fdia_lab.netlink import (
     CTRL_VIEW_COLUMNS,
     MAX_FRAME,
@@ -348,22 +349,35 @@ def test_networked_identity_run_matches_in_process():
     np.testing.assert_array_equal(merged.data, run(cfg).data)
 
 
-def test_networked_attack_through_proxy_matches_in_process():
-    cfg = SimConfig(duration=2.0)
-    attack = build_reflection(1.0, cfg.p0)
+def _proxied_session(cfg, **proxy_kwargs):
+    """One plant/proxy/controller session over loopback; the plant and controller logs."""
     ports = []
     plant_bound, plant_wait = _bound_port(ports)
     plant_box = _spawn(serve_plant, cfg=cfg, port=0, on_bound=plant_bound, timeout=TIMEOUT)
     plant_port = plant_wait()
     proxy_bound, proxy_wait = _bound_port(ports)
     proxy_box = _spawn(
-        serve_proxy, attack=attack, listen=("127.0.0.1", 0),
-        upstream=("127.0.0.1", plant_port), on_bound=proxy_bound, timeout=TIMEOUT,
+        serve_proxy, listen=("127.0.0.1", 0), upstream=("127.0.0.1", plant_port),
+        on_bound=proxy_bound, timeout=TIMEOUT, **proxy_kwargs,
     )
     ctrl_log = run_controller(cfg, connect=("127.0.0.1", proxy_wait()), timeout=TIMEOUT)
     plant_log = _finish(plant_box)
     _finish(proxy_box)
-    merged = merge_views(plant_log, ctrl_log)
+    return plant_log, ctrl_log
+
+
+def test_networked_attack_through_proxy_matches_in_process():
+    cfg = SimConfig(duration=2.0)
+    attack = build_reflection(1.0, cfg.p0)
+    merged = merge_views(*_proxied_session(cfg, attack=attack))
+    np.testing.assert_array_equal(merged.data, run(cfg, attack=attack).data)
+
+
+def test_networked_tilted_reflection_matches_in_process():
+    # several nonzeros per row: the proxy and run() share one map evaluation order
+    cfg = SimConfig(duration=2.0, p0=Posture(0.0, 0.02, math.pi / 6))
+    attack = build_reflection(1.0, cfg.p0)
+    merged = merge_views(*_proxied_session(cfg, attack=attack))
     np.testing.assert_array_equal(merged.data, run(cfg, attack=attack).data)
 
 
@@ -372,18 +386,7 @@ def test_proxy_tampering_with_signature_stream_is_visible():
     # stream disagrees with Phi at the observed posture.
     cfg = SimConfig(duration=2.0)
     sig = default_signature()
-    ports = []
-    plant_bound, plant_wait = _bound_port(ports)
-    plant_box = _spawn(serve_plant, cfg=cfg, port=0, on_bound=plant_bound, timeout=TIMEOUT)
-    plant_port = plant_wait()
-    proxy_bound, proxy_wait = _bound_port(ports)
-    proxy_box = _spawn(
-        serve_proxy, listen=("127.0.0.1", 0), upstream=("127.0.0.1", plant_port),
-        sig_scale=2.0, on_bound=proxy_bound, timeout=TIMEOUT,
-    )
-    ctrl_log = run_controller(cfg, connect=("127.0.0.1", proxy_wait()), timeout=TIMEOUT)
-    plant_log = _finish(plant_box)
-    _finish(proxy_box)
+    plant_log, ctrl_log = _proxied_session(cfg, sig_scale=2.0)
     seen = monitor(ctrl_log, sig)
     assert seen.flag
     assert 1e-3 < float(seen.residual.max()) < 1e-1
@@ -394,7 +397,7 @@ def test_proxy_tampering_with_signature_stream_is_visible():
     assert (merged.flag, merged.first_exceed_t, merged.detect_t) == (
         seen.flag, seen.first_exceed_t, seen.detect_t)
     # an honest direct session has a bitwise-clean signature stream
-    on_bound, wait = _bound_port(ports)
+    on_bound, wait = _bound_port([])
     plant_box = _spawn(serve_plant, cfg=cfg, port=0, on_bound=on_bound, timeout=TIMEOUT)
     clean = run_controller(cfg, connect=("127.0.0.1", wait()), timeout=TIMEOUT)
     _finish(plant_box)

@@ -394,6 +394,46 @@ def test_cli_unknown_scenario_exits_2(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["monitor", "--epsilon", "-1"],
+    ["monitor", "--epsilon", "nan"],
+    ["monitor", "--window", "0"],
+    ["vulncheck", "--tol", "0"],
+    ["vulncheck", "--tol", "x"],
+    ["verify", "--tol", "nan"],
+    ["verify", "--tol", "-1e-9"],
+    ["estimate", "--noise-std", "nan"],
+    ["estimate", "--noise-std", "-0.1"],
+    ["estimate", "--seed", "-1"],
+    ["estimate", "--n", "150,0"],
+    ["proxy", "--sig-scale", "inf"],
+    ["proxy", "--sig-offset", "nan"],
+    ["serve-plant", "--listen", "127.0.0.1:99999"],
+    ["serve-controller", "--connect", ":-1"],
+])
+def test_cli_refuses_out_of_range_numbers(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "Traceback" not in err
+
+
+def test_cli_estimate_refuses_too_few_samples(capsys):
+    assert main(["estimate", "--n", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: under-determined") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("doc", ["{}", '{"s_x": 1}', "[1, 2", '{"d_x": ["0", "0", "0"]}'])
+def test_cli_proxy_refuses_a_malformed_attack_file(doc, tmp_path, capsys):
+    path = tmp_path / "attack.json"
+    path.write_text(doc, encoding="utf-8")
+    assert main(["proxy", "--attack", str(path), "--listen", "127.0.0.1:0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_cli_proxy_flags_are_mutually_exclusive(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["proxy", "--attack", "a.json", "--scenario", "scenario1"])

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fdia_lab.fdia import build_reflection, build_scaling
 from fdia_lab.kinematics import Posture
@@ -103,6 +105,31 @@ def test_validate_rejects_negative_polynomial():
     sig = PolySignature({(1, 0): 1.0})
     with pytest.raises(ValueError, match="negative"):
         validate_smsf(sig)
+
+
+_AXIS = np.linspace(-1.0, 1.0, 201)
+_EXPONENTS = st.sampled_from([(i, j) for i in range(5) for j in range(5) if 1 <= i + j <= 4])
+_SPARSE = st.dictionaries(_EXPONENTS, st.floats(-10.0, 10.0), min_size=1, max_size=6)
+
+
+@st.composite
+def _touching_square(draw):
+    """Expanded y^2 (x - a)^2: zero along x = a, where rounding decides the sign."""
+    a = draw(st.sampled_from(_AXIS.tolist()) | st.floats(-1.5, 1.5))
+    scale = draw(st.sampled_from([1.0, 3.0, 0.1]))
+    return {(2, 2): scale, (1, 2): -2.0 * a * scale, (0, 2): a * a * scale}
+
+
+@settings(max_examples=300, deadline=None)
+@given(_SPARSE | _touching_square())
+def test_grid_check_verdict_equals_the_dense_check(terms):
+    sig = PolySignature(terms)
+    dense_min = float(eval_signature(sig, *np.meshgrid(_AXIS, _AXIS)).min())
+    if dense_min < 0.0:
+        with pytest.raises(ValueError, match="negative"):
+            validate_smsf(sig)
+    else:
+        assert validate_smsf(sig) is True
 
 
 def test_default_signature_is_zero_only_at_origin_on_grid():
