@@ -54,7 +54,10 @@ class AffineAttack:
 
     def __post_init__(self):
         for name, shape in _SHAPES.items():
-            arr = np.array(getattr(self, name), dtype=float).reshape(shape)
+            arr, size = np.array(getattr(self, name), dtype=float), math.prod(shape)
+            if arr.size != size:
+                raise AttackError(f"AffineAttack.{name} must hold {size} numbers, got {arr.size}")
+            arr = arr.reshape(shape)
             if not np.all(np.isfinite(arr)):
                 raise AttackError(f"AffineAttack.{name} must be finite")
             arr.setflags(write=False)

@@ -179,7 +179,7 @@ def scenario_to_dict(sc: Scenario) -> dict:
 def _require_keys(d: dict, allowed: set, where: str) -> None:
     extra = set(d) - allowed
     if extra:
-        raise ScenarioError(f"unknown {where} keys: {sorted(extra)}")
+        raise ScenarioError(f"unknown {where} keys: {sorted(map(str, extra))}")
 
 
 def _section(d: dict, key: str, allowed: set) -> dict:

@@ -109,14 +109,18 @@ class SimTrace:
 def write_csv(path, columns, rows) -> None:
     """The one CSV writer: a header, then rows of Python scalars (``array.tolist()``).
 
-    Strings are written as given and numbers as format(v, ".17g"), which
-    round-trips float64 exactly, so repeated runs write byte-identical files.
+    Each column holds one kind of value. The first row fixes the row template,
+    "%s" for a str and "%.17g" for a number, which round-trips float64 exactly,
+    so repeated runs write byte-identical files. A later str in a number
+    column raises TypeError.
     """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(columns) + "\n")
+        fmt = None
         for row in rows:
-            fh.write(",".join([v if isinstance(v, str) else format(v, ".17g")
-                               for v in row]) + "\n")
+            if fmt is None:
+                fmt = ",".join(["%s" if isinstance(v, str) else "%.17g" for v in row]) + "\n"
+            fh.write(fmt % tuple(row))
 
 
 def write_trace_csv(path, data: np.ndarray) -> None:

@@ -1,14 +1,27 @@
-"""Shared fixtures: the built-in scenario runs are reused across test modules."""
+"""Shared fixtures and strategies: the built-in scenario runs and JSON-ish documents."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import pytest
+from hypothesis import strategies as st
 
 from fdia_lab.fdia import AffineAttack
 from fdia_lab.scenarios import Scenario, load_scenario
 from fdia_lab.simloop import SimTrace, run
+
+# JSON-ish values for the untrusted-input properties (scenario and attack
+# documents, wire frames): every JSON scalar, integers far outside float64,
+# and lists and string-keyed objects nested up to twelve leaves.
+JSON_SCALARS = (st.none() | st.booleans() | st.floats()
+                | st.integers(min_value=-(10**400), max_value=10**400) | st.text(max_size=8))
+JSONISH = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner,
+                                                                 max_size=4),
+    max_leaves=12,
+)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import JSON_SCALARS, JSONISH
 from fdia_lab.fdia import (
     AffineAttack,
     AttackError,
@@ -86,6 +87,14 @@ def test_attack_requires_invertible_state_map():
     singular = np.diag([1.0, 0.0, 1.0])
     with pytest.raises(ValueError):
         AffineAttack(singular, np.zeros(3), np.eye(2), np.zeros(2))
+
+
+@pytest.mark.parametrize("name, size", [("s_x", 9), ("d_x", 3), ("s_u", 4), ("d_u", 2)])
+def test_attack_rejects_a_wrongly_sized_map(name, size):
+    maps = {"s_x": np.eye(3), "d_x": np.zeros(3), "s_u": np.eye(2), "d_u": np.zeros(2)}
+    for wrong in (size - 1, size + 1):
+        with pytest.raises(AttackError, match=f"AffineAttack.{name} must hold {size} numbers"):
+            AffineAttack(**{**maps, name: np.ones(wrong)})
 
 
 def test_attack_state_examples():
@@ -303,20 +312,12 @@ def test_attack_file_rejects_non_json(tmp_path):
         load_attack(path)
 
 
-_SCALARS = (st.none() | st.booleans() | st.floats()
-            | st.integers(min_value=-(10**400), max_value=10**400) | st.text(max_size=4))
-_JSONISH = st.recursive(
-    _SCALARS,
-    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner,
-                                                                max_size=3),
-    max_leaves=8,
-)
 _NUMBERS = st.floats(-2.0, 2.0) | st.integers(-2, 2)
 _SIZES = {"s_x": 9, "d_x": 3, "s_u": 4, "d_u": 2}
 _OPTIONAL = {
-    "kind": st.sampled_from(["Reflection", "Scaling", "Identity", "Custom"]) | _SCALARS,
-    "beta11": st.floats(-2.0, 2.0) | _SCALARS,
-    "gamma": _SCALARS,
+    "kind": st.sampled_from(["Reflection", "Scaling", "Identity", "Custom"]) | JSON_SCALARS,
+    "beta11": st.floats(-2.0, 2.0) | JSON_SCALARS,
+    "gamma": JSON_SCALARS,
 }
 _ATTACK_DOCS = (
     # well-formed maps beside optional keys, which may be malformed
@@ -324,9 +325,9 @@ _ATTACK_DOCS = (
                            for k, n in _SIZES.items()}, optional=_OPTIONAL)
     # any entry may be missing, mis-sized or hold a non-number
     | st.fixed_dictionaries({}, optional={
-        **{k: st.lists(_NUMBERS | _SCALARS, min_size=n - 1, max_size=n + 1) | _JSONISH
+        **{k: st.lists(_NUMBERS | JSON_SCALARS, min_size=n - 1, max_size=n + 1) | JSONISH
            for k, n in _SIZES.items()}, **_OPTIONAL})
-    | _JSONISH
+    | JSONISH
 )
 
 

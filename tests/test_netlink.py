@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import JSON_SCALARS, JSONISH
 from fdia_lab.fdia import build_reflection
 from fdia_lab.kinematics import Posture
 from fdia_lab.netlink import (
@@ -176,24 +177,14 @@ def test_any_bytes_decode_or_raise_netlink_errors(data):
     _decodes_or_netlink_error(_frame(data))
 
 
-_JSON_SCALARS = (st.none() | st.booleans() | st.floats()
-                 | st.integers(min_value=-(10**400), max_value=10**400) | st.text(max_size=8))
-_JSONISH = st.recursive(
-    _JSON_SCALARS,
-    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner,
-                                                                 max_size=4),
-    max_leaves=12,
-)
-
-
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(
-    _JSONISH,
+    JSONISH,
     st.fixed_dictionaries({
-        "kind": st.sampled_from(MSG_KINDS) | _JSONISH,
-        "seq": st.integers(min_value=-2, max_value=10**400) | _JSONISH,
-        "t": _JSON_SCALARS,
-        "payload": st.lists(_JSON_SCALARS, max_size=4) | _JSONISH,
+        "kind": st.sampled_from(MSG_KINDS) | JSONISH,
+        "seq": st.integers(min_value=-2, max_value=10**400) | JSONISH,
+        "t": JSON_SCALARS,
+        "payload": st.lists(JSON_SCALARS, max_size=4) | JSONISH,
     }),
 ))
 def test_jsonish_bodies_decode_or_raise_netlink_errors(obj):

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import JSON_SCALARS, JSONISH
 from fdia_lab.cli import main
 from fdia_lab.fdia import (
     KIND_IDENTITY,
@@ -130,6 +131,8 @@ def test_document_validation_errors():
         scenario_from_dict({"name": "x"})
     with pytest.raises(ScenarioError, match="unknown scenario keys"):
         scenario_from_dict(_quick_doc(bogus=1))
+    with pytest.raises(ScenarioError, match="unknown scenario keys"):
+        scenario_from_dict({"seed": 1, 1: 2, "a": 3})  # keys that do not sort together
     with pytest.raises(ScenarioError, match="unknown ref keys"):
         scenario_from_dict(_quick_doc(ref={"speed": 1.0}))
     with pytest.raises(ScenarioError, match="unknown gains keys"):
@@ -163,39 +166,29 @@ def test_integral_settings_may_be_written_as_floats():
     assert isinstance(sc.sim.log_stride, int) and isinstance(sc.detection.window, int)
 
 
-_DOC_SCALARS = (st.none() | st.booleans() | st.floats()
-                | st.integers(min_value=-(10**400), max_value=10**400) | st.text(max_size=6))
-_DOC_JSONISH = st.recursive(
-    _DOC_SCALARS,
-    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner,
-                                                                 max_size=3),
-    max_leaves=8,
-)
-
-
 def _over(keys, values):
     """Objects over the known keys (each optional) or anything JSON-ish."""
-    return st.dictionaries(st.sampled_from(sorted(keys)), values, max_size=len(keys)) | _DOC_JSONISH
+    return st.dictionaries(st.sampled_from(sorted(keys)), values, max_size=len(keys)) | JSONISH
 
 
 _TERM_KEYS = st.sampled_from(["0,1", "1,0", "2,2", "4,0", "0,0", "5,0", "01,2", "1,x", "a"])
 _DOCS = st.fixed_dictionaries(
-    {"seed": st.integers(min_value=-1, max_value=2**64) | _DOC_SCALARS},
+    {"seed": st.integers(min_value=-1, max_value=2**64) | JSON_SCALARS},
     optional={
-        "name": st.text(max_size=4) | _DOC_SCALARS,
-        "p0": st.lists(_DOC_SCALARS, min_size=3, max_size=3) | _DOC_JSONISH,
-        "dt": st.sampled_from([0.01, 0.02, 0.1]) | _DOC_SCALARS,
-        "duration": st.sampled_from([0.2, 1.0]) | _DOC_SCALARS,
-        "log_stride": st.integers(min_value=0, max_value=5) | _DOC_SCALARS,
-        "ref": _over({"v_ref", "omega_amp", "omega_period", "duration"}, _DOC_SCALARS),
-        "gains": _over({"kx", "ky", "ktheta"}, _DOC_SCALARS),
-        "detection": _over({"epsilon", "window"}, _DOC_SCALARS),
+        "name": st.text(max_size=4) | JSON_SCALARS,
+        "p0": st.lists(JSON_SCALARS, min_size=3, max_size=3) | JSONISH,
+        "dt": st.sampled_from([0.01, 0.02, 0.1]) | JSON_SCALARS,
+        "duration": st.sampled_from([0.2, 1.0]) | JSON_SCALARS,
+        "log_stride": st.integers(min_value=0, max_value=5) | JSON_SCALARS,
+        "ref": _over({"v_ref", "omega_amp", "omega_period", "duration"}, JSON_SCALARS),
+        "gains": _over({"kx", "ky", "ktheta"}, JSON_SCALARS),
+        "detection": _over({"epsilon", "window"}, JSON_SCALARS),
         "signature": st.just("default") | _over(
-            {"terms", "max_degree"}, st.dictionaries(_TERM_KEYS, _DOC_SCALARS, max_size=3)
-            | _DOC_SCALARS),
+            {"terms", "max_degree"}, st.dictionaries(_TERM_KEYS, JSON_SCALARS, max_size=3)
+            | JSON_SCALARS),
         "attack": st.none() | _over(
             {"kind", "beta11"},
-            st.sampled_from(["Reflection", "Scaling", "Identity", "Custom"]) | _DOC_SCALARS),
+            st.sampled_from(["Reflection", "Scaling", "Identity", "Custom"]) | JSON_SCALARS),
     },
 )
 

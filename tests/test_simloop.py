@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fdia_lab.fdia import attack_command, attack_state, build_reflection
@@ -221,6 +221,52 @@ def test_write_csv_round_trips_float64_exactly(tmp_path_factory, values):
         back.append(float(value))
     # bitwise, so the sign of zero, subnormals and infinities all count
     assert np.array(back).view(np.int64).tolist() == np.array(values).view(np.int64).tolist()
+
+
+def _per_value_write_csv(path, columns, rows):
+    """The writer write_csv replaced, one format() per value: the oracle for its bytes."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join([v if isinstance(v, str) else format(v, ".17g")
+                               for v in row]) + "\n")
+
+
+_EDGE_FLOATS = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
+                2.2250738585072009e-308, 2.2250738585072014e-308, 1.7976931348623157e308]
+_CELLS = {
+    "str": st.text(st.characters(codec="utf-8"), max_size=8),
+    "int": st.integers(min_value=-(10**300), max_value=10**300),
+    "bool": st.booleans(),
+    "float": st.floats() | st.sampled_from(_EDGE_FLOATS),
+}
+
+
+@st.composite
+def _tables(draw):
+    """Column kinds, and rows holding one kind per column as array.tolist() gives them."""
+    kinds = draw(st.lists(st.sampled_from(sorted(_CELLS)), min_size=1, max_size=6))
+    return kinds, draw(st.lists(st.tuples(*(_CELLS[k] for k in kinds)).map(list), max_size=8))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tables())
+@example((["float", "str"], []))  # a header with no rows
+def test_write_csv_bytes_equal_the_per_value_writer(tmp_path_factory, table):
+    kinds, rows = table
+    base = tmp_path_factory.getbasetemp()
+    columns = [f"{kind}{k}" for k, kind in enumerate(kinds)]
+    write_csv(base / "template.csv", columns, rows)
+    _per_value_write_csv(base / "per_value.csv", columns, rows)
+    assert (base / "template.csv").read_bytes() == (base / "per_value.csv").read_bytes()
+
+
+def test_write_csv_refuses_a_string_in_a_numeric_column(tmp_path):
+    # the first row fixes each column's kind; a later str there is not written
+    path = tmp_path / "mixed.csv"
+    with pytest.raises(TypeError):
+        write_csv(path, ("label", "value"), [("a", 1.5), ("b", "oops")])
+    assert path.read_text(encoding="utf-8") == "label,value\na,1.5\n"
 
 
 def test_csv_rejects_foreign_header(tmp_path):
