@@ -12,8 +12,6 @@ from .kinematics import Posture
 from .tracking import ControllerGains, RefConfig, control
 from .fdia import (
     AffineAttack,
-    SuVerdict,
-    admissible_su,
     attack_command,
     attack_from_dict,
     attack_state,
@@ -50,7 +48,6 @@ from .smsf import (
     validate_smsf,
 )
 from .adversary import (
-    EstimatorConfig,
     SampleSet,
     UnderdeterminedFit,
     estimation_study,

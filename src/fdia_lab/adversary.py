@@ -11,12 +11,11 @@ on a held-out grid spanning the plant's operating region.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .simloop import TRACE_COLUMNS, SimTrace
+from .simloop import SimTrace
 from .smsf import PolySignature, default_signature, eval_signature
 
 # study protocol defaults: interception noise [m] and spiral geometry
@@ -52,18 +51,6 @@ class SampleSet:
         return len(self.x)
 
 
-@dataclass(frozen=True)
-class EstimatorConfig:
-    degree: int = 4
-    regularization: float = 0.0  # ridge weight on the coefficients
-
-    def __post_init__(self):
-        if not isinstance(self.degree, int) or self.degree < 1:
-            raise ValueError(f"degree must be a positive int, got {self.degree}")
-        if not (math.isfinite(self.regularization) and self.regularization >= 0.0):
-            raise ValueError(f"regularization must be >= 0, got {self.regularization}")
-
-
 def monomial_basis(degree: int):
     """(i, j) exponent pairs with i + j <= degree in graded-lexicographic order."""
     if degree < 0:
@@ -75,7 +62,7 @@ def design_matrix(x: np.ndarray, y: np.ndarray, basis) -> np.ndarray:
     return np.column_stack([x**i * y**j for (i, j) in basis])
 
 
-def fit_signature(samples: SampleSet, cfg: EstimatorConfig = EstimatorConfig()) -> PolySignature:
+def fit_signature(samples: SampleSet, degree: int = 4) -> PolySignature:
     """Least-squares polynomial fit of the intercepted signature values.
 
     Solved via numpy's SVD-based lstsq. The rank cutoff (rcond=1e-15) only
@@ -83,22 +70,20 @@ def fit_signature(samples: SampleSet, cfg: EstimatorConfig = EstimatorConfig()) 
     samples confined to a coordinate axis; merely ill-conditioned coverage
     (a short trajectory arc) returns the honest, poorly extrapolating fit.
     """
-    basis = monomial_basis(cfg.degree)
+    if not isinstance(degree, int) or degree < 1:
+        raise ValueError(f"degree must be a positive int, got {degree}")
+    basis = monomial_basis(degree)
     if samples.count < len(basis):
         raise UnderdeterminedFit(
             f"under-determined: {samples.count} samples for {len(basis)} coefficients"
         )
     design = design_matrix(samples.x, samples.y, basis)
-    target = samples.phi
-    if cfg.regularization > 0.0:
-        design = np.vstack([design, math.sqrt(cfg.regularization) * np.eye(len(basis))])
-        target = np.concatenate([target, np.zeros(len(basis))])
-    coeff, _, rank, _ = np.linalg.lstsq(design, target, rcond=1e-15)
+    coeff, _, rank, _ = np.linalg.lstsq(design, samples.phi, rcond=1e-15)
     if rank < len(basis):
         raise UnderdeterminedFit(
             "under-determined: rank-deficient design matrix (insufficient workspace coverage)"
         )
-    return PolySignature(dict(zip(basis, (float(c) for c in coeff))), max_degree=cfg.degree)
+    return PolySignature(dict(zip(basis, (float(c) for c in coeff))), max_degree=degree)
 
 
 def nrmse(estimate: PolySignature, truth: PolySignature, eval_xy) -> float:
@@ -168,8 +153,8 @@ def holdout_grid(trace, n: int = 50, inflate: float = 0.2) -> np.ndarray:
     return np.column_stack([gx.ravel(), gy.ravel()])
 
 
-def spoof(trace, estimate: PolySignature) -> SimTrace:
-    """The trace with its plant-side stream replaced by the estimate.
+def spoof(trace: SimTrace, estimate: PolySignature) -> SimTrace:
+    """The trace, or any view with phi_plant, with that stream replaced by the estimate.
 
     The attacker must reproduce the signature at the observable it feeds the
     controller, so the spoofed stream is the estimate evaluated at the
@@ -177,8 +162,8 @@ def spoof(trace, estimate: PolySignature) -> SimTrace:
     an exact estimate is never caught, on any run.
     """
     data = np.array(trace.data)
-    data[:, TRACE_COLUMNS.index("phi_plant")] = eval_signature(estimate, trace.x_obs, trace.y_obs)
-    return SimTrace(data, complete=trace.complete)
+    data[:, trace.columns.index("phi_plant")] = eval_signature(estimate, trace.x_obs, trace.y_obs)
+    return SimTrace(data, trace.columns, trace.complete)
 
 
 @dataclass
@@ -199,7 +184,6 @@ def estimation_study(trace, truth: PolySignature | None = None, ns=(150, 500, 10
     """
     truth = truth if truth is not None else default_signature()
     grid = holdout_grid(trace)
-    cfg = EstimatorConfig(degree=degree)
     rows = []
     for source in ("trajectory", "spiral"):
         for n in ns:
@@ -207,6 +191,6 @@ def estimation_study(trace, truth: PolySignature | None = None, ns=(150, 500, 10
                 samples = trajectory_samples(trace, n, noise_std=noise_std, seed=seed)
             else:
                 samples = spiral_samples(n, noise_std=noise_std, seed=seed)
-            estimate = fit_signature(samples, cfg)
+            estimate = fit_signature(samples, degree)
             rows.append(StudyRow(source, int(n), nrmse(estimate, truth, grid)))
     return rows

@@ -266,7 +266,7 @@ def _cmd_serve_controller(args) -> int:
 def _session_done(role: str, log, out) -> int:
     """Report a networked session's end, write its view CSV if asked; 0 when complete."""
     state = "complete" if log.complete else "incomplete"
-    print(f"{role} session {state}: {len(log.t)} logged rows")
+    print(f"{role} session {state}: {len(log)} logged rows")
     if out:
         log.to_csv(out)
         print(f"wrote {out}")

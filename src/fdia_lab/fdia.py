@@ -27,7 +27,6 @@ KIND_IDENTITY = "Identity"
 KIND_CUSTOM = "Custom"
 KINDS = (KIND_REFLECTION, KIND_SCALING, KIND_IDENTITY, KIND_CUSTOM)
 
-_OFFDIAG_TOL = 1e-12
 _SHAPES = {"s_x": (3, 3), "d_x": (3,), "s_u": (2, 2), "d_u": (2,)}
 _OPTIONAL_KEYS = {"kind", "beta11"}
 
@@ -169,33 +168,6 @@ def check_condition2(a: AffineAttack, n_samples: int = 1000, seed: int = 0) -> f
     theta_t = a.s_x[2, 2] * theta + a.d_x[2]
     rhs = np.stack([v * np.cos(theta_t), v * np.sin(theta_t), omega])
     return float(np.max(np.abs(lhs - rhs)))
-
-
-@dataclass(frozen=True)
-class SuVerdict:
-    """Outcome of the command-map admissibility test."""
-
-    admissible: bool
-    beta11: float | None = None
-    reason: str | None = None
-
-
-def admissible_su(s_u) -> SuVerdict:
-    """Admissibility of a command map: diagonal, |beta22| = 1, beta11 != 0.
-
-    The first violated condition is reported, in the order beta12, beta21,
-    beta22, beta11.
-    """
-    m = np.asarray(s_u, dtype=float).reshape(2, 2)
-    if abs(m[0, 1]) > _OFFDIAG_TOL:
-        return SuVerdict(False, reason="beta12 != 0")
-    if abs(m[1, 0]) > _OFFDIAG_TOL:
-        return SuVerdict(False, reason="beta21 != 0")
-    if abs(abs(m[1, 1]) - 1.0) > _OFFDIAG_TOL:
-        return SuVerdict(False, reason="beta22 not in {-1, 1}")
-    if abs(m[0, 0]) <= _OFFDIAG_TOL:
-        return SuVerdict(False, reason="beta11 = 0")
-    return SuVerdict(True, beta11=float(m[0, 0]))
 
 
 def attack_to_dict(a: AffineAttack) -> dict:

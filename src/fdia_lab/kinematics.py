@@ -30,10 +30,6 @@ class Posture:
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.theta], dtype=float)
 
-    @staticmethod
-    def from_array(arr) -> "Posture":
-        return Posture(float(arr[0]), float(arr[1]), float(arr[2]))
-
 
 def rk4_step(x: float, y: float, theta: float, v: float, omega: float, dt: float):
     """One classical RK4 step with the command held constant over dt.

@@ -16,6 +16,7 @@ its command map, and optionally Sig through a scalar affine channel.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import socket
@@ -28,7 +29,7 @@ import numpy as np
 from . import smsf
 from .fdia import AffineAttack, attack_command, attack_state
 from .kinematics import rk4_step
-from .simloop import SimConfig, SimTrace, write_csv
+from .simloop import TRACE_COLUMNS, SimConfig, SimTrace
 from .tracking import control, reference_table
 
 MSG_KINDS = ("Obs", "Cmd", "Sig", "Hello", "Bye")
@@ -203,34 +204,19 @@ def send_message(sock: socket.socket, msg: WireMessage) -> None:
     sock.sendall(encode(msg))
 
 
-class _SeqCounter:
-    def __init__(self):
-        self._next = 0
-
-    def next(self) -> int:
-        seq = self._next
-        self._next += 1
-        return seq
+def _in_seq(msg: WireMessage, rx) -> None:
+    """Raise ProtocolError unless msg's seq is the next one the rx counter yields."""
+    expected = next(rx)
+    if msg.seq != expected:
+        raise ProtocolError(f"seq gap: expected {expected}, got {msg.seq}")
 
 
-class _SeqChecker:
-    def __init__(self):
-        self.expected = 0
-
-    def check(self, msg: WireMessage) -> WireMessage:
-        if msg.seq != self.expected:
-            raise ProtocolError(f"seq gap: expected {self.expected}, got {msg.seq}")
-        self.expected += 1
-        return msg
-
-
-def _expect(sock: socket.socket, rx: _SeqChecker, kind: str,
-            where: str = "mid-run") -> WireMessage:
+def _expect(sock: socket.socket, rx, kind: str, where: str = "mid-run") -> WireMessage:
     """Receive the next in-sequence message of the given kind."""
     msg = recv_message(sock)
     if msg is None:
         raise ConnectionError(f"peer closed {where}")
-    rx.check(msg)
+    _in_seq(msg, rx)
     if msg.kind != kind:
         raise ProtocolError(f"expected {kind}, got {msg.kind}")
     return msg
@@ -243,54 +229,10 @@ def config_digest(cfg: SimConfig, signature: smsf.PolySignature) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
 
 
-@dataclass
-class PlantLog:
-    """Plant-side view of a networked run (what the plant can actually know)."""
-
-    t: np.ndarray
-    x: np.ndarray
-    y: np.ndarray
-    theta: np.ndarray
-    v_rx: np.ndarray
-    w_rx: np.ndarray
-    phi_plant: np.ndarray
-    complete: bool = True
-
-    def to_csv(self, path) -> None:
-        _write_view_csv(path, self, PLANT_VIEW_COLUMNS)
-
-
-@dataclass
-class CtrlLog:
-    """Controller-side view of a networked run."""
-
-    t: np.ndarray
-    x_obs: np.ndarray
-    y_obs: np.ndarray
-    theta_obs: np.ndarray
-    v_cmd: np.ndarray
-    w_cmd: np.ndarray
-    xe: np.ndarray
-    ye: np.ndarray
-    thetae: np.ndarray
-    V: np.ndarray
-    phi_plant: np.ndarray  # received over the Sig channel
-    phi_ctrl: np.ndarray
-    complete: bool = True
-
-    def to_csv(self, path) -> None:
-        _write_view_csv(path, self, CTRL_VIEW_COLUMNS)
-
-
-def _write_view_csv(path, log, columns) -> None:
-    """A view log's fields named by its column tuple, in that order."""
-    write_csv(path, columns, np.column_stack([getattr(log, c) for c in columns]).tolist())
-
-
 def serve_plant(cfg: SimConfig, signature: smsf.PolySignature | None = None,
                 host: str = "127.0.0.1", port: int = DEFAULT_PLANT_PORT,
-                on_bound=None, timeout: float = 30.0) -> PlantLog:
-    """Serve one lock-step session as the plant; returns the plant-side log.
+                on_bound=None, timeout: float = 30.0) -> SimTrace:
+    """Serve one lock-step session as the plant; returns its view (PLANT_VIEW_COLUMNS).
 
     Connection loss mid-run returns the partial log with complete=False.
     """
@@ -311,20 +253,20 @@ def serve_plant(cfg: SimConfig, signature: smsf.PolySignature | None = None,
         conn.close()
 
 
-def _plant_session(conn: socket.socket, cfg: SimConfig, sig) -> PlantLog:
+def _plant_session(conn: socket.socket, cfg: SimConfig, sig) -> SimTrace:
     digest = config_digest(cfg, sig)
-    rx = _SeqChecker()
-    tx = _SeqCounter()
+    rx = itertools.count()
+    tx = itertools.count()
     hello = recv_message(conn)
     if hello is None:
         raise ProtocolError("peer closed before Hello")
-    rx.check(hello)
+    _in_seq(hello, rx)
     if hello.kind != "Hello":
         raise ProtocolError(f"expected Hello, got {hello.kind}")
     if hello.payload[1] != digest:
-        send_message(conn, WireMessage("Bye", tx.next(), 0.0, ("digest mismatch",)))
+        send_message(conn, WireMessage("Bye", next(tx), 0.0, ("digest mismatch",)))
         raise ProtocolError(f"config digest mismatch: ours {digest}, peer {hello.payload[1]}")
-    send_message(conn, WireMessage("Hello", tx.next(), 0.0, ("plant", digest)))
+    send_message(conn, WireMessage("Hello", next(tx), 0.0, ("plant", digest)))
 
     n_steps = cfg.n_steps()
     x, y, th = cfg.p0.x, cfg.p0.y, cfg.p0.theta
@@ -334,26 +276,26 @@ def _plant_session(conn: socket.socket, cfg: SimConfig, sig) -> PlantLog:
         for k in range(n_steps + 1):
             t = k * cfg.dt
             phi = smsf.eval_signature(sig, x, y)
-            send_message(conn, WireMessage("Obs", tx.next(), t, (x, y, th)))
-            send_message(conn, WireMessage("Sig", tx.next(), t, (phi,)))
+            send_message(conn, WireMessage("Obs", next(tx), t, (x, y, th)))
+            send_message(conn, WireMessage("Sig", next(tx), t, (phi,)))
             v, w = _expect(conn, rx, "Cmd").payload
             if k % cfg.log_stride == 0:
                 rows.append((t, x, y, th, v, w, phi))
             if k < n_steps:
                 x, y, th = rk4_step(x, y, th, v, w, cfg.dt)
         _expect(conn, rx, "Bye", "before Bye")
-        send_message(conn, WireMessage("Bye", tx.next(), n_steps * cfg.dt, ("complete",)))
+        send_message(conn, WireMessage("Bye", next(tx), n_steps * cfg.dt, ("complete",)))
         complete = True
     except (OSError, TruncatedFrameError):
         pass  # lost peer: hand back the partial log, flagged incomplete
-    arr = np.array(rows, dtype=float).reshape(-1, 7)
-    return PlantLog(*(arr[:, i] for i in range(7)), complete=complete)
+    arr = np.array(rows, dtype=float).reshape(-1, len(PLANT_VIEW_COLUMNS))
+    return SimTrace(arr, PLANT_VIEW_COLUMNS, complete)
 
 
 def run_controller(cfg: SimConfig, connect=("127.0.0.1", DEFAULT_PROXY_PORT),
                    signature: smsf.PolySignature | None = None,
-                   timeout: float = 30.0) -> CtrlLog:
-    """Drive one lock-step session as the controller; returns its view."""
+                   timeout: float = 30.0) -> SimTrace:
+    """Drive one lock-step session as the controller; returns its view (CTRL_VIEW_COLUMNS)."""
     sig = signature if signature is not None else smsf.default_signature()
     sock = socket.create_connection(connect, timeout=timeout)
     sock.settimeout(timeout)
@@ -364,15 +306,15 @@ def run_controller(cfg: SimConfig, connect=("127.0.0.1", DEFAULT_PROXY_PORT),
         sock.close()
 
 
-def _controller_session(sock: socket.socket, cfg: SimConfig, sig) -> CtrlLog:
+def _controller_session(sock: socket.socket, cfg: SimConfig, sig) -> SimTrace:
     digest = config_digest(cfg, sig)
-    rx = _SeqChecker()
-    tx = _SeqCounter()
-    send_message(sock, WireMessage("Hello", tx.next(), 0.0, ("controller", digest)))
+    rx = itertools.count()
+    tx = itertools.count()
+    send_message(sock, WireMessage("Hello", next(tx), 0.0, ("controller", digest)))
     hello = recv_message(sock)
     if hello is None:
         raise ProtocolError("peer closed before Hello")
-    rx.check(hello)
+    _in_seq(hello, rx)
     if hello.kind == "Bye":
         raise ProtocolError(f"peer refused session: {hello.payload[0]}")
     if hello.kind != "Hello":
@@ -390,17 +332,17 @@ def _controller_session(sock: socket.socket, cfg: SimConfig, sig) -> CtrlLog:
             x, y, th = _expect(sock, rx, "Obs").payload
             (phi_rx,) = _expect(sock, rx, "Sig").payload
             v, w, xe, ye, the, lyap = control(ref, gains, refs[k], t, x, y, th)
-            send_message(sock, WireMessage("Cmd", tx.next(), t, (v, w)))
+            send_message(sock, WireMessage("Cmd", next(tx), t, (v, w)))
             if k % cfg.log_stride == 0:
                 rows.append((t, x, y, th, v, w, xe, ye, the, lyap, phi_rx))
-        send_message(sock, WireMessage("Bye", tx.next(), cfg.duration, ("complete",)))
+        send_message(sock, WireMessage("Bye", next(tx), cfg.duration, ("complete",)))
         _expect(sock, rx, "Bye", "before Bye")
         complete = True
     except (OSError, TruncatedFrameError):
         pass
-    arr = np.array(rows, dtype=float).reshape(-1, 11)
+    arr = np.array(rows, dtype=float).reshape(-1, len(CTRL_VIEW_COLUMNS) - 1)
     phi_ctrl = smsf.eval_signature(sig, arr[:, 1], arr[:, 2])
-    return CtrlLog(*(arr[:, i] for i in range(11)), phi_ctrl, complete=complete)
+    return SimTrace(np.column_stack([arr, phi_ctrl]), CTRL_VIEW_COLUMNS, complete)
 
 
 def _transform_factory(attack: AffineAttack | None, sig_scale: float, sig_offset: float):
@@ -471,17 +413,14 @@ def serve_proxy(attack: AffineAttack | None = None,
     up.close()
 
 
-def merge_views(plant: PlantLog, ctrl: CtrlLog) -> SimTrace:
-    """Assemble the full trace schema from the two honest views."""
-    n = min(len(plant.t), len(ctrl.t))
+def merge_views(plant: SimTrace, ctrl: SimTrace) -> SimTrace:
+    """Assemble the full trace schema from the two honest views.
+
+    Each column comes from the controller view where it has one, else from
+    the plant view, so phi_plant is the stream the controller received.
+    """
+    n = min(len(plant), len(ctrl))
     if not np.array_equal(plant.t[:n], ctrl.t[:n]):
         raise ValueError("time grids differ between the two views")
-    cols = [
-        plant.t[:n], plant.x[:n], plant.y[:n], plant.theta[:n],
-        ctrl.x_obs[:n], ctrl.y_obs[:n], ctrl.theta_obs[:n],
-        ctrl.v_cmd[:n], ctrl.w_cmd[:n],
-        plant.v_rx[:n], plant.w_rx[:n],
-        ctrl.xe[:n], ctrl.ye[:n], ctrl.thetae[:n], ctrl.V[:n],
-        ctrl.phi_plant[:n], ctrl.phi_ctrl[:n],
-    ]
+    cols = [getattr(ctrl if c in ctrl.columns else plant, c)[:n] for c in TRACE_COLUMNS]
     return SimTrace(np.column_stack(cols), complete=plant.complete and ctrl.complete)

@@ -38,7 +38,6 @@ TRACE_COLUMNS = (
     "phi_plant",
     "phi_ctrl",
 )
-_COL_INDEX = {name: k for k, name in enumerate(TRACE_COLUMNS)}
 
 
 @dataclass(frozen=True)
@@ -76,34 +75,32 @@ class SimConfig:
 
 @dataclass
 class SimTrace:
-    """Logged run: data rows in TRACE_COLUMNS order; columns readable as attributes."""
+    """A column table: rows of data named by columns, each readable as an attribute.
+
+    run() and merge_views give the full TRACE_COLUMNS schema; the plant and
+    controller views of a networked session hold their own column subsets.
+    """
 
     data: np.ndarray
+    columns: tuple = TRACE_COLUMNS
     complete: bool = True
 
     def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=float).reshape(-1, len(TRACE_COLUMNS))
+        self.columns = tuple(self.columns)
+        self.data = np.asarray(self.data, dtype=float).reshape(-1, len(self.columns))
 
     def __getattr__(self, name):
-        idx = _COL_INDEX.get(name)
-        if idx is None:
+        # through __dict__: copy and pickle probe attributes before columns is set
+        columns = self.__dict__.get("columns", ())
+        if name not in columns:
             raise AttributeError(name)
-        return self.data[:, idx]
+        return self.data[:, columns.index(name)]
 
     def __len__(self) -> int:
         return self.data.shape[0]
 
     def to_csv(self, path) -> None:
-        write_trace_csv(path, self.data)
-
-    @staticmethod
-    def from_csv(path) -> "SimTrace":
-        with open(path, "r", encoding="utf-8") as fh:
-            header = fh.readline().strip()
-            if header != ",".join(TRACE_COLUMNS):
-                raise ValueError(f"unexpected trace header in {path}")
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
-        return SimTrace(data)
+        write_trace_csv(path, self)
 
 
 def write_csv(path, columns, rows) -> None:
@@ -111,8 +108,8 @@ def write_csv(path, columns, rows) -> None:
 
     Each column holds one kind of value. The first row fixes the row template,
     "%s" for a str and "%.17g" for a number, which round-trips float64 exactly,
-    so repeated runs write byte-identical files. A later str in a number
-    column raises TypeError.
+    so repeated runs write byte-identical files. A later value of the other
+    kind in a column raises TypeError; only str columns are checked per row.
     """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(columns) + "\n")
@@ -120,12 +117,16 @@ def write_csv(path, columns, rows) -> None:
         for row in rows:
             if fmt is None:
                 fmt = ",".join(["%s" if isinstance(v, str) else "%.17g" for v in row]) + "\n"
+                str_cols = [k for k, v in enumerate(row) if isinstance(v, str)]
+            for k in str_cols:
+                if not isinstance(row[k], str):
+                    raise TypeError(f"column {columns[k]!r} holds str, got {row[k]!r}")
             fh.write(fmt % tuple(row))
 
 
-def write_trace_csv(path, data: np.ndarray) -> None:
-    """Trace rows in TRACE_COLUMNS order, through the shared CSV writer."""
-    write_csv(path, TRACE_COLUMNS, np.asarray(data).tolist())
+def write_trace_csv(path, table: SimTrace) -> None:
+    """A column table's rows under its column header, through the shared CSV writer."""
+    write_csv(path, table.columns, table.data.tolist())
 
 
 def run(cfg: SimConfig, attack: AffineAttack | None = None,

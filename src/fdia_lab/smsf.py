@@ -212,8 +212,8 @@ def monitor(trace, sig: PolySignature, cfg: DetectionConfig | None = None) -> Mo
     phi_plant is the signature stream as the controller received it, and sig
     is the controller's own secret, evaluated at the posture it observed.
     Only the t, phi_plant, x_obs and y_obs columns are read, so the same call
-    judges an in-process SimTrace, a merged networked trace and the
-    controller's own CtrlLog; a tampered or spoofed stream is simply a trace
+    judges an in-process trace, a merged networked trace and the controller's
+    own view; a tampered or spoofed stream is simply a trace
     whose phi_plant column differs.
     """
     cfg = cfg if cfg is not None else DetectionConfig()

@@ -9,7 +9,6 @@ from fdia_lab.adversary import (
     SPIRAL_RADIUS,
     SPIRAL_TURNS,
     STUDY_NOISE_STD,
-    EstimatorConfig,
     SampleSet,
     UnderdeterminedFit,
     design_matrix,
@@ -50,9 +49,7 @@ def test_design_matrix_columns():
 
 def test_estimator_config_validation():
     with pytest.raises(ValueError):
-        EstimatorConfig(degree=0)
-    with pytest.raises(ValueError):
-        EstimatorConfig(regularization=-1.0)
+        fit_signature(_grid_samples(default_signature(), 5), degree=0)
 
 
 def test_sample_set_validation():

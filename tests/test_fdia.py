@@ -13,7 +13,6 @@ from conftest import JSON_SCALARS, JSONISH
 from fdia_lab.fdia import (
     AffineAttack,
     AttackError,
-    admissible_su,
     attack_command,
     attack_from_dict,
     attack_state,
@@ -213,24 +212,6 @@ def test_inadmissible_command_maps_break_condition2():
     wrong_turn = np.diag([1.0, 2.0])
     bad = AffineAttack(base.s_x, base.d_x, wrong_turn, base.d_u)
     assert check_condition2(bad, n_samples=1000, seed=0) > 1e-3
-
-
-def test_admissible_su_verdicts():
-    ok = admissible_su(np.diag([0.5, 1.0]))
-    assert ok.admissible and ok.beta11 == 0.5
-
-    ok = admissible_su(np.diag([1.0, -1.0]))
-    assert ok.admissible and ok.beta11 == 1.0
-
-    for matrix, reason in (
-        (np.array([[1.0, 0.1], [0.0, 1.0]]), "beta12"),
-        (np.array([[1.0, 0.0], [0.1, 1.0]]), "beta21"),
-        (np.diag([1.0, 2.0]), "beta22"),
-        (np.diag([0.0, 1.0]), "beta11"),
-    ):
-        verdict = admissible_su(matrix)
-        assert not verdict.admissible
-        assert reason in verdict.reason
 
 
 def test_builders_fix_du_to_zero():

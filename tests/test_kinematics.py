@@ -17,11 +17,6 @@ def test_posture_rejects_non_finite():
         Posture(float("inf"), 0.0, 0.0)
 
 
-def test_posture_array_round_trip():
-    p = Posture(0.1, -0.2, 3.5)
-    assert Posture.from_array(p.as_array()) == p
-
-
 def test_straight_line_is_exact():
     """With omega = 0 the integrator reduces to exact forward motion."""
     rng = np.random.default_rng(11)

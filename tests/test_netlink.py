@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import socket
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import JSON_SCALARS, JSONISH
+from fdia_lab.adversary import STUDY_NOISE_STD, fit_signature, spiral_samples, spoof
 from fdia_lab.fdia import build_reflection
 from fdia_lab.kinematics import Posture
 from fdia_lab.netlink import (
@@ -21,10 +23,8 @@ from fdia_lab.netlink import (
     MAX_FRAME,
     MSG_KINDS,
     PLANT_VIEW_COLUMNS,
-    CtrlLog,
     FrameLengthError,
     NetlinkError,
-    PlantLog,
     ProtocolError,
     TruncatedFrameError,
     UnknownKindError,
@@ -40,7 +40,7 @@ from fdia_lab.netlink import (
     serve_plant,
     serve_proxy,
 )
-from fdia_lab.simloop import SimConfig, run
+from fdia_lab.simloop import SimConfig, SimTrace, run
 from fdia_lab.smsf import PolySignature, default_signature, monitor
 
 TIMEOUT = 15.0
@@ -253,9 +253,9 @@ def test_view_column_tuples():
 
 def _tiny_views(n=3, shift=0.0):
     t = np.arange(n) * 0.02 + shift
-    plant = PlantLog(t, t + 1, t + 2, t + 3, t + 4, t + 5, t + 6)
-    ctrl = CtrlLog(np.arange(n) * 0.02, t + 7, t + 8, t + 9, t + 10, t + 11,
-                   t + 12, t + 13, t + 14, t + 15, t + 16, t + 17)
+    plant = SimTrace(np.column_stack([t] + [t + k for k in range(1, 7)]), PLANT_VIEW_COLUMNS)
+    ctrl = SimTrace(np.column_stack([np.arange(n) * 0.02] + [t + k for k in range(7, 18)]),
+                    CTRL_VIEW_COLUMNS)
     return plant, ctrl
 
 
@@ -267,6 +267,11 @@ def test_merge_views_places_columns():
     np.testing.assert_array_equal(trace.v_rx, plant.v_rx)
     np.testing.assert_array_equal(trace.x_obs, ctrl.x_obs)
     np.testing.assert_array_equal(trace.phi_ctrl, ctrl.phi_ctrl)
+    # phi_plant is in both views; the merge keeps the stream the controller received
+    np.testing.assert_array_equal(trace.phi_plant, ctrl.phi_plant)
+    assert not hasattr(plant, "x_obs")
+    # a deep copy is a whole view: merging it gives the same trace
+    np.testing.assert_array_equal(merge_views(copy.deepcopy(plant), ctrl).data, trace.data)
     ctrl.complete = False
     assert not merge_views(plant, ctrl).complete
 
@@ -396,6 +401,22 @@ def test_proxy_tampering_with_signature_stream_is_visible():
     clean_result = monitor(clean, sig)
     assert not clean_result.flag
     np.testing.assert_array_equal(clean_result.residual, np.zeros(len(clean.t)))
+
+
+def test_spoofing_the_controller_view_equals_spoofing_the_merged_trace():
+    cfg = SimConfig(duration=2.0)
+    sig = default_signature()
+    plant_log, ctrl_log = _proxied_session(cfg, attack=build_reflection(1.0, cfg.p0))
+    estimate = fit_signature(spiral_samples(150, noise_std=STUDY_NOISE_STD, seed=0))
+    spoofed = spoof(ctrl_log, estimate)
+    assert spoofed.columns == CTRL_VIEW_COLUMNS
+    from_view = monitor(spoofed, sig)
+    from_merged = monitor(spoof(merge_views(plant_log, ctrl_log), estimate), sig)
+    assert float(from_view.residual.max()) > 0.0
+    np.testing.assert_array_equal(from_view.t, from_merged.t)
+    assert from_view.residual.view(np.int64).tolist() == from_merged.residual.view(np.int64).tolist()
+    assert (from_view.flag, from_view.first_exceed_t, from_view.detect_t) == (
+        from_merged.flag, from_merged.first_exceed_t, from_merged.detect_t)
 
 
 def test_mismatched_configs_refuse_to_run():
