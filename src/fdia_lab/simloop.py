@@ -73,12 +73,15 @@ class SimConfig:
         return int(round(self.duration / self.dt))
 
 
-@dataclass
+@dataclass(eq=False)
 class SimTrace:
     """A column table: rows of data named by columns, each readable as an attribute.
 
     run() and merge_views give the full TRACE_COLUMNS schema; the plant and
     controller views of a networked session hold their own column subsets.
+    data is a 2-D array with one column per name; an empty array (a session
+    that ended before its first tick) becomes a table of no rows. Tables
+    compare by identity: compare their data arrays for equal contents.
     """
 
     data: np.ndarray
@@ -87,7 +90,13 @@ class SimTrace:
 
     def __post_init__(self):
         self.columns = tuple(self.columns)
-        self.data = np.asarray(self.data, dtype=float).reshape(-1, len(self.columns))
+        data = np.asarray(self.data, dtype=float)
+        if data.size == 0:
+            data = data.reshape(0, len(self.columns))
+        elif data.ndim != 2 or data.shape[1] != len(self.columns):
+            raise ValueError(f"SimTrace data of shape {data.shape} does not hold"
+                             f" {len(self.columns)} columns")
+        self.data = data
 
     def __getattr__(self, name):
         # through __dict__: copy and pickle probe attributes before columns is set

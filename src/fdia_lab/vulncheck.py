@@ -7,11 +7,18 @@ checker scans beta on a dense grid, solves the best alpha per beta in
 closed form (one-dimensional least squares), and classifies the candidate
 set: a one-dimensional manifold of solutions, isolated nontrivial pairs, or
 only the trivial identity.
+
+The beta grid is scored in fixed blocks of BETA_BLOCK rows, split at block
+boundaries over the usable CPUs. Every row goes through the same IEEE
+operations in the same order whatever the split, so the alphas, residuals
+and verdicts do not depend on the number of workers.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,9 +34,10 @@ CLASS_CONTINUOUS = "continuous-family"
 CLASS_DISCRETE = "discrete-nontrivial"
 CLASS_TRIVIAL = "trivial-only"
 
-# classify() scores the beta grid this many rows at a time, which bounds its
-# working set to a few (BETA_BLOCK, n_grid) temporaries
-BETA_BLOCK = 256
+# classify() scores the beta grid this many rows at a time through two
+# (BETA_BLOCK, n_grid) buffers per worker; a multiple of 4, so the BLAS
+# matrix-vector kernel groups the rows of every block the same way
+BETA_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -49,15 +57,20 @@ class ScalarFamily:
 
 
 def family_function(fam: ScalarFamily):
+    """g as a ufunc-like callable: g(x) returns a new array, g(x, out=buf) fills buf.
+
+    buf must not be x itself: the quadratic reads x again after writing c*x.
+    """
+    c = fam.c
     if fam.tag == TAG_LINEAR:
-        return lambda x: fam.c * x
+        return lambda x, out=None: np.multiply(c, x, out=out)
     if fam.tag == TAG_COSINE:
         return np.cos
     if fam.tag == TAG_SINE:
         return np.sin
     if fam.tag == TAG_QUADRATIC:
-        return lambda x: fam.c * x * x
-    return lambda x: fam.c * np.exp(x)
+        return lambda x, out=None: np.multiply(np.multiply(c, x, out=out), x, out=out)
+    return lambda x, out=None: np.multiply(c, np.exp(x, out=out), out=out)
 
 
 def default_grid(fam: ScalarFamily) -> np.ndarray:
@@ -95,6 +108,45 @@ def _manifold_label(candidates, tol: float) -> str:
     return "alpha = h(beta) (tabulated)"
 
 
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _score_rows(g, x, gx, betas, alphas, residuals, lo, hi) -> None:
+    """Fill alphas and residuals for betas[lo:hi], BETA_BLOCK rows at a time.
+
+    Per row: alpha = <g(beta*x), g(x)> / <g(beta*x), g(beta*x)> (inf where the
+    denominator is not positive) and residual = max |alpha*g(beta*x) - g(x)|.
+    Each pass writes into one of two preallocated buffers; only numpy runs
+    here, so worker threads can call it.
+    """
+    rows = min(BETA_BLOCK, hi - lo)
+    arg = np.empty((rows, x.size))
+    gb = np.empty((rows, x.size))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for start in range(lo, hi, BETA_BLOCK):
+            stop = min(start + BETA_BLOCK, hi)
+            buf, gbx, alpha = arg[:stop - start], gb[:stop - start], alphas[start:stop]
+            np.multiply(betas[start:stop, None], x, out=buf)
+            g(buf, out=gbx)
+            np.multiply(gbx, gbx, out=buf)
+            denom = buf.sum(axis=1)
+            alpha.fill(np.inf)
+            np.divide(gbx @ gx, denom, out=alpha, where=denom > 0.0)
+            np.multiply(alpha[:, None], gbx, out=buf)
+            np.subtract(buf, gx, out=buf)
+            np.abs(buf, out=buf)
+            buf.max(axis=1, out=residuals[start:stop])
+
+
+def _check_range(name: str, bounds) -> None:
+    lo, hi = bounds
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValueError(f"{name} must be finite with low < high, got {bounds!r}")
+
+
 def classify(fam: ScalarFamily, tol: float = 1e-9, alpha_range=(-3.0, 3.0),
              beta_range=(-3.0, 3.0), step: float = 0.001) -> VulnVerdict:
     """Grid search for nontrivial (alpha, beta) pairs with residual <= tol.
@@ -104,10 +156,13 @@ def classify(fam: ScalarFamily, tol: float = 1e-9, alpha_range=(-3.0, 3.0),
     against the max-residual tolerance and the alpha range. Ten or more
     admitting betas classify as a continuous family, at least one as
     discrete nontrivial pairs, none as trivial-only. The identity (1, 1) is
-    always excluded.
+    always excluded. tol and step must be positive and finite, and both
+    ranges finite (low, high) pairs with low < high.
     """
-    if tol <= 0.0 or step <= 0.0:
-        raise ValueError("tol and step must be positive")
+    if not (math.isfinite(tol) and tol > 0.0 and math.isfinite(step) and step > 0.0):
+        raise ValueError(f"tol and step must be positive and finite, got {tol!r}, {step!r}")
+    _check_range("alpha_range", alpha_range)
+    _check_range("beta_range", beta_range)
     x = default_grid(fam)
     g = family_function(fam)
     gx = g(x)
@@ -118,13 +173,16 @@ def classify(fam: ScalarFamily, tol: float = 1e-9, alpha_range=(-3.0, 3.0),
 
     alphas = np.empty(len(betas))
     residuals = np.empty(len(betas))
-    for lo in range(0, len(betas), BETA_BLOCK):
-        block = slice(lo, lo + BETA_BLOCK)
-        gbx = g(betas[block, None] * x[None, :])  # (rows of the block, n_grid)
-        denom = np.sum(gbx * gbx, axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            alphas[block] = np.where(denom > 0.0, (gbx @ gx) / denom, np.inf)
-        residuals[block] = np.max(np.abs(alphas[block, None] * gbx - gx[None, :]), axis=1)
+    # whole blocks, split as evenly as they go over the usable CPUs
+    n_blocks = -(-len(betas) // BETA_BLOCK)
+    workers = max(1, min(_usable_cpus(), n_blocks))
+    edges = [min(k * n_blocks // workers * BETA_BLOCK, len(betas)) for k in range(workers + 1)]
+    if workers == 1:
+        _score_rows(g, x, gx, betas, alphas, residuals, 0, len(betas))
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(lambda lo, hi: _score_rows(g, x, gx, betas, alphas, residuals, lo, hi),
+                          edges[:-1], edges[1:]))
 
     in_range = np.isfinite(alphas) & (alphas >= alpha_range[0]) & (alphas <= alpha_range[1])
     trivial = (np.abs(betas - 1.0) <= 0.5 * step) & (np.abs(alphas - 1.0) <= 1e-6)

@@ -141,6 +141,25 @@ def test_unknown_column_raises():
         trace.no_such_column
 
 
+@pytest.mark.parametrize("columns", [TRACE_COLUMNS, PLANT_VIEW_COLUMNS, CTRL_VIEW_COLUMNS],
+                         ids=["trace", "plant", "ctrl"])
+def test_trace_refuses_data_of_the_wrong_width(columns):
+    n = len(columns)
+    for shape in [(n, n + 1), (n + 1, n - 1), (2 * n,), (1, n, 1)]:
+        with pytest.raises(ValueError):
+            SimTrace(np.zeros(shape), columns)
+    # a session that ends before its first tick hands back an empty view
+    for empty in [np.zeros(0), np.zeros((0, n)), []]:
+        assert SimTrace(empty, columns).data.shape == (0, n)
+    assert SimTrace(np.zeros((3, n)), columns).data.shape == (3, n)
+
+
+def test_traces_compare_by_identity():
+    a, b = SimTrace(np.zeros((2, 17))), SimTrace(np.zeros((2, 17)))
+    assert a == a
+    assert (a == b) is False and (a != b) is True
+
+
 def test_logged_columns_are_the_controller_tick(scenario_runs):
     # the logged observation, command and error columns are control() at the
     # observed posture, bitwise, on an attacked run

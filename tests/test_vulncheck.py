@@ -3,15 +3,19 @@
 from __future__ import annotations
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from fdia_lab import vulncheck
 from fdia_lab.vulncheck import (
     BETA_BLOCK,
     CLASS_CONTINUOUS,
     CLASS_DISCRETE,
     CLASS_TRIVIAL,
+    FAMILY_TAGS,
     TAG_COSINE,
     TAG_EXPONENTIAL,
     TAG_LINEAR,
@@ -67,6 +71,19 @@ def test_classify_validation():
         classify(ScalarFamily(TAG_LINEAR), tol=0.0)
     with pytest.raises(ValueError):
         classify(ScalarFamily(TAG_LINEAR), step=-0.001)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"tol": math.nan}, {"tol": math.inf}, {"step": math.nan}, {"step": math.inf},
+    {"beta_range": (3.0, -3.0)}, {"beta_range": (1.0, 1.0)}, {"beta_range": ()},
+    {"beta_range": (-math.inf, 3.0)}, {"beta_range": (-3.0, math.nan)},
+    {"alpha_range": (3.0, -3.0)}, {"alpha_range": (0.0, 0.0)}, {"alpha_range": ()},
+    {"alpha_range": (-3.0, math.inf)}, {"alpha_range": (math.nan, 3.0)},
+], ids=repr)
+def test_classify_refuses_what_it_cannot_honour(kwargs):
+    # a nan tolerance used to admit nothing and call Linear trivial-only
+    with pytest.raises(ValueError):
+        classify(ScalarFamily(TAG_LINEAR), **kwargs)
 
 
 def test_table_covers_default_families(verdicts):
@@ -159,15 +176,18 @@ def test_loose_tolerance_cannot_fake_an_exponential_family():
     assert tight.kind == CLASS_TRIVIAL
 
 
-@pytest.mark.parametrize("tag", [TAG_COSINE, TAG_QUADRATIC])
-def test_blocked_scan_equals_the_dense_formula(tag, verdicts):
-    """classify() scores the beta grid in blocks; the result is the one-block result bitwise."""
+def _default_scan(tag):
     fam = ScalarFamily(tag)
     x = default_grid(fam)
     g = family_function(fam)
-    gx = g(x)
     betas = np.linspace(-3.0, 3.0, 6001)
-    betas = betas[np.abs(betas) > 0.0005]
+    return g, x, g(x), betas[np.abs(betas) > 0.0005]
+
+
+@pytest.mark.parametrize("tag", FAMILY_TAGS)
+def test_blocked_scan_equals_the_dense_formula(tag, verdicts):
+    """classify() scores the beta grid in blocks; the result is the one-block result bitwise."""
+    g, x, gx, betas = _default_scan(tag)
     assert len(betas) > BETA_BLOCK
     gbx = g(betas[:, None] * x[None, :])
     denom = np.sum(gbx * gbx, axis=1)
@@ -180,6 +200,51 @@ def test_blocked_scan_equals_the_dense_formula(tag, verdicts):
     admitted = nontrivial & (residuals <= 1e-9)
 
     verdict = verdicts[tag]
-    assert np.array_equal(np.array(verdict.candidates),
+    assert np.array_equal(np.array(verdict.candidates).reshape(-1, 2),
                           np.column_stack([alphas[admitted], betas[admitted]]))
     assert np.array_equal(verdict.residual, np.min(residuals[nontrivial]))
+
+
+@pytest.mark.parametrize("tag", FAMILY_TAGS)
+def test_row_ranges_score_bitwise_alike(tag):
+    """Any split of the grid at 4-row multiples gives the one-range alphas and residuals."""
+    g, x, gx, betas = _default_scan(tag)
+    n = len(betas)
+    splits = [[0, n], [0, n // 2 // BETA_BLOCK * BETA_BLOCK, n], [0, 1004, 4020, n]]
+    results = []
+    for edges in splits:
+        alphas, residuals = np.full(n, -1.0), np.full(n, -1.0)
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            vulncheck._score_rows(g, x, gx, betas, alphas, residuals, lo, hi)
+        results.append((alphas, residuals))
+    for alphas, residuals in results[1:]:
+        assert np.array_equal(alphas, results[0][0], equal_nan=True)
+        assert np.array_equal(residuals, results[0][1], equal_nan=True)
+
+
+def test_verdicts_do_not_depend_on_the_worker_count(monkeypatch, verdicts):
+    # workers write disjoint slices of shared arrays; more workers than cores
+    # and a short switch interval would expose a row written by two of them
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for cpus in (1, 3, 8):
+            monkeypatch.setattr(vulncheck, "_usable_cpus", lambda: cpus)
+            assert {v.family: v for v in verdict_table()} == verdicts
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_the_scan_leaves_no_thread_behind():
+    before = threading.active_count()
+    verdict_table()
+    assert threading.active_count() == before
+
+
+def test_one_usable_cpu_starts_no_thread(monkeypatch, verdicts):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool was opened with one usable CPU")
+
+    monkeypatch.setattr(vulncheck, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(vulncheck, "ThreadPoolExecutor", no_pool)
+    assert classify(ScalarFamily(TAG_SINE)) == verdicts[TAG_SINE]
