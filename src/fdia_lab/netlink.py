@@ -6,8 +6,8 @@ digits, which round-trips float64 exactly: a networked run with an identity
 proxy reproduces the in-process simulation bit for bit.
 
 Per tick the plant sends Obs (actual posture) then Sig (its signature value)
-and waits for Cmd; after the final Cmd the controller sends Bye and the
-plant answers Bye. Hello opens each direction carrying (role, config
+in one write and waits for Cmd; after the final Cmd the controller sends Bye
+and the plant answers Bye. Hello opens each direction carrying (role, config
 digest). seq increases by one per frame per direction; gaps are protocol
 errors. The proxy rewrites Obs through the attack's state map, Cmd through
 its command map, and optionally Sig through a scalar affine channel.
@@ -15,6 +15,7 @@ its command map, and optionally Sig through a scalar affine channel.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import itertools
 import json
@@ -22,6 +23,7 @@ import math
 import socket
 import struct
 import threading
+import weakref
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -36,6 +38,15 @@ MSG_KINDS = ("Obs", "Cmd", "Sig", "Hello", "Bye")
 _NUMERIC_ARITY = {"Obs": 3, "Cmd": 2, "Sig": 1}
 _STRING_ARITY = {"Hello": 2, "Bye": 1}
 MAX_FRAME = 1 << 20
+_FIELDS = {"kind", "seq", "t", "payload"}
+# one body template per kind: %.17g per number (lossless for float64), %s
+# per JSON string
+_TEMPLATES = {
+    kind: '{"kind":"%s","seq":%%d,"t":%%.17g,"payload":[%s]}' % (
+        kind, ",".join(["%.17g" if kind in _NUMERIC_ARITY else "%s"] * n))
+    for kind, n in {**_NUMERIC_ARITY, **_STRING_ARITY}.items()
+}
+_READ_SIZE = 1 << 12  # bytes asked of each recv; a longer frame takes several
 
 DEFAULT_PLANT_PORT = 7701
 DEFAULT_PROXY_PORT = 7702
@@ -100,6 +111,13 @@ def _shown(v) -> str:
 
 
 def _check_message(msg: WireMessage) -> None:
+    seq, t, payload = msg.seq, msg.t, msg.payload
+    # the common case, a valid numeric message of plain finite floats; anything
+    # else takes the full checks below
+    if (type(seq) is int and 0 <= seq < 2**64 and type(t) is float and t - t == 0.0
+            and type(msg.kind) is str and len(payload) == _NUMERIC_ARITY.get(msg.kind)
+            and all(type(v) is float and v - v == 0.0 for v in payload)):
+        return
     if msg.kind not in MSG_KINDS:
         raise UnknownKindError(f"unknown message kind {msg.kind!r}")
     if not isinstance(msg.seq, int) or isinstance(msg.seq, bool) or not 0 <= msg.seq < 2**64:
@@ -122,14 +140,8 @@ def _check_message(msg: WireMessage) -> None:
 def encode(msg: WireMessage) -> bytes:
     """Length-prefixed frame; floats written as %.17g (lossless for float64)."""
     _check_message(msg)
-    if msg.kind in _NUMERIC_ARITY:
-        items = ",".join(format(float(v), ".17g") for v in msg.payload)
-    else:
-        items = ",".join(json.dumps(v) for v in msg.payload)
-    body = '{"kind":"%s","seq":%d,"t":%s,"payload":[%s]}' % (
-        msg.kind, msg.seq, format(float(msg.t), ".17g"), items,
-    )
-    data = body.encode("utf-8")
+    items = msg.payload if msg.kind in _NUMERIC_ARITY else map(json.dumps, msg.payload)
+    data = (_TEMPLATES[msg.kind] % (msg.seq, msg.t, *items)).encode("utf-8")
     if len(data) > MAX_FRAME:
         raise FrameLengthError(f"frame body of {len(data)} bytes exceeds {MAX_FRAME}")
     return struct.pack(">I", len(data)) + data
@@ -155,53 +167,71 @@ def decode(frame: bytes) -> WireMessage:
 
 
 def _message_from(obj) -> WireMessage:
-    if not isinstance(obj, dict) or set(obj) != {"kind", "seq", "t", "payload"}:
+    if not isinstance(obj, dict) or obj.keys() != _FIELDS:
         raise WireFormatError("frame body must carry exactly kind/seq/t/payload")
     kind = obj["kind"]
     if not isinstance(kind, str) or kind not in MSG_KINDS:
         raise UnknownKindError(f"unknown message kind {kind!r}")
-    if not isinstance(obj["payload"], list):
+    payload = obj["payload"]
+    if not isinstance(payload, list):
         raise WireFormatError("payload must be a list")
-    payload = tuple(
-        float(v) if kind in _NUMERIC_ARITY and isinstance(v, int) and not isinstance(v, bool)
-        else v
-        for v in obj["payload"]
-    )
-    msg = WireMessage(kind, obj["seq"], obj["t"], payload)
+    if kind in _NUMERIC_ARITY:  # JSON reads a whole number such as 2 or -0 as an int
+        payload = [float(v) if type(v) is int else v for v in payload]
+    msg = WireMessage(kind, obj["seq"], obj["t"], tuple(payload))
     _check_message(msg)
     return msg
 
 
-def _recv_exact(sock: socket.socket, n: int) -> bytes | None:
-    """n bytes or None on clean EOF at a frame boundary; raises mid-frame."""
-    chunks = []
-    got = 0
-    while got < n:
-        chunk = sock.recv(n - got)
-        if not chunk:
-            if got == 0:
-                return None
-            raise TruncatedFrameError(f"connection closed {n - got} bytes into a frame")
-        chunks.append(chunk)
-        got += len(chunk)
-    return b"".join(chunks)
+# bytes read past the last whole frame, per connection; an entry lives as
+# long as its socket object
+_inboxes: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _frame_end(buf: bytearray) -> int:
+    """Length, prefix included, of the whole frame at the front of buf; 0 until it is."""
+    if len(buf) < 4:
+        return 0
+    length = int.from_bytes(buf[:4], "big")
+    if length > MAX_FRAME:
+        raise FrameLengthError(f"declared length {length} exceeds {MAX_FRAME}")
+    return 4 + length if len(buf) >= 4 + length else 0
+
+
+def _frame_buffered(sock: socket.socket) -> bool:
+    """Whether a whole frame already waits in sock's buffer."""
+    return bool(_frame_end(_inboxes.get(sock, b"")))
 
 
 def recv_message(sock: socket.socket) -> WireMessage | None:
-    header = _recv_exact(sock, 4)
-    if header is None:
-        return None
-    (length,) = struct.unpack(">I", header)
-    if length > MAX_FRAME:
-        raise FrameLengthError(f"declared length {length} exceeds {MAX_FRAME}")
-    body = _recv_exact(sock, length)
-    if body is None:
-        raise TruncatedFrameError("connection closed between prefix and body")
-    return decode(header + body)
+    """The next message, or None on clean EOF at a frame boundary.
+
+    Reads go through a per-connection buffer, so one recv may deliver
+    several frames; the ones not yet returned wait there for the next call.
+    An oversized prefix raises FrameLengthError as soon as it arrives, and
+    EOF mid-frame raises TruncatedFrameError.
+    """
+    buf = _inboxes.get(sock)
+    if buf is None:
+        buf = _inboxes[sock] = bytearray()
+    while not (end := _frame_end(buf)):
+        chunk = sock.recv(_READ_SIZE)
+        if not chunk:
+            if not buf:
+                return None
+            raise TruncatedFrameError(f"connection closed {len(buf)} bytes into a frame")
+        buf += chunk
+    frame = bytes(buf[:end])
+    del buf[:end]
+    return decode(frame)
 
 
-def send_message(sock: socket.socket, msg: WireMessage) -> None:
-    sock.sendall(encode(msg))
+def send_message(sock: socket.socket, *msgs: WireMessage) -> None:
+    """Write the frames of msgs, in order, with one sendall.
+
+    Every frame is encoded before the write, so nothing is sent when one of
+    them is malformed.
+    """
+    sock.sendall(b"".join([encode(msg) for msg in msgs]))
 
 
 def _in_seq(msg: WireMessage, rx) -> None:
@@ -276,8 +306,8 @@ def _plant_session(conn: socket.socket, cfg: SimConfig, sig) -> SimTrace:
         for k in range(n_steps + 1):
             t = k * cfg.dt
             phi = smsf.eval_signature(sig, x, y)
-            send_message(conn, WireMessage("Obs", next(tx), t, (x, y, th)))
-            send_message(conn, WireMessage("Sig", next(tx), t, (phi,)))
+            send_message(conn, WireMessage("Obs", next(tx), t, (x, y, th)),
+                         WireMessage("Sig", next(tx), t, (phi,)))
             v, w = _expect(conn, rx, "Cmd").payload
             if k % cfg.log_stride == 0:
                 rows.append((t, x, y, th, v, w, phi))
@@ -360,19 +390,26 @@ def _transform_factory(attack: AffineAttack | None, sig_scale: float, sig_offset
 
 
 def _pump(src: socket.socket, dst: socket.socket, transform) -> None:
+    """Forward src's messages to dst through transform, then shut dst's write side.
+
+    What one read delivered goes out in one write. On a bad frame the
+    messages before it are still forwarded.
+    """
+    batch = []
     try:
-        while True:
-            msg = recv_message(src)
-            if msg is None:
-                break
-            send_message(dst, transform(msg))
-    except (OSError, NetlinkError):
+        while (msg := recv_message(src)) is not None:
+            batch.append(transform(msg))
+            if not _frame_buffered(src):
+                out, batch = batch, []
+                send_message(dst, *out)
+    except NetlinkError:
+        with contextlib.suppress(OSError, NetlinkError):
+            send_message(dst, *batch)
+    except OSError:
         pass
     finally:
-        try:
+        with contextlib.suppress(OSError):
             dst.shutdown(socket.SHUT_WR)
-        except OSError:
-            pass
 
 
 def serve_proxy(attack: AffineAttack | None = None,

@@ -57,7 +57,12 @@ def default_signature() -> PolySignature:
 
 
 def eval_signature(sig: PolySignature, x, y):
-    """Evaluate Phi at scalar or array positions (broadcasting)."""
+    """Evaluate Phi at scalar or array positions (broadcasting).
+
+    Scalar x and y return a Python float, bitwise equal to the array path.
+    """
+    if isinstance(x, (int, float)) and isinstance(y, (int, float)):
+        return _eval_scalar(sig.terms, float(x), float(y))
     xa = np.asarray(x, dtype=float)
     ya = np.asarray(y, dtype=float)
     out = np.zeros(np.broadcast(xa, ya).shape)
@@ -66,6 +71,28 @@ def eval_signature(sig: PolySignature, x, y):
     if out.ndim == 0:
         return float(out)
     return out
+
+
+def _eval_scalar(terms: dict, x: float, y: float) -> float:
+    """The array path's IEEE operations on plain floats.
+
+    numpy's ** gives 1 for power 0, the value for power 1 and an exact
+    square for power 2; higher powers come from its own power kernel, which
+    rounds differently from math.pow, so they are taken from one np.power
+    call over a small array.
+    """
+    px = {0: 1.0, 1: x, 2: x * x}
+    py = {0: 1.0, 1: y, 2: y * y}
+    high = sorted({(0, i) for i, _ in terms if i > 2} | {(1, j) for _, j in terms if j > 2})
+    if high:
+        bases = [y if axis else x for axis, _ in high]
+        powers = np.power(bases, [float(k) for _, k in high]).tolist()
+        for (axis, k), p in zip(high, powers):
+            (py if axis else px)[k] = p
+    acc = 0.0
+    for (i, j), coeff in terms.items():
+        acc += coeff * px[i] * py[j]
+    return acc
 
 
 def validate_smsf(sig: PolySignature) -> bool:

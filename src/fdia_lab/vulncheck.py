@@ -38,6 +38,8 @@ CLASS_TRIVIAL = "trivial-only"
 # (BETA_BLOCK, n_grid) buffers per worker; a multiple of 4, so the BLAS
 # matrix-vector kernel groups the rows of every block the same way
 BETA_BLOCK = 64
+# the most beta grid points classify() scans: 16 MB of alphas and residuals
+_MAX_BETAS = 10**6
 
 
 @dataclass(frozen=True)
@@ -156,20 +158,31 @@ def classify(fam: ScalarFamily, tol: float = 1e-9, alpha_range=(-3.0, 3.0),
     against the max-residual tolerance and the alpha range. Ten or more
     admitting betas classify as a continuous family, at least one as
     discrete nontrivial pairs, none as trivial-only. The identity (1, 1) is
-    always excluded. tol and step must be positive and finite, and both
-    ranges finite (low, high) pairs with low < high.
+    always excluded. tol and step must be positive and finite, both ranges
+    finite (low, high) pairs with low < high, and step must divide
+    beta_range into a whole number of steps (to 1e-9 relative) that makes a
+    grid of 2 to 10**6 betas, beta = 0 not counted.
     """
     if not (math.isfinite(tol) and tol > 0.0 and math.isfinite(step) and step > 0.0):
         raise ValueError(f"tol and step must be positive and finite, got {tol!r}, {step!r}")
     _check_range("alpha_range", alpha_range)
     _check_range("beta_range", beta_range)
+    ratio = (beta_range[1] - beta_range[0]) / step
+    if not ratio < _MAX_BETAS:
+        raise ValueError(f"step {step!r} over beta_range {beta_range!r} makes a beta grid"
+                         f" of more than {_MAX_BETAS} points")
+    n_beta = round(ratio)
+    if n_beta < 1 or abs(ratio - n_beta) > 1e-9 * n_beta:
+        raise ValueError(f"step {step!r} does not divide beta_range {beta_range!r}"
+                         " into a whole number of steps")
+    betas = np.linspace(beta_range[0], beta_range[1], n_beta + 1)
+    betas = betas[np.abs(betas) > 0.5 * step]  # beta = 0 collapses the argument
+    if len(betas) < 2:
+        raise ValueError(f"beta_range {beta_range!r} at step {step!r} leaves"
+                         f" {len(betas)} nonzero betas, fewer than 2")
     x = default_grid(fam)
     g = family_function(fam)
     gx = g(x)
-
-    n_beta = int(round((beta_range[1] - beta_range[0]) / step))
-    betas = np.linspace(beta_range[0], beta_range[1], n_beta + 1)
-    betas = betas[np.abs(betas) > 0.5 * step]  # beta = 0 collapses the argument
 
     alphas = np.empty(len(betas))
     residuals = np.empty(len(betas))

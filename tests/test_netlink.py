@@ -7,6 +7,7 @@ import json
 import math
 import socket
 import struct
+import sys
 import threading
 
 import numpy as np
@@ -30,6 +31,7 @@ from fdia_lab.netlink import (
     UnknownKindError,
     WireFormatError,
     WireMessage,
+    _pump,
     config_digest,
     decode,
     encode,
@@ -226,6 +228,226 @@ def test_random_messages_round_trip():
             )
         msg = WireMessage(kind, seq, t, payload)
         assert decode(encode(msg)) == msg
+
+
+# Frames recorded from the per-value encoder (one format(float(v), ".17g") per
+# number), which the one-template encoder replaced: the wire bytes must not move.
+_GOLDEN_FRAMES = [
+    (WireMessage("Obs", 0, 0.0, (0.1, -0.2, 1.5)),
+     b'\x00\x00\x00U{"kind":"Obs","seq":0,"t":0,'
+     b'"payload":[0.10000000000000001,-0.20000000000000001,1.5]}'),
+    (WireMessage("Obs", 7, 3, (-0.0, 5e-324, 1.7976931348623157e308)),
+     b'\x00\x00\x00[{"kind":"Obs","seq":7,"t":3,'
+     b'"payload":[-0,4.9406564584124654e-324,1.7976931348623157e+308]}'),
+    (WireMessage("Cmd", 2**64 - 1, 0.30000000000000004, (2, -1e-300)),
+     b'\x00\x00\x00W{"kind":"Cmd","seq":18446744073709551615,"t":0.30000000000000004,'
+     b'"payload":[2,-1e-300]}'),
+    (WireMessage("Sig", 12, 29.99, (2419.0,)),
+     b'\x00\x00\x00?{"kind":"Sig","seq":12,"t":29.989999999999998,"payload":[2419]}'),
+    (WireMessage("Hello", 0, 0.0, ("controller", "0123456789abcdef")),
+     b'\x00\x00\x00J{"kind":"Hello","seq":0,"t":0,'
+     b'"payload":["controller","0123456789abcdef"]}'),
+    (WireMessage("Bye", 3001, 30, ('say "bye"\né',)),
+     b'\x00\x00\x00B{"kind":"Bye","seq":3001,"t":30,"payload":["say \\"bye\\"\\n\\u00e9"]}'),
+]
+
+
+@pytest.mark.parametrize("msg, frame", _GOLDEN_FRAMES, ids=lambda v: getattr(v, "kind", None))
+def test_wire_bytes_are_the_recorded_ones(msg, frame):
+    assert encode(msg) == frame
+    back = decode(frame)
+    assert back.payload == tuple(float(v) if msg.kind in ("Obs", "Cmd", "Sig") else v
+                                 for v in msg.payload)
+
+
+def _per_value_body(msg: WireMessage) -> bytes:
+    """The frame body as the per-value encoder wrote it."""
+    if msg.kind in ("Obs", "Cmd", "Sig"):
+        items = ",".join(format(float(v), ".17g") for v in msg.payload)
+    else:
+        items = ",".join(json.dumps(v) for v in msg.payload)
+    return ('{"kind":"%s","seq":%d,"t":%s,"payload":[%s]}' % (
+        msg.kind, msg.seq, format(float(msg.t), ".17g"), items)).encode("utf-8")
+
+
+# numbers float64 holds exactly: finite floats, ints up to 2**53, powers of two
+_EXACT_NUMBERS = (st.floats(allow_nan=False, allow_infinity=False)
+                  | st.integers(min_value=-(2**53), max_value=2**53)
+                  | st.integers(min_value=0, max_value=1023).map(lambda k: 2**k))
+_ARITY = {"Obs": 3, "Cmd": 2, "Sig": 1, "Hello": 2, "Bye": 1}
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.sampled_from(MSG_KINDS), st.integers(min_value=0, max_value=2**64 - 1),
+       _EXACT_NUMBERS, st.data())
+def test_template_body_equals_the_per_value_body(kind, seq, t, data):
+    items = _EXACT_NUMBERS if kind in ("Obs", "Cmd", "Sig") else st.text(max_size=8)
+    payload = data.draw(st.lists(items, min_size=_ARITY[kind], max_size=_ARITY[kind]))
+    msg = WireMessage(kind, seq, t, payload)
+    frame = encode(msg)
+    assert frame[4:] == _per_value_body(msg)
+    assert frame[:4] == struct.pack(">I", len(frame) - 4)
+
+
+# ---------------------------------------------------------------------------
+# buffered framing
+
+
+@pytest.fixture
+def pair():
+    a, b = socket.socketpair()
+    a.settimeout(TIMEOUT)
+    b.settimeout(TIMEOUT)
+    yield a, b
+    a.close()
+    b.close()
+
+
+class _Wire:
+    """A socket stand-in: recv serves scripted chunks, sendall and shutdown are recorded."""
+
+    def __init__(self, chunks=()):
+        self.chunks = list(chunks)
+        self.reads = 0
+        self.writes = []
+        self.shut = False
+
+    def recv(self, _n):
+        self.reads += 1
+        return self.chunks.pop(0) if self.chunks else b""
+
+    def sendall(self, data):
+        self.writes.append(bytes(data))
+
+    def shutdown(self, _how):
+        self.shut = True
+
+
+_OBS = WireMessage("Obs", 0, 0.5, (0.1, -0.2, 1.5))
+_SIG = WireMessage("Sig", 1, 0.5, (2419.0,))
+_CMD = WireMessage("Cmd", 2, 0.5, (0.02, -0.3))
+
+
+def test_send_message_writes_all_its_frames_at_once():
+    wire = _Wire()
+    send_message(wire, _OBS, _SIG)
+    assert wire.writes == [encode(_OBS) + encode(_SIG)]
+    # a malformed frame among them: nothing is written
+    with pytest.raises(WireFormatError):
+        send_message(wire, _CMD, WireMessage("Sig", 3, 0.5, (math.inf,)))
+    assert len(wire.writes) == 1
+
+
+def test_two_frames_in_one_write_come_back_as_two_messages(pair):
+    a, b = pair
+    send_message(a, _OBS, _SIG)
+    assert recv_message(b) == _OBS
+    assert recv_message(b) == _SIG
+    # one read delivered both frames
+    wire = _Wire([encode(_OBS) + encode(_SIG)])
+    assert [recv_message(wire), recv_message(wire), recv_message(wire)] == [_OBS, _SIG, None]
+    assert wire.reads == 2
+
+
+def test_a_frame_fed_one_byte_at_a_time_still_decodes(pair):
+    a, b = pair
+    frame = encode(_OBS)
+    b.settimeout(0.001)
+    for byte in frame[:-1]:
+        a.sendall(bytes([byte]))
+        with pytest.raises(TimeoutError):  # the byte waits in the buffer
+            recv_message(b)
+    a.sendall(frame[-1:])
+    assert recv_message(b) == _OBS
+    wire = _Wire([bytes([byte]) for byte in frame])
+    assert recv_message(wire) == _OBS
+    assert wire.reads == len(frame)
+
+
+def test_eof_at_a_frame_boundary_returns_none(pair):
+    a, b = pair
+    send_message(a, _OBS)
+    a.shutdown(socket.SHUT_WR)
+    assert recv_message(b) == _OBS
+    assert recv_message(b) is None
+
+
+@pytest.mark.parametrize("cut", [2, 4, 20], ids=["in the prefix", "after the prefix",
+                                                 "in the body"])
+def test_eof_mid_frame_raises_truncated_frame(pair, cut):
+    a, b = pair
+    a.sendall(encode(_SIG) + encode(_OBS)[:cut])
+    a.shutdown(socket.SHUT_WR)
+    assert recv_message(b) == _SIG
+    with pytest.raises(TruncatedFrameError):
+        recv_message(b)
+
+
+def test_an_oversized_prefix_fails_before_any_body_arrives(pair):
+    a, b = pair
+    a.sendall(struct.pack(">I", MAX_FRAME + 1))  # no body follows, the socket stays open
+    with pytest.raises(FrameLengthError):
+        recv_message(b)
+
+
+def test_concurrent_connections_keep_their_own_buffers():
+    # every connection's unread bytes sit in one process-wide map keyed by
+    # socket; threads on their own socket pairs, switching every microsecond
+    # while sockets come and go, must each get back exactly what they sent
+    n_threads, rounds, per_write = 8, 40, 5
+    failures = []
+
+    def worker(k):
+        try:
+            for r in range(rounds):
+                a, b = socket.socketpair()
+                with a, b:
+                    b.settimeout(TIMEOUT)
+                    msgs = [WireMessage("Sig", i, float(k), (float(r),)) for i in range(per_write)]
+                    send_message(a, *msgs)
+                    got = [recv_message(b) for _ in msgs]
+                    a.shutdown(socket.SHUT_WR)
+                    if got != msgs or recv_message(b) is not None:
+                        failures.append((k, r, got))
+        except Exception as exc:  # reported below, with the thread that raised it
+            failures.append((k, repr(exc)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(n_threads)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(TIMEOUT)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
+
+
+def test_the_pump_forwards_what_one_read_delivered_in_one_write():
+    src = _Wire([encode(_OBS) + encode(_SIG), encode(_CMD)])
+    dst = _Wire()
+    _pump(src, dst, lambda msg: msg)
+    assert dst.writes == [encode(_OBS) + encode(_SIG), encode(_CMD)]
+    assert dst.shut
+
+
+def test_the_pump_forwards_the_frames_before_a_malformed_one(pair):
+    feed, src = pair
+    dst, out = socket.socketpair()
+    out.settimeout(TIMEOUT)
+    bad = _frame(b'{"kind":"Obs","seq":2,"t":0,"payload":[1,2]}')
+    try:
+        feed.sendall(encode(_OBS) + encode(_SIG) + bad + encode(_CMD))
+        _pump(src, dst, lambda msg: msg)
+        assert recv_message(out) == _OBS
+        assert recv_message(out) == _SIG
+        assert recv_message(out) is None  # then the pump shut its write side
+    finally:
+        dst.close()
+        out.close()
 
 
 def test_config_digest_is_stable_and_sensitive():

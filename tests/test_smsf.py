@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fdia_lab.adversary import STUDY_NOISE_STD, fit_signature, monomial_basis, spiral_samples
 from fdia_lab.fdia import build_reflection, build_scaling
 from fdia_lab.kinematics import Posture
 from fdia_lab.simloop import TRACE_COLUMNS, SimConfig, SimTrace, run
@@ -60,6 +61,40 @@ def test_default_signature_point_values():
 def test_eval_returns_float_for_scalars():
     val = eval_signature(default_signature(), 0.25, -0.5)
     assert isinstance(val, float)
+
+
+def _fitted_estimate():
+    estimate = fit_signature(spiral_samples(150, noise_std=STUDY_NOISE_STD, seed=0))
+    assert sorted(estimate.terms) == sorted(monomial_basis(4))  # all 15 monomials
+    return estimate
+
+
+@pytest.mark.parametrize("make_sig", [default_signature, _fitted_estimate],
+                         ids=["default", "degree-4 estimate"])
+def test_scalar_path_equals_the_array_path_bitwise(make_sig):
+    # numpy's power kernel rounds differently from math.pow on some inputs, so
+    # this fails on any scalar path that does not share it
+    sig = make_sig()
+    rng = np.random.default_rng(2024)
+    n = 100_000
+    # positions from desk scale to well beyond it, both signs
+    x = rng.standard_normal(n) * 10.0 ** rng.integers(-4, 3, n)
+    y = rng.standard_normal(n) * 10.0 ** rng.integers(-4, 3, n)
+    arr = eval_signature(sig, x, y)
+    scalar = [eval_signature(sig, a, b) for a, b in zip(x.tolist(), y.tolist())]
+    assert all(type(v) is float for v in scalar)
+    mismatched = np.flatnonzero(np.array(scalar).view(np.int64) != arr.view(np.int64))
+    assert mismatched.size == 0, f"{mismatched.size} of {n} differ, first at {mismatched[:5]}"
+
+
+def test_scalar_path_takes_ints_and_numpy_floats():
+    sig = default_signature()
+    expected = eval_signature(sig, np.array([2.0]), np.array([-3.0]))[0]
+    for x, y in ((2, -3), (np.float64(2.0), np.float64(-3.0)), (2.0, -3)):
+        val = eval_signature(sig, x, y)
+        assert type(val) is float and val == expected
+    # a 0-d array takes the array path and still returns a float
+    assert eval_signature(sig, np.array(2.0), np.array(-3.0)) == expected
 
 
 def test_eval_broadcasts_over_arrays():

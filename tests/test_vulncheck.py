@@ -86,6 +86,28 @@ def test_classify_refuses_what_it_cannot_honour(kwargs):
         classify(ScalarFamily(TAG_LINEAR), **kwargs)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"beta_range": (0.5, 2.5), "step": 0.75},  # used to scan at 0.667: discrete-nontrivial
+    {"beta_range": (-0.1, 0.1), "step": 1.0},  # used to return trivial-only, residual inf
+    {"step": 1e-12},  # used to fail in np.linspace with numpy's MemoryError
+    {"step": 5e-324},  # the range over the step overflows to inf
+    {"beta_range": (0.0, 1.0), "step": 1.0},  # one nonzero beta
+    {"beta_range": (-0.5, 0.5), "step": 1.0},  # no nonzero beta
+], ids=repr)
+def test_classify_refuses_a_beta_grid_it_cannot_scan(kwargs):
+    with pytest.raises(ValueError):
+        classify(ScalarFamily(TAG_LINEAR), **kwargs)
+
+
+def test_classify_accepts_a_step_that_divides_up_to_rounding():
+    # 2.0 / 0.1 is 20.000000000000004 in float64
+    v = classify(ScalarFamily(TAG_LINEAR), beta_range=(0.5, 2.5), step=0.1)
+    assert v.kind == CLASS_CONTINUOUS
+    assert len(v.candidates) == 20  # 21 betas less the identity
+    two = classify(ScalarFamily(TAG_LINEAR), beta_range=(1.0, 2.0), step=1.0)
+    assert two.kind == CLASS_DISCRETE and [b for _, b in two.candidates] == [2.0]
+
+
 def test_table_covers_default_families(verdicts):
     assert [f.tag for f in default_families()] == [
         TAG_LINEAR, TAG_COSINE, TAG_SINE, TAG_QUADRATIC, TAG_EXPONENTIAL,
