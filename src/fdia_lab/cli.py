@@ -304,7 +304,10 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ScenarioError, AttackError, adversary.UnderdeterminedFit, FileNotFoundError) as exc:
+    # OSError covers a missing file, and for the networked commands a refused
+    # connection, a port in use or a timeout
+    except (ScenarioError, AttackError, adversary.UnderdeterminedFit, netlink.NetlinkError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -37,16 +37,21 @@ from .tracking import control, reference_table
 MSG_KINDS = ("Obs", "Cmd", "Sig", "Hello", "Bye")
 _NUMERIC_ARITY = {"Obs": 3, "Cmd": 2, "Sig": 1}
 _STRING_ARITY = {"Hello": 2, "Bye": 1}
+_ARITY = {**_NUMERIC_ARITY, **_STRING_ARITY}
 MAX_FRAME = 1 << 20
 _FIELDS = {"kind", "seq", "t", "payload"}
-# one body template per kind: %.17g per number (lossless for float64), %s
-# per JSON string
+# one body template per kind, in bytes: %.17g per number (lossless for
+# float64), %s per JSON string (json.dumps writes ASCII)
 _TEMPLATES = {
-    kind: '{"kind":"%s","seq":%%d,"t":%%.17g,"payload":[%s]}' % (
-        kind, ",".join(["%.17g" if kind in _NUMERIC_ARITY else "%s"] * n))
-    for kind, n in {**_NUMERIC_ARITY, **_STRING_ARITY}.items()
+    kind: ('{"kind":"%s","seq":%%d,"t":%%.17g,"payload":[%s]}' % (
+        kind, ",".join(["%.17g" if kind in _NUMERIC_ARITY else "%s"] * n))).encode("ascii")
+    for kind, n in _ARITY.items()
 }
 _READ_SIZE = 1 << 12  # bytes asked of each recv; a longer frame takes several
+_FLOAT = frozenset({float})
+# the scanner json.loads runs after skipping leading whitespace; alone it
+# leaves trailing text unread instead of refusing it
+_scan = json.JSONDecoder().raw_decode
 
 DEFAULT_PLANT_PORT = 7701
 DEFAULT_PROXY_PORT = 7702
@@ -93,6 +98,18 @@ class WireMessage:
         object.__setattr__(self, "payload", tuple(self.payload))
 
 
+def _message(kind: str, seq: int, t: float, payload: tuple) -> WireMessage:
+    """WireMessage(kind, seq, t, payload) for a payload that is already a tuple,
+    without the frozen dataclass's __init__ and __post_init__."""
+    msg = object.__new__(WireMessage)
+    fields = msg.__dict__
+    fields["kind"] = kind
+    fields["seq"] = seq
+    fields["t"] = t
+    fields["payload"] = payload
+    return msg
+
+
 def _is_wire_number(v) -> bool:
     """An int or float (not a bool) that float64 holds exactly and finitely."""
     if isinstance(v, bool) or not isinstance(v, (int, float)):
@@ -112,11 +129,12 @@ def _shown(v) -> str:
 
 def _check_message(msg: WireMessage) -> None:
     seq, t, payload = msg.seq, msg.t, msg.payload
-    # the common case, a valid numeric message of plain finite floats; anything
-    # else takes the full checks below
+    # the common case, a valid numeric message of plain finite floats (a sum of
+    # floats is finite only if every term is); anything else, an overflowing
+    # sum included, takes the full checks below
     if (type(seq) is int and 0 <= seq < 2**64 and type(t) is float and t - t == 0.0
             and type(msg.kind) is str and len(payload) == _NUMERIC_ARITY.get(msg.kind)
-            and all(type(v) is float and v - v == 0.0 for v in payload)):
+            and _FLOAT.issuperset(map(type, payload)) and (s := sum(payload)) - s == 0.0):
         return
     if msg.kind not in MSG_KINDS:
         raise UnknownKindError(f"unknown message kind {msg.kind!r}")
@@ -140,8 +158,9 @@ def _check_message(msg: WireMessage) -> None:
 def encode(msg: WireMessage) -> bytes:
     """Length-prefixed frame; floats written as %.17g (lossless for float64)."""
     _check_message(msg)
-    items = msg.payload if msg.kind in _NUMERIC_ARITY else map(json.dumps, msg.payload)
-    data = (_TEMPLATES[msg.kind] % (msg.seq, msg.t, *items)).encode("utf-8")
+    items = (msg.payload if msg.kind in _NUMERIC_ARITY
+             else [json.dumps(v).encode("ascii") for v in msg.payload])
+    data = _TEMPLATES[msg.kind] % (msg.seq, msg.t, *items)
     if len(data) > MAX_FRAME:
         raise FrameLengthError(f"frame body of {len(data)} bytes exceeds {MAX_FRAME}")
     return struct.pack(">I", len(data)) + data
@@ -159,7 +178,14 @@ def decode(frame: bytes) -> WireMessage:
     if len(frame) > 4 + length:
         raise WireFormatError(f"{len(frame) - 4 - length} trailing bytes after the frame")
     try:
-        return _message_from(json.loads(frame[4:].decode("utf-8")))
+        text = frame[4:].decode("utf-8")
+        try:
+            obj, end = _scan(text)
+        except (ValueError, RecursionError):
+            end = -1
+        if end != len(text):  # whitespace or text around the value, or none: as json.loads
+            obj = json.loads(text)
+        return _message_from(obj)
     except (ValueError, OverflowError, RecursionError) as exc:
         # bad UTF-8 or JSON, an integer past the digit limit or past float64's
         # range, or nesting deeper than the parser's recursion limit
@@ -167,23 +193,32 @@ def decode(frame: bytes) -> WireMessage:
 
 
 def _message_from(obj) -> WireMessage:
-    if not isinstance(obj, dict) or obj.keys() != _FIELDS:
+    # JSON objects, arrays and strings parse to exactly dict, list and str
+    if type(obj) is not dict or obj.keys() != _FIELDS:
         raise WireFormatError("frame body must carry exactly kind/seq/t/payload")
-    kind = obj["kind"]
-    if not isinstance(kind, str) or kind not in MSG_KINDS:
+    kind, payload = obj["kind"], obj["payload"]
+    if type(kind) is not str or kind not in _ARITY:
         raise UnknownKindError(f"unknown message kind {kind!r}")
-    payload = obj["payload"]
-    if not isinstance(payload, list):
+    if type(payload) is not list:
         raise WireFormatError("payload must be a list")
     if kind in _NUMERIC_ARITY:  # JSON reads a whole number such as 2 or -0 as an int
         payload = [float(v) if type(v) is int else v for v in payload]
-    msg = WireMessage(kind, obj["seq"], obj["t"], tuple(payload))
+    msg = _message(kind, obj["seq"], obj["t"], tuple(payload))
     _check_message(msg)
     return msg
 
 
-# bytes read past the last whole frame, per connection; an entry lives as
-# long as its socket object
+class _Inbox(bytearray):
+    """A connection's bytes read past the last frame returned.
+
+    ready is the length of the whole frame at the front once _frame_buffered
+    has found one, so recv_message cuts it without scanning again.
+    """
+
+    ready = 0
+
+
+# one _Inbox per connection; an entry lives as long as its socket object
 _inboxes: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
@@ -198,8 +233,10 @@ def _frame_end(buf: bytearray) -> int:
 
 
 def _frame_buffered(sock: socket.socket) -> bool:
-    """Whether a whole frame already waits in sock's buffer."""
-    return bool(_frame_end(_inboxes.get(sock, b"")))
+    """Whether a whole frame already waits in the buffer recv_message keeps for sock."""
+    buf = _inboxes[sock]
+    buf.ready = _frame_end(buf)
+    return bool(buf.ready)
 
 
 def recv_message(sock: socket.socket) -> WireMessage | None:
@@ -212,14 +249,17 @@ def recv_message(sock: socket.socket) -> WireMessage | None:
     """
     buf = _inboxes.get(sock)
     if buf is None:
-        buf = _inboxes[sock] = bytearray()
-    while not (end := _frame_end(buf)):
+        buf = _inboxes[sock] = _Inbox()
+    end = buf.ready or _frame_end(buf)
+    while not end:
         chunk = sock.recv(_READ_SIZE)
         if not chunk:
             if not buf:
                 return None
             raise TruncatedFrameError(f"connection closed {len(buf)} bytes into a frame")
         buf += chunk
+        end = _frame_end(buf)
+    buf.ready = 0
     frame = bytes(buf[:end])
     del buf[:end]
     return decode(frame)
@@ -267,20 +307,28 @@ def serve_plant(cfg: SimConfig, signature: smsf.PolySignature | None = None,
     Connection loss mid-run returns the partial log with complete=False.
     """
     sig = signature if signature is not None else smsf.default_signature()
-    srv = socket.create_server((host, port))
-    srv.settimeout(timeout)
-    if on_bound is not None:
-        on_bound(srv.getsockname()[1])
-    try:
-        conn, _addr = srv.accept()
-    finally:
-        srv.close()
-    conn.settimeout(timeout)
-    conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-    try:
+    with _accept_one((host, port), on_bound, timeout) as conn:
         return _plant_session(conn, cfg, sig)
-    finally:
-        conn.close()
+
+
+def _lock_step(sock: socket.socket, timeout: float) -> socket.socket:
+    """sock with the session timeout, and Nagle's algorithm off: each write goes out at once."""
+    sock.settimeout(timeout)
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    return sock
+
+
+def _accept_one(addr, on_bound, timeout: float) -> socket.socket:
+    """Listen on addr, pass the bound port to on_bound and accept one peer.
+
+    The listener is closed whether or not a peer arrives.
+    """
+    with socket.create_server(tuple(addr)) as srv:
+        srv.settimeout(timeout)
+        if on_bound is not None:
+            on_bound(srv.getsockname()[1])
+        conn, _addr = srv.accept()
+    return _lock_step(conn, timeout)
 
 
 def _plant_session(conn: socket.socket, cfg: SimConfig, sig) -> SimTrace:
@@ -306,8 +354,8 @@ def _plant_session(conn: socket.socket, cfg: SimConfig, sig) -> SimTrace:
         for k in range(n_steps + 1):
             t = k * cfg.dt
             phi = smsf.eval_signature(sig, x, y)
-            send_message(conn, WireMessage("Obs", next(tx), t, (x, y, th)),
-                         WireMessage("Sig", next(tx), t, (phi,)))
+            send_message(conn, _message("Obs", next(tx), t, (x, y, th)),
+                         _message("Sig", next(tx), t, (phi,)))
             v, w = _expect(conn, rx, "Cmd").payload
             if k % cfg.log_stride == 0:
                 rows.append((t, x, y, th, v, w, phi))
@@ -327,13 +375,8 @@ def run_controller(cfg: SimConfig, connect=("127.0.0.1", DEFAULT_PROXY_PORT),
                    timeout: float = 30.0) -> SimTrace:
     """Drive one lock-step session as the controller; returns its view (CTRL_VIEW_COLUMNS)."""
     sig = signature if signature is not None else smsf.default_signature()
-    sock = socket.create_connection(connect, timeout=timeout)
-    sock.settimeout(timeout)
-    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-    try:
+    with _lock_step(socket.create_connection(connect, timeout=timeout), timeout) as sock:
         return _controller_session(sock, cfg, sig)
-    finally:
-        sock.close()
 
 
 def _controller_session(sock: socket.socket, cfg: SimConfig, sig) -> SimTrace:
@@ -362,7 +405,7 @@ def _controller_session(sock: socket.socket, cfg: SimConfig, sig) -> SimTrace:
             x, y, th = _expect(sock, rx, "Obs").payload
             (phi_rx,) = _expect(sock, rx, "Sig").payload
             v, w, xe, ye, the, lyap = control(ref, gains, refs[k], t, x, y, th)
-            send_message(sock, WireMessage("Cmd", next(tx), t, (v, w)))
+            send_message(sock, _message("Cmd", next(tx), t, (v, w)))
             if k % cfg.log_stride == 0:
                 rows.append((t, x, y, th, v, w, xe, ye, the, lyap, phi_rx))
         send_message(sock, WireMessage("Bye", next(tx), cfg.duration, ("complete",)))
@@ -378,12 +421,11 @@ def _controller_session(sock: socket.socket, cfg: SimConfig, sig) -> SimTrace:
 def _transform_factory(attack: AffineAttack | None, sig_scale: float, sig_offset: float):
     def transform(msg: WireMessage) -> WireMessage:
         if msg.kind == "Obs" and attack is not None:
-            return WireMessage("Obs", msg.seq, msg.t, attack_state(attack, *msg.payload))
+            return _message("Obs", msg.seq, msg.t, attack_state(attack, *msg.payload))
         if msg.kind == "Cmd" and attack is not None:
-            return WireMessage("Cmd", msg.seq, msg.t, attack_command(attack, *msg.payload))
+            return _message("Cmd", msg.seq, msg.t, attack_command(attack, *msg.payload))
         if msg.kind == "Sig" and not (sig_scale == 1.0 and sig_offset == 0.0):
-            return WireMessage("Sig", msg.seq, msg.t,
-                               (sig_scale * msg.payload[0] + sig_offset,))
+            return _message("Sig", msg.seq, msg.t, (sig_scale * msg.payload[0] + sig_offset,))
         return msg
 
     return transform
@@ -422,32 +464,15 @@ def serve_proxy(attack: AffineAttack | None = None,
     With attack=None and the identity Sig channel this is a transparent
     forwarder; frames pass through unmodified, in order, per direction.
     """
-    srv = socket.create_server(tuple(listen))
-    srv.settimeout(timeout)
-    if on_bound is not None:
-        on_bound(srv.getsockname()[1])
-    try:
-        ctl, _addr = srv.accept()
-    finally:
-        srv.close()
-    ctl.settimeout(timeout)
-    ctl.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-    try:
-        up = socket.create_connection(tuple(upstream), timeout=timeout)
-    except OSError:
-        ctl.close()
-        raise
-    up.settimeout(timeout)
-    up.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
     transform = _transform_factory(attack, sig_scale, sig_offset)
-    down_pump = threading.Thread(target=_pump, args=(ctl, up, transform), daemon=True)
-    up_pump = threading.Thread(target=_pump, args=(up, ctl, transform), daemon=True)
-    down_pump.start()
-    up_pump.start()
-    down_pump.join()
-    up_pump.join()
-    ctl.close()
-    up.close()
+    with (_accept_one(listen, on_bound, timeout) as ctl,
+          _lock_step(socket.create_connection(tuple(upstream), timeout=timeout), timeout) as up):
+        down_pump = threading.Thread(target=_pump, args=(ctl, up, transform), daemon=True)
+        up_pump = threading.Thread(target=_pump, args=(up, ctl, transform), daemon=True)
+        down_pump.start()
+        up_pump.start()
+        down_pump.join()
+        up_pump.join()
 
 
 def merge_views(plant: SimTrace, ctrl: SimTrace) -> SimTrace:

@@ -10,6 +10,7 @@ neighborhood of the attack's anchor posture.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -62,7 +63,7 @@ def eval_signature(sig: PolySignature, x, y):
     Scalar x and y return a Python float, bitwise equal to the array path.
     """
     if isinstance(x, (int, float)) and isinstance(y, (int, float)):
-        return _eval_scalar(sig.terms, float(x), float(y))
+        return _eval_scalar(sig, float(x), float(y))
     xa = np.asarray(x, dtype=float)
     ya = np.asarray(y, dtype=float)
     out = np.zeros(np.broadcast(xa, ya).shape)
@@ -73,26 +74,31 @@ def eval_signature(sig: PolySignature, x, y):
     return out
 
 
-def _eval_scalar(terms: dict, x: float, y: float) -> float:
+def _eval_scalar(sig: PolySignature, x: float, y: float) -> float:
     """The array path's IEEE operations on plain floats.
 
     numpy's ** gives 1 for power 0, the value for power 1 and an exact
     square for power 2; higher powers come from its own power kernel, which
-    rounds differently from math.pow, so they are taken from one np.power
-    call over a small array.
+    rounds differently from math.pow, so powers 3..max_degree of x and y are
+    taken from one np.power call over a small array.
     """
-    px = {0: 1.0, 1: x, 2: x * x}
-    py = {0: 1.0, 1: y, 2: y * y}
-    high = sorted({(0, i) for i, _ in terms if i > 2} | {(1, j) for _, j in terms if j > 2})
-    if high:
-        bases = [y if axis else x for axis, _ in high]
-        powers = np.power(bases, [float(k) for _, k in high]).tolist()
-        for (axis, k), p in zip(high, powers):
-            (py if axis else px)[k] = p
+    n = sig.max_degree - 2
+    px = [1.0, x, x * x]
+    py = [1.0, y, y * y]
+    if n > 0:
+        high = np.power([x] * n + [y] * n, _high_exponents(n)).tolist()
+        px += high[:n]
+        py += high[n:]
     acc = 0.0
-    for (i, j), coeff in terms.items():
+    for (i, j), coeff in sig.terms.items():
         acc += coeff * px[i] * py[j]
     return acc
+
+
+@functools.cache
+def _high_exponents(n: int) -> np.ndarray:
+    """3.0, ..., n + 2.0 twice: the exponents for the bases [x] * n + [y] * n."""
+    return np.tile(np.arange(3.0, n + 3.0), 2)
 
 
 def validate_smsf(sig: PolySignature) -> bool:

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import copy
+import gc
 import json
 import math
 import socket
 import struct
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -31,6 +33,7 @@ from fdia_lab.netlink import (
     UnknownKindError,
     WireFormatError,
     WireMessage,
+    _check_message,
     _pump,
     config_digest,
     decode,
@@ -287,6 +290,97 @@ def test_template_body_equals_the_per_value_body(kind, seq, t, data):
     frame = encode(msg)
     assert frame[4:] == _per_value_body(msg)
     assert frame[:4] == struct.pack(">I", len(frame) - 4)
+
+
+def _decode_through_json_loads(frame: bytes) -> WireMessage:
+    """decode of a frame with a valid prefix, as it ran before the scanner fast
+    path: json.loads, then the field checks one by one."""
+    try:
+        obj = json.loads(frame[4:].decode("utf-8"))
+        if not isinstance(obj, dict) or obj.keys() != {"kind", "seq", "t", "payload"}:
+            raise WireFormatError("frame body must carry exactly kind/seq/t/payload")
+        kind = obj["kind"]
+        if not isinstance(kind, str) or kind not in MSG_KINDS:
+            raise UnknownKindError(f"unknown message kind {kind!r}")
+        payload = obj["payload"]
+        if not isinstance(payload, list):
+            raise WireFormatError("payload must be a list")
+        if kind in ("Obs", "Cmd", "Sig"):
+            payload = [float(v) if type(v) is int else v for v in payload]
+        msg = WireMessage(kind, obj["seq"], obj["t"], tuple(payload))
+        _check_message(msg)
+        return msg
+    except (ValueError, OverflowError, RecursionError) as exc:
+        raise WireFormatError(f"invalid frame body: {exc}") from exc
+
+
+def _outcome(fn, frame: bytes):
+    """repr of fn(frame), which shows the types of t and of every payload item,
+    or the class of what it raised."""
+    try:
+        return repr(fn(frame))
+    except Exception as exc:  # compared below, class against class
+        return type(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(MSG_KINDS), st.integers(min_value=0, max_value=2**64 - 1),
+       _EXACT_NUMBERS, st.data())
+def test_decode_equals_json_loads_on_canonical_frames(kind, seq, t, data):
+    items = _EXACT_NUMBERS if kind in ("Obs", "Cmd", "Sig") else st.text(max_size=8)
+    payload = data.draw(st.lists(items, min_size=_ARITY[kind], max_size=_ARITY[kind]))
+    frame = encode(WireMessage(kind, seq, t, payload))
+    expected = _decode_through_json_loads(frame)
+    assert decode(frame) == expected
+    assert _outcome(decode, frame) == repr(expected)
+
+
+_WS = st.sampled_from(["", "", "", "", "", "", " ", "\n", "\t", " \r\n"])
+# number tokens as a peer might write them: int literals, -0, exponents, the
+# NaN/Infinity tokens json accepts, values past float64 and past a 64-bit seq
+_NUMBER_TOKENS = (
+    st.sampled_from(["0", "-0", "-0.0", "3", "1e3", "1E-2", "-2.5e+1", "0e0", "1e400", "-1e400",
+                     "NaN", "Infinity", "-Infinity", "9007199254740993",
+                     "18446744073709551615", "18446744073709551616"])
+    | st.integers(min_value=-(10**20), max_value=10**20).map(str)
+    | st.floats(allow_nan=False, allow_infinity=False).map(lambda v: format(v, ".17g"))
+    | st.builds("{}e{}".format, st.integers(-999, 999), st.integers(-400, 400))
+)
+_OTHER_TOKENS = st.sampled_from(['"Obs"', '"Sig"', '"Bye"', '"Ping"', '"x"', "true", "null",
+                                 "[]", "{}", '"\\u00e9"'])
+
+
+@st.composite
+def _perturbed_bodies(draw):
+    """Message bodies with whitespace, reordered, duplicate or extra keys, odd
+    number tokens and trailing data."""
+    kind = draw(st.sampled_from(MSG_KINDS))
+    item = _NUMBER_TOKENS if kind in ("Obs", "Cmd", "Sig") else st.text(max_size=6).map(json.dumps)
+    odd = st.integers(0, 7).map(lambda k: k == 7)  # one draw in eight goes astray
+    n = _ARITY[kind] + (draw(st.sampled_from([-1, 1])) if draw(odd) else 0)
+    items = [draw(_WS) + draw(_OTHER_TOKENS if draw(odd) else item) + draw(_WS)
+             for _ in range(max(n, 0))]
+    seq = _NUMBER_TOKENS if draw(odd) else st.integers(min_value=0, max_value=2**64 - 1).map(str)
+    entries = [("kind", json.dumps(kind)), ("seq", draw(seq)),
+               ("t", draw(_NUMBER_TOKENS)), ("payload", "[" + ",".join(items) + "]")]
+    entries = draw(st.permutations(entries))
+    if draw(odd):  # a duplicate key: json keeps the last value
+        key, _ = draw(st.sampled_from(entries))
+        value = draw(_NUMBER_TOKENS | _OTHER_TOKENS)
+        entries.insert(draw(st.integers(0, len(entries))), (key, value))
+    if draw(odd):
+        entries.append(("extra", draw(_NUMBER_TOKENS)))
+    body = "{" + ",".join(draw(_WS) + json.dumps(k) + draw(_WS) + ":" + draw(_WS) + v
+                          for k, v in entries) + "}"
+    trailing = draw(st.sampled_from(["x", "{}", "1", " }"]) if draw(odd) else _WS)
+    return (draw(_WS) + body + trailing).encode("utf-8")
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_perturbed_bodies())
+def test_decode_equals_json_loads_on_perturbed_bodies(body):
+    frame = _frame(body)
+    assert _outcome(decode, frame) == _outcome(_decode_through_json_loads, frame)
 
 
 # ---------------------------------------------------------------------------
@@ -553,6 +647,30 @@ def _finish(box):
     if "error" in box:
         raise box["error"]
     return box["result"]
+
+
+@pytest.mark.parametrize("serve", [
+    lambda on_bound: serve_plant(SimConfig(duration=1.0), port=0, on_bound=on_bound,
+                                 timeout=TIMEOUT),
+    lambda on_bound: serve_proxy(listen=("127.0.0.1", 0), on_bound=on_bound, timeout=TIMEOUT),
+], ids=["plant", "proxy"])
+def test_a_failing_on_bound_closes_the_listener(serve):
+    ports = []
+
+    def on_bound(port):
+        ports.append(port)
+        raise RuntimeError("on_bound failed")
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        with pytest.raises(RuntimeError) as excinfo:
+            serve(on_bound)
+        # the traceback still holds the server's frame, so a listener left
+        # open would still hold its port
+        socket.create_server(("127.0.0.1", ports[0])).close()
+        del excinfo
+        gc.collect()
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 def test_networked_identity_run_matches_in_process():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import socket
 import threading
 import time
 
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import JSON_SCALARS, JSONISH
+from fdia_lab import netlink
 from fdia_lab.cli import main
 from fdia_lab.fdia import (
     KIND_IDENTITY,
@@ -31,6 +33,7 @@ from fdia_lab.scenarios import (
     scenario_to_dict,
     validate_scenario,
 )
+from fdia_lab.simloop import SimConfig
 
 ARTIFACTS = ("trace.csv", "nominal.csv", "attack.json", "monitor.csv", "summary.json")
 
@@ -446,17 +449,66 @@ def test_cli_networked_pair(tmp_path, capsys):
 
     thread = threading.Thread(target=serve, daemon=True)
     thread.start()
-    code = None
+    out = ""
     for _ in range(100):  # the plant needs a moment to bind its port
-        try:
-            code = main(["serve-controller", "--scenario", str(doc),
-                         "--connect", "127.0.0.1:47701", "--out", str(ctrl_csv)])
+        code = main(["serve-controller", "--scenario", str(doc),
+                     "--connect", "127.0.0.1:47701", "--out", str(ctrl_csv)])
+        captured = capsys.readouterr()
+        out += captured.out
+        if not (code == 2 and "Connection refused" in captured.err):
             break
-        except ConnectionRefusedError:
-            time.sleep(0.05)
+        time.sleep(0.05)
     thread.join(15.0)
     assert not thread.is_alive()
     assert code == 0 and codes["plant"] == 0
-    assert "complete" in capsys.readouterr().out
+    assert "complete" in out
     assert plant_csv.read_text(encoding="utf-8").splitlines()[0].startswith("t,x,y,theta")
     assert ctrl_csv.read_text(encoding="utf-8").splitlines()[0].startswith("t,x_obs")
+
+
+def _closed_port() -> socket.socket:
+    """A socket bound to a loopback port and not listening: connecting to it is refused."""
+    sock = socket.socket()
+    sock.bind(("127.0.0.1", 0))
+    return sock
+
+
+@pytest.mark.parametrize("command", ["serve-plant", "serve-controller", "proxy"])
+def test_cli_network_commands_report_os_errors(command, capsys):
+    # a port already in use for the two listeners, a refused connection for the controller
+    with socket.create_server(("127.0.0.1", 0)) as busy, _closed_port() as closed:
+        address = "127.0.0.1:%d" % busy.getsockname()[1]
+        argv = {
+            "serve-plant": ["serve-plant", "--listen", address],
+            "serve-controller": ["serve-controller",
+                                 "--connect", "127.0.0.1:%d" % closed.getsockname()[1]],
+            "proxy": ["proxy", "--listen", address],
+        }[command]
+        assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_cli_controller_reports_a_refused_session(tmp_path, capsys):
+    # the plant runs another configuration: it says Bye at the handshake
+    doc = tmp_path / "quick.json"
+    doc.write_text(json.dumps(_quick_doc()), encoding="utf-8")
+    ready = threading.Event()
+    box = {}
+
+    def serve():
+        try:
+            netlink.serve_plant(SimConfig(duration=2.0), port=0, timeout=15.0,
+                                on_bound=lambda port: (box.update(port=port), ready.set()))
+        except netlink.ProtocolError as exc:
+            box["plant"] = exc
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    assert ready.wait(15.0)
+    assert main(["serve-controller", "--scenario", str(doc),
+                 "--connect", "127.0.0.1:%d" % box["port"]]) == 2
+    thread.join(15.0)
+    assert not thread.is_alive() and "digest mismatch" in str(box["plant"])
+    err = capsys.readouterr().err
+    assert err.startswith("error: peer refused session") and "Traceback" not in err

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fdia_lab.adversary import STUDY_NOISE_STD, fit_signature, monomial_basis, spiral_samples
@@ -85,6 +85,34 @@ def test_scalar_path_equals_the_array_path_bitwise(make_sig):
     assert all(type(v) is float for v in scalar)
     mismatched = np.flatnonzero(np.array(scalar).view(np.int64) != arr.view(np.int64))
     assert mismatched.size == 0, f"{mismatched.size} of {n} differ, first at {mismatched[:5]}"
+
+
+@st.composite
+def _signatures(draw):
+    """A PolySignature of max_degree 1 to 8 over a random subset of its monomials."""
+    max_degree = draw(st.integers(min_value=1, max_value=8))
+    monomials = [(i, d - i) for d in range(max_degree + 1) for i in range(d + 1)]
+    keys = draw(st.lists(st.sampled_from(monomials), min_size=1, unique=True))
+    coeffs = draw(st.lists(st.floats(min_value=-1e4, max_value=1e4), min_size=len(keys),
+                           max_size=len(keys)))
+    return PolySignature(dict(zip(keys, coeffs)), max_degree=max_degree)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_signatures(), st.integers(min_value=0, max_value=2**32 - 1))
+# max_degree above the highest exponent, and powers of at most 2
+@example(PolySignature({(3, 0): 1.5, (1, 2): -2.0}, max_degree=8), 1)
+@example(PolySignature({(2, 0): 1.0, (1, 1): -3.0, (0, 2): 25.0, (0, 1): 0.5}, max_degree=8), 2)
+@example(PolySignature({(1, 0): 1.0, (0, 1): 1.0}, max_degree=1), 3)
+def test_scalar_path_equals_the_array_path_on_random_signatures(sig, seed):
+    rng = np.random.default_rng(seed)
+    n = 500
+    x, y = rng.standard_normal((2, n)) * 10.0 ** rng.integers(-3, 3, (2, n))
+    x = np.concatenate([[0.0, -0.0, 1.0, -1.0], x])
+    y = np.concatenate([[-0.0, 1.0, 0.0, -1.0], y])
+    arr = eval_signature(sig, x, y)
+    scalar = np.array([eval_signature(sig, a, b) for a, b in zip(x.tolist(), y.tolist())])
+    np.testing.assert_array_equal(scalar.view(np.int64), arr.view(np.int64))
 
 
 def test_scalar_path_takes_ints_and_numpy_floats():
