@@ -22,6 +22,8 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .fdia import (
     KIND_CUSTOM,
     KIND_IDENTITY,
@@ -335,8 +337,7 @@ def evaluate(sc: Scenario, tol: float = _UNDETECTABLE_TOL) -> Evaluation:
 def write_monitor_csv(path, result: MonitorResult, epsilon: float) -> None:
     """The monitor.csv schema: t, residual, and 1 where the residual exceeds epsilon."""
     write_csv(path, ("t", "residual", "exceeds"),
-              zip(result.t.tolist(), result.residual.tolist(),
-                  (result.residual > epsilon).tolist()))
+              np.column_stack([result.t, result.residual, result.residual > epsilon]))
 
 
 def run_scenario(name_or_path, out_dir=None) -> dict:

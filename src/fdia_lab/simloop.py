@@ -113,13 +113,27 @@ class SimTrace:
 
 
 def write_csv(path, columns, rows) -> None:
-    """The one CSV writer: a header, then rows of Python scalars (``array.tolist()``).
+    """The one CSV writer: a header, then every value as "%.17g" (or "%s" for a str).
 
-    Each column holds one kind of value. The first row fixes the row template,
-    "%s" for a str and "%.17g" for a number, which round-trips float64 exactly,
-    so repeated runs write byte-identical files. A later value of the other
-    kind in a column raises TypeError; only str columns are checked per row.
+    "%.17g" round-trips float64 exactly, so repeated runs write byte-identical
+    files. rows is either a 2-D numeric array with one column per name, cast
+    to float64 and written by the vectorised kernel in fdia_lab._csvfloat,
+    or a sequence of rows of Python scalars. For the latter each column holds
+    one kind of value: the first row fixes the row template, "%s" for a str
+    and "%.17g" for a number, and a later value of the other kind in a column
+    raises TypeError; only str columns are checked per row.
     """
+    if isinstance(rows, np.ndarray):
+        from ._csvfloat import write_array  # compiled and built on the first array write
+
+        array = np.asarray(rows, dtype=np.float64)
+        if array.ndim != 2 or array.shape[1] != len(columns):
+            raise ValueError(f"array of shape {array.shape} does not hold"
+                             f" {len(columns)} columns")
+        with open(path, "wb") as fh:
+            fh.write((",".join(columns) + "\n").encode("utf-8"))
+            write_array(fh, array)
+        return
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(columns) + "\n")
         fmt = None
@@ -135,7 +149,7 @@ def write_csv(path, columns, rows) -> None:
 
 def write_trace_csv(path, table: SimTrace) -> None:
     """A column table's rows under its column header, through the shared CSV writer."""
-    write_csv(path, table.columns, table.data.tolist())
+    write_csv(path, table.columns, table.data)
 
 
 def run(cfg: SimConfig, attack: AffineAttack | None = None,

@@ -10,18 +10,23 @@ neighborhood of the attack's anchor posture.
 
 from __future__ import annotations
 
-import functools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
 
-@dataclass
+@dataclass(frozen=True)
 class PolySignature:
-    """Sparse bivariate polynomial: terms maps (i, j) to the x^i y^j coefficient."""
+    """Sparse bivariate polynomial: terms maps (i, j) to the x^i y^j coefficient.
 
-    terms: dict
+    Immutable: terms is a read-only mapping in sorted key order, checked once
+    here, so every exponent stays within max_degree.
+    """
+
+    terms: Mapping
     max_degree: int = 4
 
     def __post_init__(self):
@@ -39,7 +44,15 @@ class PolySignature:
                 raise ValueError(f"coefficient for {key} must be finite")
             canon[(i, j)] = coeff
         # fixed iteration order keeps evaluation bitwise reproducible
-        self.terms = dict(sorted(canon.items()))
+        object.__setattr__(self, "terms", MappingProxyType(dict(sorted(canon.items()))))
+        # the powers from 3 up of x, then of y, that the terms use, for _eval_scalar
+        hx = max([i - 2 for i, _ in canon] + [0])
+        hy = max([j - 2 for _, j in canon] + [0])
+        exponents = np.concatenate([np.arange(3.0, hx + 3), np.arange(3.0, hy + 3)])
+        object.__setattr__(self, "_high", (hx, exponents))
+
+    def __reduce__(self):
+        return PolySignature, (dict(self.terms), self.max_degree)
 
 
 def default_signature() -> PolySignature:
@@ -79,26 +92,20 @@ def _eval_scalar(sig: PolySignature, x: float, y: float) -> float:
 
     numpy's ** gives 1 for power 0, the value for power 1 and an exact
     square for power 2; higher powers come from its own power kernel, which
-    rounds differently from math.pow, so powers 3..max_degree of x and y are
-    taken from one np.power call over a small array.
+    rounds differently from math.pow, so the powers 3.. of x and y that the
+    terms use are taken from one np.power call over a small array.
     """
-    n = sig.max_degree - 2
+    hx, exponents = sig._high
     px = [1.0, x, x * x]
     py = [1.0, y, y * y]
-    if n > 0:
-        high = np.power([x] * n + [y] * n, _high_exponents(n)).tolist()
-        px += high[:n]
-        py += high[n:]
+    if exponents.size:
+        high = np.power([x] * hx + [y] * (exponents.size - hx), exponents).tolist()
+        px += high[:hx]
+        py += high[hx:]
     acc = 0.0
     for (i, j), coeff in sig.terms.items():
         acc += coeff * px[i] * py[j]
     return acc
-
-
-@functools.cache
-def _high_exponents(n: int) -> np.ndarray:
-    """3.0, ..., n + 2.0 twice: the exponents for the bases [x] * n + [y] * n."""
-    return np.tile(np.arange(3.0, n + 3.0), 2)
 
 
 def validate_smsf(sig: PolySignature) -> bool:

@@ -3,12 +3,17 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fdia_lab import _csvfloat
 from fdia_lab.fdia import attack_command, attack_state, build_reflection
 from fdia_lab.kinematics import Posture
 from fdia_lab.netlink import CTRL_VIEW_COLUMNS, PLANT_VIEW_COLUMNS
@@ -293,3 +298,146 @@ def test_write_csv_refuses_a_string_in_a_numeric_column(tmp_path):
     with pytest.raises(TypeError):
         write_csv(path, ("a",), [("x",), (0.1,)])
     assert path.read_text(encoding="utf-8") == "a\nx\n"
+
+
+# ---------------------------------------------------------------------------
+# the float kernel of write_csv: arrays must write the per-value writer's bytes
+
+
+def _nudged(value: float, ulps: int) -> float:
+    for _ in range(abs(ulps)):
+        value = math.nextafter(value, math.copysign(math.inf, ulps))
+    return value
+
+
+@st.composite
+def _near_ties(draw):
+    """m * 2**-(k+1) for odd m: 17 significant digits m * 5**k / 2 that end in exactly
+    .5 when 1e16 <= m * 5**k / 2 <= 1e17, so "%.17g" rounds a tie; then moved by up to 3 ulps."""
+    k = draw(st.integers(min_value=1, max_value=24))
+    low = -(-2 * 10**16 // 5**k)
+    high = min(2 * 10**17 // 5**k, 2**53 - 1)
+    m = draw(st.integers(min_value=low, max_value=high)) | 1
+    value = _nudged(math.ldexp(m, -(k + 1)), draw(st.integers(min_value=-3, max_value=3)))
+    return -value if draw(st.booleans()) else value
+
+
+# "%.17g" writes fixed form for exponents -4..16 and d.ddde±XX outside it
+_EXPONENT_EDGES = st.sampled_from([-5, -4, 16, 17]).flatmap(
+    lambda x: st.floats(min_value=0.99999 * 10.0**x, max_value=1.00001 * 10.0**x)
+    | st.floats(min_value=0.99999 * 10.0 ** (x + 1), max_value=10.0 ** (x + 1))
+).flatmap(lambda v: st.sampled_from([v, -v]))
+_KERNEL_FLOATS = st.floats() | st.sampled_from(_EDGE_FLOATS) | _near_ties() | _EXPONENT_EDGES
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(min_value=1, max_value=5), st.lists(_KERNEL_FLOATS, max_size=40))
+@example(1, [math.ldexp(131073, -17)])  # 1.00000762939453125: a tie, rounded to even
+@example(2, [1e-5, 1e-4, 1e16, 1e17, 99999999999999984.0, 1e-11, 9.9999999999999994e-12, 0.0])
+def test_write_csv_array_bytes_equal_the_per_value_writer(tmp_path_factory, cols, values):
+    rows = np.array(values[:len(values) - len(values) % cols]).reshape(-1, cols)
+    base = tmp_path_factory.getbasetemp()
+    columns = [f"c{k}" for k in range(cols)]
+    write_csv(base / "array.csv", columns, rows)
+    _per_value_write_csv(base / "per_value.csv", columns, rows.tolist())
+    assert (base / "array.csv").read_bytes() == (base / "per_value.csv").read_bytes()
+
+
+def _bulk_values(rng) -> np.ndarray:
+    """Over a million float64 values of the kinds the kernel proves, and of those it may not."""
+    n = 220_000
+    powers = np.array([10.0**k for k in range(-30, 31)])
+    near_powers = [np.nextafter(powers, 0.0), powers, np.nextafter(powers, np.inf)]
+    ties = []
+    for k in range(1, 25):
+        high = min(2 * 10**17 // 5**k, 2**53 - 1)
+        m = rng.integers(-(-2 * 10**16 // 5**k), high, 2_000, endpoint=True) | 1
+        tie = np.ldexp(m.astype(float), -(k + 1))
+        ties += [tie, np.nextafter(tie, 0.0), np.nextafter(tie, np.inf)]
+    digits = 10.0 ** rng.integers(0, 9, n)
+    values = np.concatenate([
+        rng.integers(0, 2**64, n, dtype=np.uint64).view(np.float64),  # any bit pattern
+        rng.uniform(-1e3, 1e3, n),
+        rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-14.0, 19.0, n),  # log-uniform
+        np.rint(rng.uniform(-1e3, 1e3, n) * digits) / digits,  # short decimals
+        rng.choice([-1.0, 1.0], 144_000) * np.concatenate(ties),
+        *near_powers, -np.concatenate(near_powers), np.array(_EDGE_FLOATS),
+    ])
+    rng.shuffle(values)
+    return values
+
+
+def test_write_csv_array_bytes_on_a_million_values(tmp_path):
+    values = _bulk_values(np.random.default_rng(20261018))
+    assert values.size >= 1_000_000
+    rows = values[:values.size - values.size % 8].reshape(-1, 8)
+    columns = [f"c{k}" for k in range(8)]
+    write_csv(tmp_path / "array.csv", columns, rows)
+    _per_value_write_csv(tmp_path / "per_value.csv", columns, rows.tolist())
+    got = (tmp_path / "array.csv").read_bytes().splitlines()
+    want = (tmp_path / "per_value.csv").read_bytes().splitlines()
+    mismatched = [k for k, (a, b) in enumerate(zip(got, want)) if a != b]
+    assert len(got) == len(want) and not mismatched, f"{len(mismatched)} rows differ"
+
+
+def test_write_csv_without_extended_precision_writes_the_same_bytes(
+        tmp_path, monkeypatch, scenario_runs):
+    # on a platform whose long double has no 64-bit significand every value
+    # takes the per-value fallback
+    data = scenario_runs["scenario1"].attacked.data
+    write_csv(tmp_path / "kernel.csv", TRACE_COLUMNS, data)
+    monkeypatch.setattr(_csvfloat, "_EXTENDED", False)
+    write_csv(tmp_path / "fallback.csv", TRACE_COLUMNS, data)
+    _per_value_write_csv(tmp_path / "per_value.csv", TRACE_COLUMNS, data.tolist())
+    expected = (tmp_path / "per_value.csv").read_bytes()
+    assert (tmp_path / "kernel.csv").read_bytes() == expected
+    assert (tmp_path / "fallback.csv").read_bytes() == expected
+
+
+def test_write_csv_refuses_an_array_of_the_wrong_shape(tmp_path):
+    with pytest.raises(ValueError):
+        write_csv(tmp_path / "a.csv", ("a", "b"), np.zeros((3, 3)))
+    with pytest.raises(ValueError):
+        write_csv(tmp_path / "a.csv", ("a",), np.zeros(3))
+    write_csv(tmp_path / "empty.csv", ("a", "b"), np.zeros((0, 2)))
+    assert (tmp_path / "empty.csv").read_bytes() == b"a,b\n"
+
+
+# Input built from integer bit patterns and exact arithmetic only: numpy's own
+# transcendental kernels (np.exp, np.sin) return other bits under another dispatch.
+_DISPATCH_INPUT = """
+import numpy as np
+rng = np.random.default_rng(7)
+n = 60_000
+bits = rng.integers(0, 2**64, n, dtype=np.uint64).view(np.float64)
+scaled = np.ldexp(rng.integers(-2**53, 2**53, n).astype(float), rng.integers(-75, 45, n))
+block = np.concatenate([bits, scaled]).reshape(-1, 12)
+"""
+
+
+def test_write_csv_bytes_do_not_depend_on_numpy_simd_dispatch(tmp_path):
+    """The kernel writes the same bytes with numpy's AVX-512 kernels turned off.
+
+    np.log10 seeds each exponent and runs under numpy's CPU dispatch; the
+    long double product then proves or corrects it. The subprocess turns the
+    AVX-512 dispatch off, as on a CPU without AVX-512; on such a CPU both
+    runs take the same kernels and the test passes trivially.
+    """
+    root = Path(__file__).resolve().parent.parent
+    script = _DISPATCH_INPUT + (
+        "import sys\nfrom fdia_lab.simloop import write_csv\n"
+        "write_csv(sys.argv[1], [str(k) for k in range(block.shape[1])], block)\n")
+    env = dict(os.environ, PYTHONPATH=str(root / "src"),
+               NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4")
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "off.csv")],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    scope = {}
+    exec(_DISPATCH_INPUT, scope)
+    block = scope["block"]
+    columns = [str(k) for k in range(block.shape[1])]
+    write_csv(tmp_path / "default.csv", columns, block)
+    _per_value_write_csv(tmp_path / "per_value.csv", columns, block.tolist())
+    expected = (tmp_path / "per_value.csv").read_bytes()
+    assert (tmp_path / "default.csv").read_bytes() == expected
+    assert (tmp_path / "off.csv").read_bytes() == expected

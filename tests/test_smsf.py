@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -138,9 +142,32 @@ def test_eval_broadcasts_over_arrays():
     np.testing.assert_array_equal(grid, gx**2 + gy**2)
 
 
+def test_scalar_path_takes_no_power_the_terms_do_not_use():
+    # x**8 overflows at 1e40; a signature of quadratic terms never needs it,
+    # even when its max_degree allows it
+    sig = PolySignature({(2, 0): 1.0, (1, 1): -3.0, (0, 2): 25.0}, max_degree=8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        val = eval_signature(sig, 1e40, 0.5)
+    assert val == eval_signature(sig, np.array([1e40]), np.array([0.5]))[0] == 1e80
+
+
 def test_terms_are_stored_in_sorted_order():
     sig = PolySignature({(2, 2): 3.0, (0, 1): 1.0, (1, 0): 2.0})
     assert list(sig.terms) == [(0, 1), (1, 0), (2, 2)]
+
+
+def test_a_signature_is_immutable():
+    sig = default_signature()
+    with pytest.raises(TypeError):
+        sig.terms[(5, 0)] = 1.0
+    with pytest.raises(AttributeError):
+        sig.max_degree = 8
+    with pytest.raises(AttributeError):
+        sig.terms = {(5, 0): 1.0}
+    assert sig == default_signature()
+    assert pickle.loads(pickle.dumps(sig)) == sig
+    assert copy.deepcopy(sig) == sig
 
 
 def test_constructor_rejects_bad_terms():

@@ -1,4 +1,4 @@
-"""Smoke test of the benchmark harness on the networked workload."""
+"""Smoke test of the benchmark harness on the networked and the suite workloads."""
 
 from __future__ import annotations
 
@@ -7,15 +7,20 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_traced_net_benchmark_passes_its_self_check():
+@pytest.mark.parametrize("workload", ["net", "suite"])
+def test_traced_benchmark_passes_its_self_check(workload):
     # --trace 1 first drives every wrapped binding site once and requires exact
-    # call counts (one encode per frame at each endpoint), then checks every
-    # merged session trace against the in-process run bitwise
+    # call counts (one encode per frame at each endpoint, two write_trace_csv
+    # per simulate), then checks every operation's outputs: merged session
+    # traces against the in-process run bitwise (net), and every simulate
+    # artifact against the stored reference (suite)
     proc = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", "net", "--seed", "1",
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", "1",
          "--seconds", "1", "--trace", "1"],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )
