@@ -9,9 +9,11 @@ set: a one-dimensional manifold of solutions, isolated nontrivial pairs, or
 only the trivial identity.
 
 The beta grid is scored in fixed blocks of BETA_BLOCK rows, split at block
-boundaries over the usable CPUs. Every row goes through the same IEEE
-operations in the same order whatever the split, so the alphas, residuals
-and verdicts do not depend on the number of workers.
+boundaries over the usable CPUs when there are more blocks than CPUs.
+Every row goes through the same IEEE operations in the same order whatever
+the split, so the alphas, residuals and verdicts do not depend on the
+number of workers. Blocks that a lower bound of their residuals rules out
+are skipped, so the verdicts stay the exhaustive scan's.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
 
@@ -40,6 +43,10 @@ CLASS_TRIVIAL = "trivial-only"
 BETA_BLOCK = 64
 # the most beta grid points classify() scans: 16 MB of alphas and residuals
 _MAX_BETAS = 10**6
+# the grid points S of the residual bound, as fractions of the grid: irregular,
+# so that no symmetry of a family repeats a point; and betas bounded per pass
+_BOUND_AT = (0.05, 0.17, 0.28, 0.41, 0.53, 0.66, 0.79, 0.92)
+_BOUND_BETAS = 16 * BETA_BLOCK
 
 
 @dataclass(frozen=True)
@@ -83,10 +90,12 @@ def default_grid(fam: ScalarFamily) -> np.ndarray:
 
 
 def attack_residual(fam: ScalarFamily, alpha: float, beta: float, grid) -> float:
-    """max |alpha*g(beta*x) - g(x)| over the grid."""
+    """max |alpha*g(beta*x) - g(x)| over the grid; alpha, beta and the grid must be finite."""
     x = np.asarray(grid, dtype=float)
     if x.size == 0:
         raise ValueError("empty evaluation grid")
+    if not (math.isfinite(alpha) and math.isfinite(beta) and np.isfinite(x).all()):
+        raise ValueError(f"alpha {alpha!r}, beta {beta!r} and the grid must be finite")
     g = family_function(fam)
     return float(np.max(np.abs(alpha * g(beta * x) - g(x))))
 
@@ -143,6 +152,62 @@ def _score_rows(g, x, gx, betas, alphas, residuals, lo, hi) -> None:
             buf.max(axis=1, out=residuals[start:stop])
 
 
+def _score_blocks(cpus, g, x, gx, betas, alphas, residuals, blocks) -> None:
+    """Score the ascending block indices, in contiguous shares over `cpus` threads.
+
+    At most one block per CPU runs on the calling thread, and so does every
+    block with one CPU: a pool thread's malloc arena keeps its scan buffers
+    resident, which cost the analysis benchmark about 2 MB of peak RSS for no
+    measurable time.
+    """
+    def score(share):
+        # one _score_rows call per run of consecutive blocks
+        for _, run in groupby(enumerate(share), lambda ik: ik[1] - ik[0]):
+            run = [k for _, k in run]
+            _score_rows(g, x, gx, betas, alphas, residuals, run[0] * BETA_BLOCK,
+                        min((run[-1] + 1) * BETA_BLOCK, len(betas)))
+
+    if cpus == 1 or len(blocks) <= cpus:
+        score(blocks)
+    else:
+        with ThreadPoolExecutor(max_workers=cpus) as pool:
+            list(pool.map(score, [blocks[k * len(blocks) // cpus:(k + 1) * len(blocks) // cpus]
+                                  for k in range(cpus)]))
+
+
+def _block_bounds(g, x, gx, betas, scale) -> np.ndarray:
+    """Per block, a lower bound of the residuals _score_rows computes with |alpha| <= scale.
+
+    For a = g(beta*x_S), h = g(x_S) and any alpha, max_k |alpha*a_k - h_k| is at
+    least |a_i*h_j - a_j*h_i| / (|a_i| + |a_j|) on each adjacent pair of S. The
+    slack 64*eps*(scale*max|a| + max|h|) + (scale + 1)*tiny covers the
+    rounding here and in _score_rows, subnormals included; where it
+    overflows, the bound is -inf.
+    """
+    at = [round(f * (x.size - 1)) for f in _BOUND_AT]
+    xs, h = x[at, None], gx[at, None]
+    eps = 64.0 * np.finfo(float).eps
+    h_slack = eps * np.max(np.abs(h)) + (scale + 1.0) * np.finfo(float).tiny
+    n_blocks = -(-len(betas) // BETA_BLOCK)
+    bounds = np.full(n_blocks * BETA_BLOCK, np.inf)
+    with np.errstate(over="ignore"):
+        for lo in range(0, len(betas), _BOUND_BETAS):  # a row per point of S
+            a = g(np.multiply(xs, betas[lo:lo + _BOUND_BETAS]))
+            num = np.abs(np.subtract(a[:-1] * h[1:], a[1:] * h[:-1]))
+            np.abs(a, out=a)
+            den = np.add(a[:-1], a[1:])
+            np.divide(num, den, out=num, where=den > 0.0)  # a_i = a_j = 0 leaves 0
+            slack = np.multiply(a.max(axis=0), eps * scale)
+            np.subtract(num.max(axis=0), slack + h_slack, out=bounds[lo:lo + a.shape[1]])
+    return bounds.reshape(n_blocks, BETA_BLOCK).min(axis=1)
+
+
+def _nontrivial(alphas, betas, alpha_range, step) -> np.ndarray:
+    in_range = np.isfinite(alphas) & (alphas >= alpha_range[0]) & (alphas <= alpha_range[1])
+    trivial = (np.abs(betas - 1.0) <= 0.5 * step) & (np.abs(alphas - 1.0) <= 1e-6)
+    return in_range & ~trivial
+
+
 def _check_range(name: str, bounds) -> None:
     lo, hi = bounds
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
@@ -161,7 +226,10 @@ def classify(fam: ScalarFamily, tol: float = 1e-9, alpha_range=(-3.0, 3.0),
     always excluded. tol and step must be positive and finite, both ranges
     finite (low, high) pairs with low < high, and step must divide
     beta_range into a whole number of steps (to 1e-9 relative) that makes a
-    grid of 2 to 10**6 betas, beta = 0 not counted.
+    grid of 2 to 10**6 betas, beta = 0 not counted, and g must not overflow
+    on the scan. Only blocks whose bound is within tol or the best residual
+    so far are scored; the rest can hold neither, so the verdict is the
+    exhaustive scan's, bit for bit.
     """
     if not (math.isfinite(tol) and tol > 0.0 and math.isfinite(step) and step > 0.0):
         raise ValueError(f"tol and step must be positive and finite, got {tol!r}, {step!r}")
@@ -184,23 +252,38 @@ def classify(fam: ScalarFamily, tol: float = 1e-9, alpha_range=(-3.0, 3.0),
     g = family_function(fam)
     gx = g(x)
 
-    alphas = np.empty(len(betas))
+    # every default |g| peaks at an end of the scan: bound its sums of squares
+    with np.errstate(over="ignore", invalid="ignore"):
+        ends = g(np.multiply.outer(betas[[0, -1]], x[[0, -1]]))
+        peak = np.max(np.abs(ends), initial=np.max(np.abs(gx)))
+        if not math.isfinite(2.0 * x.size * peak * peak):
+            raise ValueError(f"{fam.tag} with c={fam.c!r} overflows on the beta scan")
+
+    bounds = _block_bounds(g, x, gx, betas, max(abs(alpha_range[0]), abs(alpha_range[1])))
+    # rows never scored keep alpha = inf, which no alpha range admits
+    alphas = np.full(len(betas), np.inf)
     residuals = np.empty(len(betas))
-    # whole blocks, split as evenly as they go over the usable CPUs
-    n_blocks = -(-len(betas) // BETA_BLOCK)
-    workers = max(1, min(_usable_cpus(), n_blocks))
-    edges = [min(k * n_blocks // workers * BETA_BLOCK, len(betas)) for k in range(workers + 1)]
-    if workers == 1:
-        _score_rows(g, x, gx, betas, alphas, residuals, 0, len(betas))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda lo, hi: _score_rows(g, x, gx, betas, alphas, residuals, lo, hi),
-                          edges[:-1], edges[1:]))
-
-    in_range = np.isfinite(alphas) & (alphas >= alpha_range[0]) & (alphas <= alpha_range[1])
-    trivial = (np.abs(betas - 1.0) <= 0.5 * step) & (np.abs(alphas - 1.0) <= 1e-6)
-    nontrivial = in_range & ~trivial
-
+    # every block that may hold an admitted row, then, lowest bound first, each
+    # block that may hold a residual at or below the best so far: one at a
+    # time, or in doubling batches while no best is known
+    lower = bounds.tolist()
+    order = sorted(range(len(lower)), key=lower.__getitem__)
+    n_first = sum(b <= tol for b in lower)
+    cpus = _usable_cpus()
+    _score_blocks(cpus, g, x, gx, betas, alphas, residuals, sorted(order[:n_first]))
+    nontrivial = _nontrivial(alphas, betas, alpha_range, step)
+    best = float(np.min(residuals[nontrivial])) if nontrivial.any() else math.inf
+    rest, batch = order[n_first:], 1
+    while rest and lower[rest[0]] <= best:
+        n = batch if best == math.inf else 1
+        todo, rest, batch = rest[:n], rest[n:], 2 * batch
+        _score_blocks(cpus, g, x, gx, betas, alphas, residuals, sorted(todo))
+        for k in todo:
+            lo, hi = k * BETA_BLOCK, min((k + 1) * BETA_BLOCK, len(betas))
+            block = _nontrivial(alphas[lo:hi], betas[lo:hi], alpha_range, step)
+            if block.any():
+                best = min(best, float(np.min(residuals[lo:hi][block])))
+    nontrivial = _nontrivial(alphas, betas, alpha_range, step)
     admitted = nontrivial & (residuals <= tol)
     candidates = [(float(a), float(b)) for a, b in zip(alphas[admitted], betas[admitted])]
     best = float(np.min(residuals[nontrivial])) if nontrivial.any() else math.inf

@@ -5,9 +5,13 @@ from __future__ import annotations
 import math
 import sys
 import threading
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fdia_lab import vulncheck
 from fdia_lab.vulncheck import (
@@ -66,6 +70,21 @@ def test_attack_residual_examples():
         attack_residual(lin, 1.0, 1.0, np.array([]))
 
 
+@pytest.mark.parametrize("alpha, beta, bad", [
+    (math.nan, 1.0, None), (math.inf, 1.0, None), (1.0, math.nan, None), (1.0, -math.inf, None),
+    (1.0, 1.0, math.nan), (1.0, 1.0, math.inf),
+], ids=repr)
+def test_attack_residual_refuses_non_finite_input(alpha, beta, bad):
+    # a nan residual used to read silently as "not within tol"
+    lin = ScalarFamily(TAG_LINEAR)
+    grid = default_grid(lin)
+    if bad is not None:
+        grid = grid.copy()
+        grid[7] = bad
+    with pytest.raises(ValueError):
+        attack_residual(lin, alpha, beta, grid)
+
+
 def test_classify_validation():
     with pytest.raises(ValueError):
         classify(ScalarFamily(TAG_LINEAR), tol=0.0)
@@ -97,6 +116,26 @@ def test_classify_refuses_what_it_cannot_honour(kwargs):
 def test_classify_refuses_a_beta_grid_it_cannot_scan(kwargs):
     with pytest.raises(ValueError):
         classify(ScalarFamily(TAG_LINEAR), **kwargs)
+
+
+@pytest.mark.parametrize("fam", [ScalarFamily(TAG_EXPONENTIAL, c=1e306),
+                                 ScalarFamily(TAG_QUADRATIC, c=1e300),
+                                 ScalarFamily(TAG_LINEAR, c=-1e160)], ids=repr)
+def test_classify_refuses_a_family_that_overflows_its_scan(fam):
+    # these used to warn of overflow and return verdicts built on inf/nan residuals
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="overflows"):
+            classify(fam)
+
+
+def test_classify_scans_a_large_scale_it_can_hold():
+    # tol is absolute, so it scales with c
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v = _assert_pruned_scan_is_exhaustive(ScalarFamily(TAG_LINEAR, c=1e150), 1e141,
+                                              (-3.0, 3.0), (-3.0, 3.0), 0.001)
+    assert v.kind == CLASS_CONTINUOUS and v.constraint == "alpha*beta = 1"
 
 
 def test_classify_accepts_a_step_that_divides_up_to_rounding():
@@ -270,3 +309,95 @@ def test_one_usable_cpu_starts_no_thread(monkeypatch, verdicts):
     monkeypatch.setattr(vulncheck, "_usable_cpus", lambda: 1)
     monkeypatch.setattr(vulncheck, "ThreadPoolExecutor", no_pool)
     assert classify(ScalarFamily(TAG_SINE)) == verdicts[TAG_SINE]
+
+
+def _exhaustive(fam, tol, alpha_range, beta_range, step):
+    """Every row scored by _score_rows, then the verdict logic: the oracle of the pruned scan."""
+    n_beta = round((beta_range[1] - beta_range[0]) / step)
+    betas = np.linspace(beta_range[0], beta_range[1], n_beta + 1)
+    betas = betas[np.abs(betas) > 0.5 * step]
+    x = default_grid(fam)
+    g = family_function(fam)
+    alphas, residuals = np.empty(len(betas)), np.empty(len(betas))
+    vulncheck._score_rows(g, x, g(x), betas, alphas, residuals, 0, len(betas))
+    in_range = np.isfinite(alphas) & (alphas >= alpha_range[0]) & (alphas <= alpha_range[1])
+    trivial = (np.abs(betas - 1.0) <= 0.5 * step) & (np.abs(alphas - 1.0) <= 1e-6)
+    nontrivial = in_range & ~trivial
+    admitted = nontrivial & (residuals <= tol)
+    candidates = list(zip(alphas[admitted].tolist(), betas[admitted].tolist()))
+    best = float(np.min(residuals[nontrivial])) if nontrivial.any() else math.inf
+    if len(candidates) >= 10:
+        kind = CLASS_CONTINUOUS
+        constraint = vulncheck._manifold_label(candidates, tol)
+    else:
+        kind = CLASS_DISCRETE if candidates else CLASS_TRIVIAL
+        constraint = None
+    return kind, constraint, candidates, best
+
+
+def _bits(kind, constraint, candidates, best):
+    return kind, constraint, [(a.hex(), b.hex()) for a, b in candidates], best.hex()
+
+
+def _assert_pruned_scan_is_exhaustive(fam, tol, alpha_range, beta_range, step):
+    v = classify(fam, tol=tol, alpha_range=alpha_range, beta_range=beta_range, step=step)
+    assert v.family == fam.tag
+    assert _bits(v.kind, v.constraint, v.candidates, v.residual) == _bits(
+        *_exhaustive(fam, tol, alpha_range, beta_range, step))
+    return v
+
+
+@st.composite
+def _scan_configs(draw):
+    tag = draw(st.sampled_from(FAMILY_TAGS))
+    c = draw(st.sampled_from([1.0, -1.0])) * 10.0 ** draw(st.floats(-3.0, 3.0))
+    a_lo = draw(st.floats(-5.0, 4.0))
+    alpha_range = (a_lo, a_lo + 10.0 ** draw(st.floats(-2.0, 1.0)))
+    b_lo = draw(st.floats(-4.0, 3.0))
+    span = 10.0 ** draw(st.floats(-1.0, 0.8))
+    step = span / draw(st.integers(2, 1500))
+    tol = 10.0 ** draw(st.floats(-14.0, -1.0))
+    return ScalarFamily(tag, c), tol, alpha_range, (b_lo, b_lo + span), step
+
+
+@settings(max_examples=60, deadline=None)
+@given(_scan_configs(), st.sampled_from([1, 2, 3, 8]))
+# no beta near +-1: no row is admitted and the best comes from the bound's order
+@example((ScalarFamily(TAG_COSINE), 1e-9, (-3.0, 3.0), (1.2, 2.9), 0.001), 2)
+@example((ScalarFamily(TAG_EXPONENTIAL), 1e-9, (-3.0, 3.0), (-2.5, -1.5), 0.001), 3)
+# no alpha in range: the best is inf, so every block is scored
+@example((ScalarFamily(TAG_SINE), 1e-9, (50.0, 60.0), (-3.0, 3.0), 0.001), 2)
+@example((ScalarFamily(TAG_EXPONENTIAL, c=4.0), 1e-3, (-1.0, -0.5), (-1.0, 2.0), 0.01), 8)
+def test_pruned_scan_equals_the_exhaustive_scan(config, cpus):
+    with mock.patch.object(vulncheck, "_usable_cpus", lambda: cpus):
+        _assert_pruned_scan_is_exhaustive(*config)
+
+
+def test_pruned_scan_is_exact_at_the_exponential_best_residual():
+    fam = ScalarFamily(TAG_EXPONENTIAL)
+    best = _exhaustive(fam, 1e-9, (-3.0, 3.0), (-3.0, 3.0), 0.001)[3]
+    for tol in (np.nextafter(best, 0.0), best, np.nextafter(best, np.inf), best * 1.5):
+        v = _assert_pruned_scan_is_exhaustive(fam, float(tol), (-3.0, 3.0), (-3.0, 3.0), 0.001)
+        assert v.residual == best
+        assert (v.kind == CLASS_TRIVIAL) == (tol < best)
+
+
+def test_the_default_scans_skip_the_blocks_that_cannot_matter(monkeypatch, verdicts):
+    scored = []
+    score_rows = vulncheck._score_rows
+
+    def counting(g, x, gx, betas, alphas, residuals, lo, hi):
+        scored.append(hi - lo)
+        score_rows(g, x, gx, betas, alphas, residuals, lo, hi)
+
+    monkeypatch.setattr(vulncheck, "_score_rows", counting)
+    n_blocks = -(-len(_default_scan(TAG_LINEAR)[3]) // BETA_BLOCK)
+    for fam in default_families():
+        scored.clear()
+        assert classify(fam) == verdicts[fam.tag]
+        blocks = -(-sum(scored) // BETA_BLOCK)
+        if fam.tag in (TAG_LINEAR, TAG_QUADRATIC):
+            # every |beta| >= 1/3 is admitted, so every block can hold a candidate
+            assert blocks == n_blocks
+        else:
+            assert blocks <= 4, (fam.tag, blocks)
