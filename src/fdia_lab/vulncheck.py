@@ -181,8 +181,8 @@ def _block_bounds(g, x, gx, betas, scale) -> np.ndarray:
     For a = g(beta*x_S), h = g(x_S) and any alpha, max_k |alpha*a_k - h_k| is at
     least |a_i*h_j - a_j*h_i| / (|a_i| + |a_j|) on each adjacent pair of S. The
     slack 64*eps*(scale*max|a| + max|h|) + (scale + 1)*tiny covers the
-    rounding here and in _score_rows, subnormals included; where it
-    overflows, the bound is -inf.
+    rounding here and in _score_rows, subnormals included; a bound that is
+    not finite (an overflow here) is -inf, so it prunes nothing.
     """
     at = [round(f * (x.size - 1)) for f in _BOUND_AT]
     xs, h = x[at, None], gx[at, None]
@@ -190,7 +190,7 @@ def _block_bounds(g, x, gx, betas, scale) -> np.ndarray:
     h_slack = eps * np.max(np.abs(h)) + (scale + 1.0) * np.finfo(float).tiny
     n_blocks = -(-len(betas) // BETA_BLOCK)
     bounds = np.full(n_blocks * BETA_BLOCK, np.inf)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, len(betas), _BOUND_BETAS):  # a row per point of S
             a = g(np.multiply(xs, betas[lo:lo + _BOUND_BETAS]))
             num = np.abs(np.subtract(a[:-1] * h[1:], a[1:] * h[:-1]))
@@ -198,7 +198,9 @@ def _block_bounds(g, x, gx, betas, scale) -> np.ndarray:
             den = np.add(a[:-1], a[1:])
             np.divide(num, den, out=num, where=den > 0.0)  # a_i = a_j = 0 leaves 0
             slack = np.multiply(a.max(axis=0), eps * scale)
-            np.subtract(num.max(axis=0), slack + h_slack, out=bounds[lo:lo + a.shape[1]])
+            out = bounds[lo:lo + a.shape[1]]
+            np.subtract(num.max(axis=0), slack + h_slack, out=out)
+            out[~np.isfinite(out)] = -np.inf
     return bounds.reshape(n_blocks, BETA_BLOCK).min(axis=1)
 
 
@@ -227,9 +229,10 @@ def classify(fam: ScalarFamily, tol: float = 1e-9, alpha_range=(-3.0, 3.0),
     finite (low, high) pairs with low < high, and step must divide
     beta_range into a whole number of steps (to 1e-9 relative) that makes a
     grid of 2 to 10**6 betas, beta = 0 not counted, and g must not overflow
-    on the scan. Only blocks whose bound is within tol or the best residual
-    so far are scored; the rest can hold neither, so the verdict is the
-    exhaustive scan's, bit for bit.
+    on the scan. Only blocks whose bound is within tol, or at or below the
+    best residual of those, are scored; the rest can hold neither an
+    admitted pair nor the best, so the verdict is the exhaustive scan's,
+    bit for bit.
     """
     if not (math.isfinite(tol) and tol > 0.0 and math.isfinite(step) and step > 0.0):
         raise ValueError(f"tol and step must be positive and finite, got {tol!r}, {step!r}")
@@ -252,37 +255,28 @@ def classify(fam: ScalarFamily, tol: float = 1e-9, alpha_range=(-3.0, 3.0),
     g = family_function(fam)
     gx = g(x)
 
-    # every default |g| peaks at an end of the scan: bound its sums of squares
+    # the sum of squares of g(beta*x) is convex in beta for every default
+    # family, so it peaks at an end of the scan: check it there and at beta = 1
     with np.errstate(over="ignore", invalid="ignore"):
-        ends = g(np.multiply.outer(betas[[0, -1]], x[[0, -1]]))
-        peak = np.max(np.abs(ends), initial=np.max(np.abs(gx)))
-        if not math.isfinite(2.0 * x.size * peak * peak):
+        ends = g(np.multiply.outer(np.array([betas[0], betas[-1], 1.0]), x))
+        if not np.isfinite(np.multiply(ends, ends, out=ends).sum(axis=1)).all():
             raise ValueError(f"{fam.tag} with c={fam.c!r} overflows on the beta scan")
 
     bounds = _block_bounds(g, x, gx, betas, max(abs(alpha_range[0]), abs(alpha_range[1])))
     # rows never scored keep alpha = inf, which no alpha range admits
     alphas = np.full(len(betas), np.inf)
     residuals = np.empty(len(betas))
-    # every block that may hold an admitted row, then, lowest bound first, each
-    # block that may hold a residual at or below the best so far: one at a
-    # time, or in doubling batches while no best is known
+    # first every block that may hold an admitted row, then every other block
+    # that may hold a residual at or below the best of those: all of them
+    # when there is none
     lower = bounds.tolist()
-    order = sorted(range(len(lower)), key=lower.__getitem__)
-    n_first = sum(b <= tol for b in lower)
     cpus = _usable_cpus()
-    _score_blocks(cpus, g, x, gx, betas, alphas, residuals, sorted(order[:n_first]))
+    _score_blocks(cpus, g, x, gx, betas, alphas, residuals,
+                  [k for k, b in enumerate(lower) if b <= tol])
     nontrivial = _nontrivial(alphas, betas, alpha_range, step)
     best = float(np.min(residuals[nontrivial])) if nontrivial.any() else math.inf
-    rest, batch = order[n_first:], 1
-    while rest and lower[rest[0]] <= best:
-        n = batch if best == math.inf else 1
-        todo, rest, batch = rest[:n], rest[n:], 2 * batch
-        _score_blocks(cpus, g, x, gx, betas, alphas, residuals, sorted(todo))
-        for k in todo:
-            lo, hi = k * BETA_BLOCK, min((k + 1) * BETA_BLOCK, len(betas))
-            block = _nontrivial(alphas[lo:hi], betas[lo:hi], alpha_range, step)
-            if block.any():
-                best = min(best, float(np.min(residuals[lo:hi][block])))
+    _score_blocks(cpus, g, x, gx, betas, alphas, residuals,
+                  [k for k, b in enumerate(lower) if tol < b <= best])
     nontrivial = _nontrivial(alphas, betas, alpha_range, step)
     admitted = nontrivial & (residuals <= tol)
     candidates = [(float(a), float(b)) for a, b in zip(alphas[admitted], betas[admitted])]

@@ -129,13 +129,31 @@ def test_classify_refuses_a_family_that_overflows_its_scan(fam):
             classify(fam)
 
 
-def test_classify_scans_a_large_scale_it_can_hold():
+@pytest.mark.parametrize("fam, kind", [
+    (ScalarFamily(TAG_LINEAR, c=1e150), CLASS_CONTINUOUS),
+    # the largest sums of squares, 9*c**2*537 and about c**2*2.8e6, stay finite
+    (ScalarFamily(TAG_LINEAR, c=1e152), CLASS_CONTINUOUS),
+    (ScalarFamily(TAG_EXPONENTIAL, c=5e150), CLASS_TRIVIAL),
+], ids=repr)
+def test_classify_scans_a_large_scale_it_can_hold(fam, kind):
     # tol is absolute, so it scales with c
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        v = _assert_pruned_scan_is_exhaustive(ScalarFamily(TAG_LINEAR, c=1e150), 1e141,
-                                              (-3.0, 3.0), (-3.0, 3.0), 0.001)
-    assert v.kind == CLASS_CONTINUOUS and v.constraint == "alpha*beta = 1"
+        v = _assert_pruned_scan_is_exhaustive(fam, fam.c * 1e-9, (-3.0, 3.0), (-3.0, 3.0), 0.001)
+    assert v.kind == kind
+    if kind == CLASS_CONTINUOUS:
+        assert v.constraint == "alpha*beta = 1"
+
+
+def test_a_bound_that_overflows_prunes_nothing():
+    # classify refuses this family; called directly, its bounds meet inf - inf
+    fam = ScalarFamily(TAG_EXPONENTIAL, c=1e306)
+    x, g = default_grid(fam), family_function(fam)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        bounds = vulncheck._block_bounds(g, x, g(x), np.linspace(-3.0, 3.0, 6001), 3.0)
+    assert (bounds == -np.inf).any()
+    assert (np.isfinite(bounds) | (bounds == -np.inf)).all()
 
 
 def test_classify_accepts_a_step_that_divides_up_to_rounding():
@@ -362,7 +380,7 @@ def _scan_configs(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(_scan_configs(), st.sampled_from([1, 2, 3, 8]))
-# no beta near +-1: no row is admitted and the best comes from the bound's order
+# no beta near +-1: no block is within tol, so the second round scores them all
 @example((ScalarFamily(TAG_COSINE), 1e-9, (-3.0, 3.0), (1.2, 2.9), 0.001), 2)
 @example((ScalarFamily(TAG_EXPONENTIAL), 1e-9, (-3.0, 3.0), (-2.5, -1.5), 0.001), 3)
 # no alpha in range: the best is inf, so every block is scored
