@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .simloop import SimTrace
-from .smsf import PolySignature, default_signature, eval_signature
+from .smsf import PolySignature, _powers, default_signature, eval_signature
 
 # study protocol defaults: interception noise [m] and spiral geometry
 STUDY_NOISE_STD = 0.01
@@ -59,7 +59,9 @@ def monomial_basis(degree: int):
 
 
 def design_matrix(x: np.ndarray, y: np.ndarray, basis) -> np.ndarray:
-    return np.column_stack([x**i * y**j for (i, j) in basis])
+    px, py = {0: 1.0, 1: x}, {0: 1.0, 1: y}
+    return np.column_stack(np.broadcast_arrays(*[_powers(px, i) * _powers(py, j)
+                                                 for (i, j) in basis]))
 
 
 def fit_signature(samples: SampleSet, degree: int = 4) -> PolySignature:

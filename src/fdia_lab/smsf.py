@@ -17,6 +17,8 @@ from types import MappingProxyType
 
 import numpy as np
 
+from .fdia import attack_state
+
 
 @dataclass(frozen=True)
 class PolySignature:
@@ -45,11 +47,6 @@ class PolySignature:
             canon[(i, j)] = coeff
         # fixed iteration order keeps evaluation bitwise reproducible
         object.__setattr__(self, "terms", MappingProxyType(dict(sorted(canon.items()))))
-        # the powers from 3 up of x, then of y, that the terms use, for _eval_scalar
-        hx = max([i - 2 for i, _ in canon] + [0])
-        hy = max([j - 2 for _, j in canon] + [0])
-        exponents = np.concatenate([np.arange(3.0, hx + 3), np.arange(3.0, hy + 3)])
-        object.__setattr__(self, "_high", (hx, exponents))
 
     def __reduce__(self):
         return PolySignature, (dict(self.terms), self.max_degree)
@@ -70,42 +67,46 @@ def default_signature() -> PolySignature:
     )
 
 
+def _powers(pw: dict, k: int):
+    """v^k from pw, a table of powers of v that starts as {0: 1.0, 1: v}.
+
+    Fills in k along the fixed chain v^k = v^(k//2) * v^(k - k//2), so
+    v^3 = v * v^2: only k and its about 2*log2(k) intermediates, walked with
+    a stack so no exponent can exhaust the recursion limit. Every power is a
+    fixed chain of IEEE products, so its bits depend only on v and k, for a
+    float or an array, under any numpy SIMD dispatch. Power 0 is the float
+    1.0, which broadcasts.
+    """
+    if k in pw:
+        return pw[k]
+    todo = [k]
+    while todo:
+        m = todo.pop()
+        if m not in pw:
+            lo, hi = m // 2, m - m // 2
+            if lo in pw and hi in pw:
+                pw[m] = pw[lo] * pw[hi]
+            else:
+                todo += (m, lo, hi)
+    return pw[k]
+
+
 def eval_signature(sig: PolySignature, x, y):
     """Evaluate Phi at scalar or array positions (broadcasting).
 
-    Scalar x and y return a Python float, bitwise equal to the array path.
+    Scalar x and y (Python ints or floats, numpy floats) run the same
+    products on plain floats and return a Python float, bitwise equal to
+    the array path.
     """
     if isinstance(x, (int, float)) and isinstance(y, (int, float)):
-        return _eval_scalar(sig, float(x), float(y))
-    xa = np.asarray(x, dtype=float)
-    ya = np.asarray(y, dtype=float)
-    out = np.zeros(np.broadcast(xa, ya).shape)
+        x, y, acc = float(x), float(y), 0.0
+    else:
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        acc = np.zeros(np.broadcast_shapes(x.shape, y.shape))
+    px, py = {0: 1.0, 1: x}, {0: 1.0, 1: y}
     for (i, j), coeff in sig.terms.items():
-        out += coeff * xa**i * ya**j
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
-def _eval_scalar(sig: PolySignature, x: float, y: float) -> float:
-    """The array path's IEEE operations on plain floats.
-
-    numpy's ** gives 1 for power 0, the value for power 1 and an exact
-    square for power 2; higher powers come from its own power kernel, which
-    rounds differently from math.pow, so the powers 3.. of x and y that the
-    terms use are taken from one np.power call over a small array.
-    """
-    hx, exponents = sig._high
-    px = [1.0, x, x * x]
-    py = [1.0, y, y * y]
-    if exponents.size:
-        high = np.power([x] * hx + [y] * (exponents.size - hx), exponents).tolist()
-        px += high[:hx]
-        py += high[hx:]
-    acc = 0.0
-    for (i, j), coeff in sig.terms.items():
-        acc += coeff * px[i] * py[j]
-    return acc
+        acc += coeff * _powers(px, i) * _powers(py, j)
+    return acc if getattr(acc, "ndim", 0) else float(acc)
 
 
 def validate_smsf(sig: PolySignature) -> bool:
@@ -115,18 +116,14 @@ def validate_smsf(sig: PolySignature) -> bool:
     residual) and nonnegativity on the operational grid [-1, 1]^2 sampled at
     0.01 resolution. Raises ValueError on violation.
 
-    Each term is an outer product of two axis powers. The grid value is
-    y^j * (c * x^i), the same IEEE product as eval_signature's
-    (c * x^i) * y^j, and the terms are summed in the same order, so every
-    value and the verdict equal the dense meshgrid evaluation bitwise.
+    The grid is separable: Phi of an x row against a y column takes powers
+    of the 201 axis values only, and broadcasting makes each term an outer
+    product, so every value and the verdict equal the dense grid's bitwise.
     """
     if sig.terms.get((0, 0), 0.0) != 0.0:
         raise ValueError("signature has a constant term: Phi(0,0) != 0")
     axis = np.linspace(-1.0, 1.0, 201)
-    vals = np.zeros((axis.size, axis.size))
-    for (i, j), coeff in sig.terms.items():
-        vals += np.multiply.outer(axis**j, coeff * axis**i)
-    if float(vals.min()) < 0.0:
+    if float(eval_signature(sig, axis, axis[:, None]).min()) < 0.0:
         raise ValueError("signature is negative on the operational grid")
     return True
 
@@ -205,10 +202,10 @@ def resilience_check(sig: PolySignature, attack, trace, tol: float = 0.05,
     ax = np.linspace(x0 - half_width, x0 + half_width, grid_n)
     ay = np.linspace(y0 - half_width, y0 + half_width, grid_n)
     gx, gy = np.meshgrid(ax, ay)
-    pts = np.column_stack([gx.ravel(), gy.ravel(), np.full(gx.size, theta0)])
-    mapped = pts @ attack.s_x.T + attack.d_x
-    phi_in = eval_signature(sig, pts[:, 0], pts[:, 1])
-    phi_out = eval_signature(sig, mapped[:, 0], mapped[:, 1])
+    x, y = gx.ravel(), gy.ravel()
+    x_obs, y_obs, _ = attack_state(attack, x, y, theta0)
+    phi_in = eval_signature(sig, x, y)
+    phi_out = eval_signature(sig, x_obs, y_obs)
     fit = affine_fit(np.column_stack([phi_in, phi_out]))
     return ResilienceResult(fit.nrmse > tol, fit)
 

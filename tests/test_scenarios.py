@@ -7,6 +7,7 @@ import math
 import socket
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,7 +34,8 @@ from fdia_lab.scenarios import (
     scenario_to_dict,
     validate_scenario,
 )
-from fdia_lab.simloop import SimConfig
+from fdia_lab.simloop import SimConfig, run
+from fdia_lab.smsf import eval_signature
 
 ARTIFACTS = ("trace.csv", "nominal.csv", "attack.json", "monitor.csv", "summary.json")
 
@@ -245,6 +247,42 @@ def test_invalid_signature_fails_at_load(tmp_path):
     path.write_text(json.dumps(doc), encoding="utf-8")
     with pytest.raises(ScenarioError, match="invalid signature"):
         load_scenario(path)
+
+
+def test_a_sparse_high_degree_signature_costs_only_its_chain(tmp_path):
+    # a document may ask for x^100000: the powers take about 2*log2(k)
+    # products each, never a table of every power up to the highest exponent
+    path = tmp_path / "sparse.json"
+    terms = {"2,0": 1, "0,2": 1, "100000,0": 1}
+    path.write_text(json.dumps(_quick_doc(signature={"max_degree": 100000, "terms": terms})),
+                    encoding="utf-8")
+    tracemalloc.start()
+    try:
+        sc = load_scenario(path)
+        validate_scenario(sc)
+        trace = run(sc.sim, sc.attack, sc.signature)
+        # and near |x| = 1, where x^100000 neither underflows nor overflows
+        x = np.concatenate([trace.x, np.linspace(-1.0002, 1.0002, 41)])
+        y = np.concatenate([trace.y, np.linspace(0.5, -0.5, 41)])
+        scalar = [eval_signature(sc.signature, a, b) for a, b in zip(x.tolist(), y.tolist())]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert trace.complete and trace.t[-1] == 1.0
+    assert peak < 2_000_000, f"peak {peak} B"
+    arr = eval_signature(sc.signature, x, y)
+    np.testing.assert_array_equal(np.array(scalar).view(np.int64), arr.view(np.int64))
+    np.testing.assert_array_equal(arr[:len(trace.t)], trace.phi_plant)
+    assert np.isfinite(arr).all() and arr.max() > 1.0
+
+
+def test_an_exponent_of_three_hundred_digits_loads_and_validates():
+    k = 10**300
+    sc = scenario_from_dict(_quick_doc(signature={"max_degree": k,
+                                                  "terms": {"2,0": 1, "0,2": 1, f"{k},0": 1}}))
+    validate_scenario(sc)
+    assert eval_signature(sc.signature, 0.5, 0.5) == 0.5
+    assert eval_signature(sc.signature, -1.0, 0.0) == 2.0
 
 
 def test_non_json_file_is_rejected(tmp_path):

@@ -415,6 +415,22 @@ block = np.concatenate([bits, scaled]).reshape(-1, 12)
 """
 
 
+def _run_python(script: str, *args, avx512: bool) -> None:
+    """Run script in a fresh interpreter on this checkout's package.
+
+    avx512=False turns numpy's AVX-512 dispatch off, as on a CPU without
+    AVX-512.
+    """
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    if avx512:
+        env.pop("NPY_DISABLE_CPU_FEATURES", None)
+    else:
+        env["NPY_DISABLE_CPU_FEATURES"] = "AVX512_SPR AVX512_ICL X86_V4"
+    proc = subprocess.run([sys.executable, "-c", script, *map(str, args)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+
+
 def test_write_csv_bytes_do_not_depend_on_numpy_simd_dispatch(tmp_path):
     """The kernel writes the same bytes with numpy's AVX-512 kernels turned off.
 
@@ -423,15 +439,10 @@ def test_write_csv_bytes_do_not_depend_on_numpy_simd_dispatch(tmp_path):
     AVX-512 dispatch off, as on a CPU without AVX-512; on such a CPU both
     runs take the same kernels and the test passes trivially.
     """
-    root = Path(__file__).resolve().parent.parent
     script = _DISPATCH_INPUT + (
         "import sys\nfrom fdia_lab.simloop import write_csv\n"
         "write_csv(sys.argv[1], [str(k) for k in range(block.shape[1])], block)\n")
-    env = dict(os.environ, PYTHONPATH=str(root / "src"),
-               NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4")
-    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "off.csv")],
-                          env=env, capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr[-2000:]
+    _run_python(script, tmp_path / "off.csv", avx512=False)
     scope = {}
     exec(_DISPATCH_INPUT, scope)
     block = scope["block"]
@@ -441,3 +452,40 @@ def test_write_csv_bytes_do_not_depend_on_numpy_simd_dispatch(tmp_path):
     expected = (tmp_path / "per_value.csv").read_bytes()
     assert (tmp_path / "default.csv").read_bytes() == expected
     assert (tmp_path / "off.csv").read_bytes() == expected
+
+
+# the built-in scenarios and a 10 s reflection: numpy's AVX-512 and baseline
+# power kernels give other x^3 and x^4 bits on some of their positions
+_CLI_RUNS = """
+import json, sys
+from pathlib import Path
+from fdia_lab.cli import main
+out = Path(sys.argv[1])
+out.mkdir()
+doc = out / "reflection.json"
+doc.write_text(json.dumps({"seed": 5, "duration": 10.0,
+                           "attack": {"kind": "Reflection", "beta11": 1.0}}))
+for name in ("nominal", "scenario1", "scenario2", "scenario3", str(doc)):
+    main(["simulate", "--scenario", name, "--out-dir", str(out / Path(name).stem)])
+main(["monitor", "--scenario", str(doc), "--out", str(out / "monitor.csv")])
+main(["estimate", "--out", str(out / "estimate.csv")])
+"""
+
+
+def test_cli_outputs_do_not_depend_on_numpy_simd_dispatch(tmp_path):
+    """simulate, monitor --out and estimate --out write the same bytes with AVX-512 off.
+
+    The signature's powers are chains of IEEE products, never numpy's power
+    kernel, which numpy picks from the CPU's features. On a CPU without
+    AVX-512 both runs take the same kernels and the test passes trivially.
+    """
+    _run_python(_CLI_RUNS, tmp_path / "default", avx512=True)
+    _run_python(_CLI_RUNS, tmp_path / "off", avx512=False)
+    files = sorted(p.relative_to(tmp_path / "default")
+                   for p in (tmp_path / "default").rglob("*") if p.is_file())
+    assert len(files) == 5 * 5 + 3
+    assert files == sorted(p.relative_to(tmp_path / "off")
+                           for p in (tmp_path / "off").rglob("*") if p.is_file())
+    differ = [str(f) for f in files
+              if (tmp_path / "default" / f).read_bytes() != (tmp_path / "off" / f).read_bytes()]
+    assert not differ, f"{len(differ)} files differ: {differ}"

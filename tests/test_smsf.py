@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import pickle
 import warnings
@@ -11,8 +12,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fdia_lab.adversary import STUDY_NOISE_STD, fit_signature, monomial_basis, spiral_samples
-from fdia_lab.fdia import build_reflection, build_scaling
+from fdia_lab import smsf
+from fdia_lab.adversary import (
+    STUDY_NOISE_STD,
+    design_matrix,
+    fit_signature,
+    monomial_basis,
+    spiral_samples,
+)
+from fdia_lab.fdia import attack_state, build_reflection, build_scaling
 from fdia_lab.kinematics import Posture
 from fdia_lab.simloop import TRACE_COLUMNS, SimConfig, SimTrace, run
 from fdia_lab.smsf import (
@@ -76,8 +84,9 @@ def _fitted_estimate():
 @pytest.mark.parametrize("make_sig", [default_signature, _fitted_estimate],
                          ids=["default", "degree-4 estimate"])
 def test_scalar_path_equals_the_array_path_bitwise(make_sig):
-    # numpy's power kernel rounds differently from math.pow on some inputs, so
-    # this fails on any scalar path that does not share it
+    # both paths take every power from the same chain of IEEE products and sum
+    # the terms in the same order, so any other scalar power, such as math.pow
+    # or numpy's own power kernel, makes this fail
     sig = make_sig()
     rng = np.random.default_rng(2024)
     n = 100_000
@@ -150,6 +159,59 @@ def test_scalar_path_takes_no_power_the_terms_do_not_use():
         warnings.simplefilter("error")
         val = eval_signature(sig, 1e40, 0.5)
     assert val == eval_signature(sig, np.array([1e40]), np.array([0.5]))[0] == 1e80
+
+
+def _chain_power(v, k):
+    """The written chain v^k = v^(k//2) * v^(k - k//2), recomputed without a table."""
+    if k == 0:
+        return np.ones_like(v)
+    if k == 1:
+        return v
+    return _chain_power(v, k // 2) * _chain_power(v, k - k // 2)
+
+
+def _chain_phi(terms, x, y):
+    """Phi as the sum of (c * x^i) * y^j over the terms in sorted order."""
+    acc = np.zeros(np.broadcast_shapes(np.shape(x), np.shape(y)))
+    for (i, j), coeff in sorted(terms.items()):
+        acc = acc + coeff * _chain_power(x, i) * _chain_power(y, j)
+    return acc
+
+
+# every exponent 0 to 8 on each axis, and one sparse large one
+_CHAIN_TERMS = {**{(k, 8 - k): 0.5 + k for k in range(9)}, (3, 1): -2.0, (0, 1): 1.5,
+                (1, 0): -0.25, (1001, 0): 3.0}
+
+
+def test_every_power_is_the_written_chain(monkeypatch):
+    sig = PolySignature(_CHAIN_TERMS, max_degree=1001)
+    rng = np.random.default_rng(11)
+    x, y = rng.uniform(-1.002, 1.002, (2, 400))
+    x = np.concatenate([[0.0, -0.0, 1.0, -1.0], x])
+    y = np.concatenate([[-0.0, 1.0, 0.0, -1.0], y])
+    expected = _chain_phi(_CHAIN_TERMS, x, y).view(np.int64)
+    np.testing.assert_array_equal(eval_signature(sig, x, y).view(np.int64), expected)
+    scalar = np.array([eval_signature(sig, a, b) for a, b in zip(x.tolist(), y.tolist())])
+    np.testing.assert_array_equal(scalar.view(np.int64), expected)
+
+    basis = sorted(_CHAIN_TERMS)
+    want = np.column_stack([_chain_power(x, i) * _chain_power(y, j) for i, j in basis])
+    np.testing.assert_array_equal(design_matrix(x, y, basis).view(np.int64),
+                                  want.view(np.int64))
+
+    grids = []
+
+    def recording(*args):
+        grids.append(eval_signature(*args))
+        return grids[-1]
+
+    monkeypatch.setattr(smsf, "eval_signature", recording)
+    with contextlib.suppress(ValueError):
+        validate_smsf(sig)
+    gx, gy = np.meshgrid(_AXIS, _AXIS)
+    assert len(grids) == 1
+    np.testing.assert_array_equal(grids[0].view(np.int64),
+                                  _chain_phi(_CHAIN_TERMS, gx, gy).view(np.int64))
 
 
 def test_terms_are_stored_in_sorted_order():
@@ -321,6 +383,29 @@ def test_squared_radius_is_vulnerable_to_origin_scaling(origin_trace):
         assert res.fit.nrmse <= 1e-9
         assert abs(res.fit.s_phi - s_expected) <= 1e-9
         assert abs(res.fit.d_phi) <= 1e-9
+
+
+def test_resilience_check_fits_the_grid_attack_state_maps(scenario_runs, monkeypatch):
+    # the tilted reflection has several nonzeros per row, where a BLAS-ordered
+    # matrix product rounds differently from attack_state's left-to-right sums
+    bundle = scenario_runs["scenario3"]
+    trace = bundle.nominal
+    fitted = []
+
+    def recording(pairs):
+        fitted.append(pairs)
+        return affine_fit(pairs)
+
+    monkeypatch.setattr(smsf, "affine_fit", recording)
+    sig = default_signature()
+    resilience_check(sig, bundle.attack, trace)
+    x0, y0, theta0 = float(trace.x[0]), float(trace.y[0]), float(trace.theta[0])
+    gx, gy = np.meshgrid(np.linspace(x0 - 0.1, x0 + 0.1, 101), np.linspace(y0 - 0.1, y0 + 0.1, 101))
+    x, y = gx.ravel(), gy.ravel()
+    x_obs, y_obs, _ = attack_state(bundle.attack, x, y, theta0)
+    want = np.column_stack([eval_signature(sig, x, y), eval_signature(sig, x_obs, y_obs)])
+    assert len(fitted) == 1
+    np.testing.assert_array_equal(fitted[0].view(np.int64), want.view(np.int64))
 
 
 def test_resilience_check_rejects_bad_grid_arguments(scenario_runs):
