@@ -183,16 +183,31 @@ def attack_to_dict(a: AffineAttack) -> dict:
 
 
 def _number(value, where: str, error=AttackError) -> float:
-    """A JSON number (not a bool or a string) that float64 holds, as a float."""
+    """A JSON number (not a bool or a string) that float64 holds exactly and
+    finitely, as a float; the one rule for every number read from outside."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise error(f"invalid {where}: expected a number, got {type(value).__name__}")
     try:
         out = float(value)
-    except OverflowError:
+    except OverflowError:  # an int beyond float64's range
         out = math.inf
-    if not math.isfinite(out):
-        raise error(f"invalid {where}: not a finite float64")
+    if not (math.isfinite(out) and out == value):  # int == float compares exactly
+        raise error(f"invalid {where}: not exactly a finite float64")
     return out
+
+
+def _integer(value, where: str, error) -> int:
+    """An integral JSON number (2 or 2.0, never 2.5 or true) within float64's
+    range, as an exact int: unlike _number, a 300-digit int stays itself."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise error(f"invalid {where}: expected an integer, got {type(value).__name__}")
+    try:
+        integral = float(value).is_integer()
+    except OverflowError:
+        integral = False
+    if not integral:
+        raise error(f"invalid {where}: expected an integer within float64's range")
+    return int(value)
 
 
 def attack_from_dict(d: dict) -> AffineAttack:

@@ -19,7 +19,6 @@ import contextlib
 import hashlib
 import itertools
 import json
-import math
 import socket
 import struct
 import threading
@@ -29,7 +28,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import smsf
-from .fdia import AffineAttack, attack_command, attack_state
+from .fdia import AffineAttack, _number, attack_command, attack_state
 from .kinematics import rk4_step
 from .simloop import TRACE_COLUMNS, SimConfig, SimTrace
 from .tracking import control, reference_table
@@ -110,16 +109,6 @@ def _message(kind: str, seq: int, t: float, payload: tuple) -> WireMessage:
     return msg
 
 
-def _is_wire_number(v) -> bool:
-    """An int or float (not a bool) that float64 holds exactly and finitely."""
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        return False
-    try:
-        return math.isfinite(v) and float(v) == v
-    except OverflowError:  # an int beyond float64's range
-        return False
-
-
 def _shown(v) -> str:
     """repr(v), short of an int too long for the interpreter's digit limit."""
     if isinstance(v, int) and v.bit_length() > 1024:
@@ -140,15 +129,13 @@ def _check_message(msg: WireMessage) -> None:
         raise UnknownKindError(f"unknown message kind {msg.kind!r}")
     if not isinstance(msg.seq, int) or isinstance(msg.seq, bool) or not 0 <= msg.seq < 2**64:
         raise WireFormatError(f"seq must be an int in [0, 2**64), got {_shown(msg.seq)}")
-    if not _is_wire_number(msg.t):
-        raise WireFormatError(f"t must be a finite float64, got {_shown(msg.t)}")
+    _number(msg.t, "t", WireFormatError)
     if msg.kind in _NUMERIC_ARITY:
         arity = _NUMERIC_ARITY[msg.kind]
         if len(msg.payload) != arity:
             raise WireFormatError(f"{msg.kind} payload must have {arity} numbers")
         for v in msg.payload:
-            if not _is_wire_number(v):
-                raise WireFormatError(f"{msg.kind} payload must be finite numbers, got {_shown(v)}")
+            _number(v, f"{msg.kind} payload", WireFormatError)
     else:
         arity = _STRING_ARITY[msg.kind]
         if len(msg.payload) != arity or not all(isinstance(v, str) for v in msg.payload):
@@ -196,14 +183,19 @@ def _message_from(obj) -> WireMessage:
     # JSON objects, arrays and strings parse to exactly dict, list and str
     if type(obj) is not dict or obj.keys() != _FIELDS:
         raise WireFormatError("frame body must carry exactly kind/seq/t/payload")
-    kind, payload = obj["kind"], obj["payload"]
+    kind, t, payload = obj["kind"], obj["t"], obj["payload"]
     if type(kind) is not str or kind not in _ARITY:
         raise UnknownKindError(f"unknown message kind {kind!r}")
     if type(payload) is not list:
         raise WireFormatError("payload must be a list")
-    if kind in _NUMERIC_ARITY:  # JSON reads a whole number such as 2 or -0 as an int
-        payload = [float(v) if type(v) is int else v for v in payload]
-    msg = _message(kind, obj["seq"], obj["t"], tuple(payload))
+    # JSON reads a whole number such as 2 or -0 as an int: each one becomes the
+    # float that holds it exactly, or the frame is refused
+    if type(t) is not float:
+        t = _number(t, "t", WireFormatError)
+    if kind in _NUMERIC_ARITY:
+        payload = [v if type(v) is float else _number(v, f"{kind} payload", WireFormatError)
+                   for v in payload]
+    msg = _message(kind, obj["seq"], t, tuple(payload))
     _check_message(msg)
     return msg
 

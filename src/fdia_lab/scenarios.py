@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -30,6 +29,7 @@ from .fdia import (
     KIND_REFLECTION,
     KIND_SCALING,
     AffineAttack,
+    _integer as _json_integer,
     _number as _json_number,
     build_reflection,
     build_scaling,
@@ -54,7 +54,6 @@ from .smsf import (
     default_signature,
     monitor,
     signature_from_dict,
-    signature_to_dict,
     validate_smsf,
 )
 from .tracking import ControllerGains, RefConfig
@@ -74,12 +73,10 @@ _UNDETECTABLE_TOL = 1e-9
 
 _TOP_KEYS = {"name", "seed", "p0", "dt", "duration", "log_stride",
              "ref", "gains", "signature", "attack", "detection"}
-_REF_KEYS = {"v_ref", "omega_amp", "omega_period", "duration"}
+_REF_KEYS = {"v_ref", "omega_amp", "omega_period"}  # the table runs as long as the run
 _GAIN_KEYS = {"kx", "ky", "ktheta"}
 _DET_KEYS = {"epsilon", "window"}
 _ATTACK_KEYS = {"kind", "beta11"}
-_SIG_KEYS = {"terms", "max_degree"}
-_TERM_KEY = re.compile(r"(0|[1-9][0-9]*),(0|[1-9][0-9]*)")  # canonical exponents only
 
 
 class ScenarioError(Exception):
@@ -100,6 +97,9 @@ class Scenario:
     def __post_init__(self):
         if not isinstance(self.name, str) or not self.name:
             raise ScenarioError(f"scenario name must be a non-empty string, got {self.name!r}")
+        # the name is the artifact directory's last component: never a path
+        if self.name in (".", "..") or any(c in self.name for c in "/\\\0"):
+            raise ScenarioError(f"scenario name must be one path component, got {self.name!r}")
         if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
             raise ScenarioError(f"seed must be a non-negative int, got {self.seed!r}")
 
@@ -156,28 +156,6 @@ def validate_scenario(sc: Scenario) -> AffineAttack | None:
     return attack
 
 
-def scenario_to_dict(sc: Scenario) -> dict:
-    """JSON-ready form; round-trips through scenario_from_dict."""
-    return {
-        "name": sc.name,
-        "seed": sc.seed,
-        "p0": [sc.sim.p0.x, sc.sim.p0.y, sc.sim.p0.theta],
-        "dt": sc.sim.dt,
-        "duration": sc.sim.duration,
-        "log_stride": sc.sim.log_stride,
-        "ref": {
-            "v_ref": sc.sim.ref.v_ref,
-            "omega_amp": sc.sim.ref.omega_amp,
-            "omega_period": sc.sim.ref.omega_period,
-            "duration": sc.sim.ref.duration,
-        },
-        "gains": {"kx": sc.sim.gains.kx, "ky": sc.sim.gains.ky, "ktheta": sc.sim.gains.ktheta},
-        "signature": signature_to_dict(sc.signature),
-        "attack": _attack_doc(sc.attack),
-        "detection": {"epsilon": sc.detection.epsilon, "window": sc.detection.window},
-    }
-
-
 def _require_keys(d: dict, allowed: set, where: str) -> None:
     extra = set(d) - allowed
     if extra:
@@ -194,15 +172,13 @@ def _section(d: dict, key: str, allowed: set) -> dict:
 
 
 def _number(value, where: str) -> float:
-    """A JSON number (not a bool or a string) that float64 holds, as a float."""
+    """A JSON number (not a bool or a string) that float64 holds exactly, as a float."""
     return _json_number(value, where, ScenarioError)
 
 
 def _integer(value, where: str) -> int:
-    """An integral JSON number (2 or 2.0, never 2.5 or true), as an int."""
-    if not _number(value, where).is_integer():
-        raise ScenarioError(f"invalid {where}: expected an integer, got {value!r}")
-    return int(value)
+    """An integral JSON number (2 or 2.0, never 2.5 or true), as an exact int."""
+    return _json_integer(value, where, ScenarioError)
 
 
 def _numbers(sec: dict, where: str) -> dict:
@@ -212,8 +188,8 @@ def _numbers(sec: dict, where: str) -> dict:
 def scenario_from_dict(d: dict, fallback_name: str = "custom") -> Scenario:
     """Parse a scenario document; anything malformed raises ScenarioError.
 
-    Numbers must be JSON numbers that float64 holds, integer settings must be
-    integral and sections must be objects; nothing is coerced.
+    Numbers must be JSON numbers that float64 holds exactly, integer settings
+    must be integral and sections must be objects; nothing is coerced.
     """
     if not isinstance(d, dict):
         raise ScenarioError(f"scenario document must be an object, got {type(d).__name__}")
@@ -229,7 +205,7 @@ def scenario_from_dict(d: dict, fallback_name: str = "custom") -> Scenario:
     p0 = Posture(*(_number(v, "p0") for v in p0_raw))
 
     duration = _number(d.get("duration", 30.0), "duration")
-    ref_raw = {"duration": duration, **_numbers(_section(d, "ref", _REF_KEYS), "ref")}
+    ref_raw = _numbers(_section(d, "ref", _REF_KEYS), "ref")
     gains_raw = _numbers(_section(d, "gains", _GAIN_KEYS), "gains")
     det_raw = _section(d, "detection", _DET_KEYS)
     det_kwargs = {k: (_integer if k == "window" else _number)(v, f"detection.{k}")
@@ -237,31 +213,18 @@ def scenario_from_dict(d: dict, fallback_name: str = "custom") -> Scenario:
     dt = _number(d.get("dt", 0.01), "dt")
     log_stride = _integer(d.get("log_stride", 2), "log_stride")
     try:
-        sim = SimConfig(ref=RefConfig(**ref_raw), gains=ControllerGains(**gains_raw), p0=p0,
+        sim = SimConfig(ref=RefConfig(duration=duration, **ref_raw),
+                        gains=ControllerGains(**gains_raw), p0=p0,
                         dt=dt, log_stride=log_stride, duration=duration)
         detection = DetectionConfig(**det_kwargs)
     except ValueError as exc:
         raise ScenarioError(f"invalid scenario settings: {exc}") from exc
 
     sig_raw = d.get("signature", "default")
-    if sig_raw == "default":
-        signature = default_signature()
-    elif isinstance(sig_raw, dict):
-        _require_keys(sig_raw, _SIG_KEYS, "signature")
-        terms = sig_raw.get("terms")
-        if not isinstance(terms, dict):
-            raise ScenarioError(f"signature terms must be an object, got {terms!r}")
-        for key in terms:
-            if not (isinstance(key, str) and _TERM_KEY.fullmatch(key)):
-                raise ScenarioError(f'signature term keys must read "i,j", got {key!r}')
-        sig_doc = {"terms": _numbers(terms, "signature.terms"),
-                   "max_degree": _integer(sig_raw.get("max_degree", 4), "signature.max_degree")}
-        try:
-            signature = signature_from_dict(sig_doc)
-        except ValueError as exc:
-            raise ScenarioError(f"invalid signature: {exc}") from exc
-    else:
-        raise ScenarioError(f'signature must be "default" or an object, got {sig_raw!r}')
+    try:
+        signature = default_signature() if sig_raw == "default" else signature_from_dict(sig_raw)
+    except ValueError as exc:
+        raise ScenarioError(f'invalid signature ("default" or an object): {exc}') from exc
 
     attack_raw = d.get("attack")
     if attack_raw is None:

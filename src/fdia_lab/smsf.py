@@ -11,13 +11,17 @@ neighborhood of the attack's anchor posture.
 from __future__ import annotations
 
 import math
+import re
 from collections.abc import Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
 
 import numpy as np
 
-from .fdia import attack_state
+from .fdia import _integer, _number, attack_state
+
+_SIGNATURE_KEYS = {"terms", "max_degree"}
+_TERM_KEY = re.compile(r"(0|[1-9][0-9]*),(0|[1-9][0-9]*)")  # canonical exponents only
 
 
 @dataclass(frozen=True)
@@ -269,9 +273,26 @@ def signature_to_dict(sig: PolySignature) -> dict:
     }
 
 
-def signature_from_dict(d: dict) -> PolySignature:
+def signature_from_dict(d) -> PolySignature:
+    """Parse a signature document; anything malformed raises ValueError.
+
+    An object over "terms" and an optional "max_degree" (default 4): terms
+    maps canonical "i,j" exponent keys to JSON numbers that float64 holds
+    exactly, and max_degree is an integral number. Nothing is coerced.
+    """
+    if not isinstance(d, dict):
+        raise ValueError(f"signature must be an object, got {type(d).__name__}")
+    extra = set(d) - _SIGNATURE_KEYS
+    if extra:
+        raise ValueError(f"unknown signature keys: {sorted(map(str, extra))}")
+    raw = d.get("terms")
+    if not isinstance(raw, dict):
+        raise ValueError(f"signature terms must be an object, got {type(raw).__name__}")
     terms = {}
-    for key, coeff in d["terms"].items():
-        i, j = key.split(",")
-        terms[(int(i), int(j))] = float(coeff)
-    return PolySignature(terms, max_degree=int(d.get("max_degree", 4)))
+    for key, coeff in raw.items():
+        exps = _TERM_KEY.fullmatch(key) if isinstance(key, str) else None
+        if exps is None:
+            raise ValueError(f'signature term keys must read "i,j", got {key!r}')
+        terms[int(exps[1]), int(exps[2])] = _number(coeff, f"signature.terms.{key}", ValueError)
+    max_degree = _integer(d.get("max_degree", 4), "signature.max_degree", ValueError)
+    return PolySignature(terms, max_degree=max_degree)

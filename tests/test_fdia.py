@@ -262,6 +262,9 @@ _MALFORMED_ATTACKS = [
     _attack_doc(kind="Warp"),
     _attack_doc(kind=3),
     _attack_doc(gamma=1.0),
+    # numbers float64 cannot hold exactly would load rounded to 2**53
+    _attack_doc(d_x=[2**53 + 1, 0.0, 0.0]),
+    _attack_doc(beta11=-(2**53 + 1)),
 ]
 
 

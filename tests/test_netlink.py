@@ -34,6 +34,8 @@ from fdia_lab.netlink import (
     WireFormatError,
     WireMessage,
     _check_message,
+    _controller_session,
+    _plant_session,
     _pump,
     config_digest,
     decode,
@@ -82,6 +84,12 @@ def test_decode_coerces_integer_literals_to_float():
     frame = encode(WireMessage("Obs", 3, 1.0, (1.0, 2.0, 3.0)))
     back = decode(frame)
     assert all(isinstance(v, float) for v in back.payload)
+    # t too, of every kind: %.17g writes 0.0 as the int token 0
+    assert type(decode(encode(WireMessage("Obs", 0, 0.0, (1.0, 2.0, 3.0)))).t) is float
+    assert type(decode(encode(WireMessage("Bye", 0, 30.0, ("complete",)))).t) is float
+    back = decode(_frame(b'{"kind":"Sig","seq":0,"t":9007199254740992,'
+                         b'"payload":[-9007199254740992]}'))
+    assert (back.t, back.payload) == (2.0**53, (-(2.0**53),))
 
 
 def test_encode_rejects_malformed_messages():
@@ -170,6 +178,11 @@ def test_decode_rejects_oversized_numbers_and_deep_nesting():
         b'{"kind":"Sig","seq":0,"t":0,"payload":[-' + huge + b']}',
         b'{"kind":"Obs","seq":' + b"9" * 5000 + b',"t":0,"payload":[1,2,3]}',
         b'{"kind":"Obs","seq":0,"t":0,"payload":' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+        # 2**53 + 1 would read back as 2**53, so it is refused, as encode refuses it
+        b'{"kind":"Sig","seq":0,"t":9007199254740993,"payload":[1]}',
+        b'{"kind":"Sig","seq":0,"t":0,"payload":[9007199254740993]}',
+        b'{"kind":"Obs","seq":0,"t":0,"payload":[1,-9007199254740993,3]}',
+        b'{"kind":"Bye","seq":0,"t":9007199254740993,"payload":["x"]}',
     ):
         with pytest.raises(WireFormatError):
             decode(_frame(body))
@@ -294,7 +307,13 @@ def test_template_body_equals_the_per_value_body(kind, seq, t, data):
 
 def _decode_through_json_loads(frame: bytes) -> WireMessage:
     """decode of a frame with a valid prefix, as it ran before the scanner fast
-    path: json.loads, then the field checks one by one."""
+    path: json.loads, then the field checks one by one. An int token becomes
+    the float that holds it exactly; any other int is left for the checks to
+    refuse."""
+
+    def exact(v):
+        return float(v) if type(v) is int and float(v) == v else v
+
     try:
         obj = json.loads(frame[4:].decode("utf-8"))
         if not isinstance(obj, dict) or obj.keys() != {"kind", "seq", "t", "payload"}:
@@ -306,8 +325,8 @@ def _decode_through_json_loads(frame: bytes) -> WireMessage:
         if not isinstance(payload, list):
             raise WireFormatError("payload must be a list")
         if kind in ("Obs", "Cmd", "Sig"):
-            payload = [float(v) if type(v) is int else v for v in payload]
-        msg = WireMessage(kind, obj["seq"], obj["t"], tuple(payload))
+            payload = [exact(v) for v in payload]
+        msg = WireMessage(kind, obj["seq"], exact(obj["t"]), tuple(payload))
         _check_message(msg)
         return msg
     except (ValueError, OverflowError, RecursionError) as exc:
@@ -542,6 +561,62 @@ def test_the_pump_forwards_the_frames_before_a_malformed_one(pair):
     finally:
         dst.close()
         out.close()
+
+
+# ---------------------------------------------------------------------------
+# session end reasons, scripted over _Wire without threads
+
+_SESSIONS = {"plant": _plant_session, "controller": _controller_session}
+
+
+@pytest.mark.parametrize("endpoint", sorted(_SESSIONS))
+def test_a_session_refuses_eof_before_hello(endpoint):
+    with pytest.raises(ProtocolError, match="peer closed before Hello"):
+        _SESSIONS[endpoint](_Wire(), SimConfig(duration=0.1), default_signature())
+
+
+@pytest.mark.parametrize("endpoint", sorted(_SESSIONS))
+def test_a_session_refuses_a_first_frame_that_is_not_hello(endpoint):
+    wire = _Wire([encode(WireMessage("Obs", 0, 0.0, (0.0, 0.02, 0.0)))])
+    with pytest.raises(ProtocolError, match="expected Hello, got Obs"):
+        _SESSIONS[endpoint](wire, SimConfig(duration=0.1), default_signature())
+
+
+def test_the_plant_refuses_an_obs_where_a_cmd_belongs():
+    cfg, sig = SimConfig(duration=0.1), default_signature()
+    script = [WireMessage("Hello", 0, 0.0, ("controller", config_digest(cfg, sig))),
+              WireMessage("Cmd", 1, 0.0, (0.0, 0.0)), WireMessage("Cmd", 2, 0.01, (0.0, 0.0)),
+              WireMessage("Obs", 3, 0.02, (0.0, 0.02, 0.0))]
+    wire = _Wire([encode(msg) for msg in script])
+    with pytest.raises(ProtocolError, match="expected Cmd, got Obs"):
+        _plant_session(wire, cfg, sig)
+    assert len(wire.writes) == 4  # Hello, then Obs+Sig for each of three ticks
+
+
+def test_the_controller_refuses_a_plant_of_another_config():
+    cfg, sig = SimConfig(duration=0.1), default_signature()
+    other = config_digest(SimConfig(duration=0.2), sig)
+    wire = _Wire([encode(WireMessage("Hello", 0, 0.0, ("plant", other)))])
+    with pytest.raises(ProtocolError, match="config digest mismatch"):
+        _controller_session(wire, cfg, sig)
+    assert [decode(w).kind for w in wire.writes] == ["Hello"]
+
+
+def test_a_controller_stream_cut_mid_frame_gives_a_partial_view():
+    cfg, sig = SimConfig(duration=0.1, log_stride=1), default_signature()
+    honest = run(cfg, signature=sig)
+    frames = [encode(WireMessage("Hello", 0, 0.0, ("plant", config_digest(cfg, sig))))]
+    for k in range(4):
+        frames.append(encode(WireMessage("Obs", 2 * k + 1, honest.t[k],
+                                         (honest.x[k], honest.y[k], honest.theta[k]))))
+        frames.append(encode(WireMessage("Sig", 2 * k + 2, honest.t[k], (honest.phi_plant[k],))))
+    frames[-1] = frames[-1][:-5]  # the fourth tick's Sig is cut short
+    wire = _Wire(frames)
+    view = _controller_session(wire, cfg, sig)
+    assert not view.complete and len(view) == 3
+    for col in CTRL_VIEW_COLUMNS:
+        np.testing.assert_array_equal(getattr(view, col), getattr(honest, col)[:3])
+    assert [decode(w).kind for w in wire.writes] == ["Hello", "Cmd", "Cmd", "Cmd"]
 
 
 def test_config_digest_is_stable_and_sensitive():

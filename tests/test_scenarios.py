@@ -21,7 +21,6 @@ from fdia_lab.fdia import (
     KIND_IDENTITY,
     KIND_REFLECTION,
     KIND_SCALING,
-    attack_to_dict,
     load_attack,
 )
 from fdia_lab.scenarios import (
@@ -31,7 +30,6 @@ from fdia_lab.scenarios import (
     resolve_out_dir,
     run_scenario,
     scenario_from_dict,
-    scenario_to_dict,
     validate_scenario,
 )
 from fdia_lab.simloop import SimConfig, run
@@ -93,17 +91,6 @@ def test_unknown_builtin_is_rejected(tmp_path):
 # scenario documents
 
 
-def test_dict_round_trip():
-    sc = load_scenario("scenario3")
-    back = scenario_from_dict(scenario_to_dict(sc))
-    assert back.name == sc.name
-    assert back.seed == sc.seed
-    assert back.sim == sc.sim
-    assert attack_to_dict(back.attack) == attack_to_dict(sc.attack)
-    assert back.signature.terms == sc.signature.terms
-    assert back.detection == sc.detection
-
-
 _MALFORMED_VALUES = [
     # a builtin exception must not escape from these
     {"p0": ["a", 0, 0]},
@@ -128,6 +115,17 @@ _MALFORMED_VALUES = [
     {"signature": {"terms": {"2,0": "1.0"}}},
     {"signature": {"terms": {" 2,0": 1.0}}},
     {"signature": {"terms": {"2,0": 1.0}, "secret": 1}},
+    {"signature": {}},
+    {"signature": {"terms": [1]}},
+    {"signature": True},
+    {"signature": {"terms": {"01,1": 1.0}}},
+    {"signature": {"terms": {"2,0": True}}},
+    # nor a number float64 cannot hold exactly, which would load rounded
+    {"p0": [2**53 + 1, 0, 0]},
+    {"duration": 2**53 + 1},
+    {"gains": {"kx": 2**53 + 1}},
+    {"attack": {"kind": "Reflection", "beta11": 2**53 + 1}},
+    {"signature": {"terms": {"2,0": 2**53 + 1}}},
 ]
 
 
@@ -140,6 +138,10 @@ def test_document_validation_errors():
         scenario_from_dict({"seed": 1, 1: 2, "a": 3})  # keys that do not sort together
     with pytest.raises(ScenarioError, match="unknown ref keys"):
         scenario_from_dict(_quick_doc(ref={"speed": 1.0}))
+    # the run's duration is the reference table's: a document has only the one
+    with pytest.raises(ScenarioError, match="unknown ref keys"):
+        scenario_from_dict(_quick_doc(ref={"duration": 1.0}))
+    assert scenario_from_dict(_quick_doc()).sim.ref.duration == 1.0
     with pytest.raises(ScenarioError, match="unknown gains keys"):
         scenario_from_dict(_quick_doc(gains={"kp": 1.0}))
     with pytest.raises(ScenarioError, match="unknown detection keys"):
@@ -213,7 +215,34 @@ def test_identity_attack_declares_beta11_one():
         scenario_from_dict(_quick_doc(attack={"kind": "Identity", "beta11": 2.0}))
     sc = scenario_from_dict(_quick_doc(attack={"kind": "Identity"}))
     assert (sc.attack.kind, sc.attack.beta11) == (KIND_IDENTITY, 1.0)
-    assert scenario_to_dict(sc)["attack"] == {"kind": "Identity", "beta11": 1.0}
+
+
+@pytest.mark.parametrize("name", ["/elsewhere", "../escaped", "a/b", "a\\b", "a\0b", ".", ".."])
+def test_a_name_that_is_not_one_path_component_is_refused(name):
+    # the name is the last component of the artifact directory
+    with pytest.raises(ScenarioError, match="one path component"):
+        scenario_from_dict(_quick_doc(name=name))
+
+
+def test_a_file_stem_that_is_not_a_name_is_refused(tmp_path):
+    path = tmp_path / "...json"  # its stem is ".."
+    path.write_text(json.dumps({"seed": 1, "duration": 1.0}), encoding="utf-8")
+    with pytest.raises(ScenarioError, match="one path component"):
+        load_scenario(path)
+
+
+@pytest.mark.parametrize("absolute", [False, True], ids=["relative", "absolute"])
+def test_cli_simulate_writes_nothing_outside_the_artifact_directory(absolute, tmp_path,
+                                                                    monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("FDIA_LAB_OUT_DIR", raising=False)
+    doc = tmp_path / "escape.json"
+    name = str(tmp_path / "elsewhere") if absolute else "../escaped"
+    doc.write_text(json.dumps(_quick_doc(name=name)), encoding="utf-8")
+    assert main(["simulate", "--scenario", str(doc)]) == 2
+    assert "one path component" in capsys.readouterr().err
+    # runs/../escaped and the absolute name would both land in tmp_path
+    assert [p.name for p in tmp_path.iterdir()] == ["escape.json"]
 
 
 def test_duration_off_the_step_grid_is_rejected():

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import JSON_SCALARS, JSONISH
 from fdia_lab import smsf
 from fdia_lab.adversary import (
     STUDY_NOISE_STD,
@@ -36,6 +37,7 @@ from fdia_lab.smsf import (
     validate_smsf,
     windowed_detect,
 )
+from test_scenarios import _MALFORMED_VALUES, _TERM_KEYS
 
 
 @pytest.fixture(scope="module")
@@ -529,3 +531,24 @@ def test_signature_dict_round_trip():
     back = signature_from_dict(d)
     assert back.terms == sig.terms
     assert back.max_degree == sig.max_degree
+
+
+def test_signature_from_dict_refuses_what_a_scenario_document_refuses():
+    bad = [{}, {"terms": [1]}, {"terms": {"2,0": 1.0}, "max_degree": 2.5},
+           {"terms": {"1,0": 1.0}, "extra": 1}]
+    bad += [doc["signature"] for doc in _MALFORMED_VALUES if "signature" in doc]
+    for doc in bad:
+        with pytest.raises(ValueError):
+            signature_from_dict(doc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSONISH | st.dictionaries(
+    st.sampled_from(["terms", "max_degree"]),
+    st.dictionaries(_TERM_KEYS, JSON_SCALARS, max_size=3) | JSON_SCALARS, max_size=2))
+def test_signature_from_dict_raises_only_value_error(doc):
+    try:
+        sig = signature_from_dict(doc)
+    except ValueError:
+        return
+    assert signature_from_dict(signature_to_dict(sig)) == sig
