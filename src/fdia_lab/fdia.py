@@ -65,7 +65,7 @@ class AffineAttack:
         if abs(np.linalg.det(self.s_x)) <= 1e-12:
             raise AttackError("AffineAttack.s_x must be invertible")
         if self.kind not in KINDS:
-            raise AttackError(f"unknown attack kind {self.kind!r}")
+            raise AttackError(f"unknown attack kind {_shown(self.kind)}")
         if not math.isfinite(self.beta11):
             raise AttackError("AffineAttack.beta11 must be finite")
 
@@ -170,6 +170,37 @@ def check_condition2(a: AffineAttack, n_samples: int = 1000, seed: int = 0) -> f
     return float(np.max(np.abs(lhs - rhs)))
 
 
+def _closure_residual(a: AffineAttack) -> float:
+    """Exact max gap of the kinematic closure identity, or inf.
+
+    Both sides of s_x J(theta)(s_u q + d_u) = J(theta~) q, with
+    theta~ = s22*theta + d2 (s22 = s_x[2,2], d2 = d_x[2]), are sums over
+    {cos theta, sin theta, 1} x {v, omega, 1} when s22 is -1, 0 or 1:
+    cos(theta~) = cos(d2) C - s22 sin(d2) sin(theta) and
+    sin(theta~) = sin(d2) C + s22 cos(d2) sin(theta), where C is cos(theta),
+    or 1 when s22 = 0. Any other s22 puts cos(theta~) outside that span, so
+    no s_u or d_u closes it. The result is the largest gap between the two
+    sides' 27 coefficients, in plain floats: 0 up to rounding exactly when
+    the identity holds for every theta, v and omega. check_condition2
+    samples the same identity.
+    """
+    s22, d2 = a._s_x_floats[2][2], a._d_x_floats[2]
+    if s22 not in (-1.0, 0.0, 1.0):
+        return math.inf
+    c, s = math.cos(d2), math.sin(d2)
+    # the right side's rows by basis function; only v enters its first two
+    heading = ((c, -s22 * s, 0.0), (s, s22 * c, 0.0)) if s22 else ((0.0, 0.0, c), (0.0, 0.0, s))
+    rhs = [[(w, 0.0, 0.0) for w in row] for row in heading]
+    rhs.append([(0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 1.0, 0.0)])
+    # the received command (v~, omega~) over (v, omega, 1)
+    (u00, u01), (u10, u11) = a._s_u_floats
+    speed, turn = (u00, u01, a._d_u_floats[0]), (u10, u11, a._d_u_floats[1])
+    return max(abs(r * q - want)
+               for (r0, r1, r2), row in zip(a._s_x_floats, rhs)
+               for r, form, wants in zip((r0, r1, r2), (speed, speed, turn), row)
+               for q, want in zip(form, wants))
+
+
 def attack_to_dict(a: AffineAttack) -> dict:
     """Flat JSON-ready form: matrices row-major, offsets as lists."""
     return {
@@ -180,6 +211,17 @@ def attack_to_dict(a: AffineAttack) -> dict:
         "s_u": [float(v) for v in a.s_u.ravel()],
         "d_u": [float(v) for v in a.d_u],
     }
+
+
+def _shown(v) -> str:
+    """repr(v) for an error message, short of an int too long for the
+    interpreter's digit limit, alone or inside a container."""
+    if isinstance(v, int) and v.bit_length() > 1024:
+        return f"an int of {v.bit_length()} bits"
+    try:
+        return repr(v)
+    except (ValueError, RecursionError):
+        return f"a {type(v).__name__} too large to show"
 
 
 def _number(value, where: str, error=AttackError) -> float:

@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import smsf
-from .fdia import AffineAttack, _number, attack_command, attack_state
+from .fdia import AffineAttack, _number, _shown, attack_command, attack_state
 from .kinematics import rk4_step
 from .simloop import TRACE_COLUMNS, SimConfig, SimTrace
 from .tracking import control, reference_table
@@ -107,13 +107,6 @@ def _message(kind: str, seq: int, t: float, payload: tuple) -> WireMessage:
     fields["t"] = t
     fields["payload"] = payload
     return msg
-
-
-def _shown(v) -> str:
-    """repr(v), short of an int too long for the interpreter's digit limit."""
-    if isinstance(v, int) and v.bit_length() > 1024:
-        return f"an int of {v.bit_length()} bits"
-    return repr(v)
 
 
 def _check_message(msg: WireMessage) -> None:

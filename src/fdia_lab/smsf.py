@@ -22,6 +22,9 @@ from .fdia import _integer, _number, attack_state
 
 _SIGNATURE_KEYS = {"terms", "max_degree"}
 _TERM_KEY = re.compile(r"(0|[1-9][0-9]*),(0|[1-9][0-9]*)")  # canonical exponents only
+_EPS, _TINY = float(np.finfo(float).eps), float(np.finfo(float).tiny)
+_GRID_AXIS = np.linspace(-1.0, 1.0, 201)  # validate_smsf's grid: [-1, 1] at 0.01
+_GRID_AXIS.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -120,14 +123,39 @@ def validate_smsf(sig: PolySignature) -> bool:
     residual) and nonnegativity on the operational grid [-1, 1]^2 sampled at
     0.01 resolution. Raises ValueError on violation.
 
-    The grid is separable: Phi of an x row against a y column takes powers
-    of the 201 axis values only, and broadcasting makes each term an outer
-    product, so every value and the verdict equal the dense grid's bitwise.
+    The verdict is the dense 201 x 201 grid's, but only rows that may hold a
+    negative value are evaluated. On the row y = y_r, Phi is sum_i a_i x^i
+    with a_i = sum_j c_ij y_r^j. A chain power of an |x| <= 1 is a float in
+    [-1, 1], and an even one, a float square, is >= 0, so the row's grid
+    values are at least
+        L_r = a_0 + sum_{even i > 0} min(a_i, 0) - sum_{odd i} |a_i|
+    less rounding. The y powers are eval_signature's own floats and the x
+    powers enter only through that range, so no chain length enters the
+    rounding: with n terms and m_r = sum_t |c_t y_r^j|, the grid's products
+    and sum and this L_r's are each off by at most 2(n + 1) eps m_r, plus
+    n * 2^-1074 for underflow. The slack 8(n + 1) eps m_r + n tiny covers
+    both, and the rounding of m_r itself. A row is skipped only when L_r
+    beats the slack and 2 m_r is finite, so no partial sum on it can
+    overflow; every other row, a bound that is not finite included, is
+    evaluated as Phi of the axis against those rows' y, bitwise the dense
+    grid's rows.
     """
     if sig.terms.get((0, 0), 0.0) != 0.0:
         raise ValueError("signature has a constant term: Phi(0,0) != 0")
-    axis = np.linspace(-1.0, 1.0, 201)
-    if float(eval_signature(sig, axis, axis[:, None]).min()) < 0.0:
+    axis = _GRID_AXIS
+    py, coeffs, mass = {0: 1.0, 1: axis}, {}, np.zeros_like(axis)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for (i, j), coeff in sig.terms.items():
+            cy = coeff * _powers(py, j)
+            coeffs[i] = coeffs.get(i, 0.0) + cy
+            mass = mass + np.abs(cy)
+        low = sum(a if i == 0 else -np.abs(a) if i % 2 else np.minimum(a, 0.0)
+                  for i, a in coeffs.items())
+        n = len(sig.terms)
+        slack = 8.0 * (n + 1) * _EPS * mass + n * _TINY
+        skip = (low - slack > 0.0) & np.isfinite(mass + mass)
+    rows = axis[~skip, None]
+    if rows.size and float(eval_signature(sig, axis, rows).min()) < 0.0:
         raise ValueError("signature is negative on the operational grid")
     return True
 

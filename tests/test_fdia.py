@@ -6,13 +6,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import JSON_SCALARS, JSONISH
 from fdia_lab.fdia import (
     AffineAttack,
+    KIND_CUSTOM,
     AttackError,
+    _closure_residual,
     attack_command,
     attack_from_dict,
     attack_state,
@@ -212,6 +214,94 @@ def test_inadmissible_command_maps_break_condition2():
     wrong_turn = np.diag([1.0, 2.0])
     bad = AffineAttack(base.s_x, base.d_x, wrong_turn, base.d_u)
     assert check_condition2(bad, n_samples=1000, seed=0) > 1e-3
+
+
+_BETA = st.floats(0.05, 20.0) | st.floats(-20.0, -0.05)
+_POSTURE = st.builds(Posture, st.floats(-5.0, 5.0), st.floats(-5.0, 5.0), st.floats(-10.0, 10.0))
+_BUILT = st.builds(lambda build, beta, p0: build(beta, p0),
+                   st.sampled_from([build_reflection, build_scaling]), _BETA, _POSTURE)
+_AWAY = st.floats(1e-3, 2.0) | st.floats(-2.0, -1e-3)  # a change far above 1e-10
+
+
+@st.composite
+def _inadmissible(draw):
+    """A built attack with one break: a coupled s_u, a nonzero d_u, or s22 off {-1, 0, 1}."""
+    a = draw(_BUILT)
+    s_x, s_u, d_u = a.s_x.copy(), a.s_u.copy(), a.d_u.copy()
+    change = draw(st.sampled_from(["coupled", "offset", "heading"]))
+    if change == "coupled":
+        s_u[draw(st.sampled_from([(0, 1), (1, 0)]))] = draw(_AWAY)
+    elif change == "offset":
+        d_u[draw(st.integers(0, 1))] = draw(_AWAY)
+    else:
+        s_x[2, 2] = draw(st.floats(-3.0, 3.0).filter(
+            lambda s22: min(abs(s22 - k) for k in (-1.0, 0.0, 1.0)) >= 1e-3))
+    return AffineAttack(s_x, a.d_x, s_u, d_u)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_BUILT | _inadmissible(), st.integers(0, 2**32 - 1))
+@example(build_reflection(1.0, P0_TILTED), 0)
+@example(AffineAttack(np.eye(3), np.zeros(3), np.diag([1.0, 2.0]), np.zeros(2)), 0)
+def test_exact_and_sampled_closure_agree(a, seed):
+    exact, sampled = _closure_residual(a), check_condition2(a, n_samples=1000, seed=seed)
+    assert (exact <= 1e-10) == (sampled <= 1e-10), (exact, sampled)
+    admissible = a.kind != KIND_CUSTOM
+    assert (exact <= 1e-10) == admissible
+    if admissible:
+        assert exact <= 1e-15
+
+
+def test_closure_residual_is_the_largest_coefficient_gap():
+    base = build_scaling(1.0, P0)
+    coupled = AffineAttack(base.s_x, base.d_x, [[1.0, 0.1], [0.0, 1.0]], base.d_u)
+    assert _closure_residual(coupled) == 0.1  # the omega cos(theta) term of row 0
+    turned = build_reflection(1.0, P0)
+    stretched = AffineAttack(turned.s_x, turned.d_x, np.diag([1.0, 2.0]), turned.d_u)
+    assert _closure_residual(stretched) == 3.0  # -1 * 2 omega against omega
+    half = AffineAttack(np.diag([1.0, 1.0, 0.5]), np.zeros(3), np.eye(2), np.zeros(2))
+    assert _closure_residual(half) == math.inf
+    # s22 = 0 holds the observed heading at d2: its cos and sin are constants
+    swapped = AffineAttack([[1, 0, 0], [0, 0, 1], [0, 1, 0]], np.zeros(3), np.eye(2), np.zeros(2))
+    assert _closure_residual(swapped) == 1.0
+    assert _closure_residual(identity_attack()) == 0.0
+
+
+def _closure_system(a):
+    """The closure identity's 27 coefficients as A @ (s00, s01, s10, s11, du0, du1) = b.
+
+    Written for |s22| = 1: over (cos theta, sin theta, 1) x (v, omega, 1), row
+    k of the left side is s_x[k, 0] v~ cos + s_x[k, 1] v~ sin + s_x[k, 2] omega~,
+    and the right side's rows are v cos(theta~), v sin(theta~) and omega.
+    """
+    s22, d2 = a.s_x[2, 2], a.d_x[2]
+    c, s = math.cos(d2), math.sin(d2)
+    rhs = np.zeros((3, 3, 3))
+    rhs[0, :2, 0] = c, -s22 * s
+    rhs[1, :2, 0] = s, s22 * c
+    rhs[2, 2, 1] = 1.0
+    lhs = np.zeros((3, 3, 3, 6))
+    for q, (speed, turn) in enumerate([(0, 2), (1, 3), (4, 5)]):  # v, omega, 1
+        lhs[:, 0, q, speed] = a.s_x[:, 0]
+        lhs[:, 1, q, speed] = a.s_x[:, 1]
+        lhs[:, 2, q, turn] = a.s_x[:, 2]
+    return lhs.reshape(27, 6), rhs.ravel()
+
+
+@settings(max_examples=100, deadline=None)
+@given(_BUILT)
+def test_closure_forces_the_papers_command_maps(a):
+    # the paper's "partially linear dynamic properties and symmetry": given the
+    # s_x of a reflection or a scaling, the one command map that closes the
+    # kinematics is s_u = diag(beta11, s22), |s22| = 1, with d_u = 0
+    s22 = a.s_x[2, 2]
+    assert abs(s22) == 1.0
+    lhs, rhs = _closure_system(a)
+    assert np.linalg.matrix_rank(lhs) == 6
+    sol = np.linalg.lstsq(lhs, rhs, rcond=None)[0]
+    np.testing.assert_allclose(lhs @ sol, rhs, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(sol[:4], [a.beta11, 0.0, 0.0, s22], rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(sol[4:], 0.0, rtol=0.0, atol=1e-12)
 
 
 def test_builders_fix_du_to_zero():

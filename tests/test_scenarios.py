@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import JSON_SCALARS, JSONISH
-from fdia_lab import netlink
+from fdia_lab import fdia, netlink
 from fdia_lab.cli import main
 from fdia_lab.fdia import (
     KIND_IDENTITY,
@@ -207,6 +207,36 @@ def test_any_document_loads_or_raises_scenario_error(doc):
         validate_scenario(scenario_from_dict(json.loads(json.dumps(doc))))
     except ScenarioError:
         pass
+
+
+@pytest.mark.parametrize("doc", [
+    {"seed": -(10**5000)},
+    {"seed": 1, "p0": 10**5000},
+    {"seed": 1, "ref": 10**5000},
+    {"seed": 1, "attack": 10**5000},
+    {"seed": 1, "name": 10**5000},
+    {"seed": 1, "p0": [10**5000]},
+    {"seed": 1, "attack": {"kind": 10**5000}},
+], ids=["seed", "p0", "ref", "attack", "name", "p0 list", "attack kind"])
+def test_an_int_past_the_digit_limit_raises_scenario_error(doc):
+    # the messages show such a value by its size; its repr would raise ValueError
+    with pytest.raises(ScenarioError, match="an? (int|list) "):
+        scenario_from_dict(doc)
+
+
+def test_validation_draws_no_random_numbers(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("validation drew random numbers")
+
+    monkeypatch.setattr(np.random, "default_rng", refused)
+    for name in builtin_names():
+        sc = load_scenario(name)
+        assert validate_scenario(sc) is sc.attack
+    # so the seed is only a label: two seeds validate to the same attack
+    attacks = [validate_scenario(scenario_from_dict(_quick_doc(
+        seed=seed, p0=[0.1, -0.2, 0.4], attack={"kind": "Reflection", "beta11": -1.5})))
+        for seed in (0, 2**40)]
+    assert fdia.attack_to_dict(attacks[0]) == fdia.attack_to_dict(attacks[1])
 
 
 def test_identity_attack_declares_beta11_one():

@@ -201,19 +201,30 @@ def test_every_power_is_the_written_chain(monkeypatch):
     np.testing.assert_array_equal(design_matrix(x, y, basis).view(np.int64),
                                   want.view(np.int64))
 
-    grids = []
-
-    def recording(*args):
-        grids.append(eval_signature(*args))
-        return grids[-1]
-
-    monkeypatch.setattr(smsf, "eval_signature", recording)
+    grids = _record_grid_rows(monkeypatch)
     with contextlib.suppress(ValueError):
         validate_smsf(sig)
-    gx, gy = np.meshgrid(_AXIS, _AXIS)
-    assert len(grids) == 1
-    np.testing.assert_array_equal(grids[0].view(np.int64),
-                                  _chain_phi(_CHAIN_TERMS, gx, gy).view(np.int64))
+    chain_grid = _chain_phi(_CHAIN_TERMS, *np.meshgrid(_AXIS, _AXIS))
+    np.testing.assert_array_equal(eval_signature(sig, _AXIS, _AXIS[:, None]).view(np.int64),
+                                  chain_grid.view(np.int64))
+    assert len(grids) <= 1
+    for rows, grid in grids:
+        np.testing.assert_array_equal(grid.view(np.int64), chain_grid[rows].view(np.int64))
+
+
+def _record_grid_rows(monkeypatch):
+    """Record validate_smsf's grid evaluations as (grid row indices, values)."""
+    grids = []
+
+    def recording(sig, x, y):
+        assert np.array_equal(x, _AXIS) and y.shape[1:] == (1,)
+        rows = np.searchsorted(_AXIS, y[:, 0])
+        assert np.array_equal(_AXIS[rows], y[:, 0])
+        grids.append((rows, eval_signature(sig, x, y)))
+        return grids[-1][1]
+
+    monkeypatch.setattr(smsf, "eval_signature", recording)
+    return grids
 
 
 def test_terms_are_stored_in_sorted_order():
@@ -267,23 +278,72 @@ _SPARSE = st.dictionaries(_EXPONENTS, st.floats(-10.0, 10.0), min_size=1, max_si
 
 
 @st.composite
-def _touching_square(draw):
-    """Expanded y^2 (x - a)^2: zero along x = a, where rounding decides the sign."""
+def _touching_square(draw, along_row=False):
+    """Expanded y^2 (x - a)^2, zero along the column x = a, or x^2 (y - a)^2,
+    zero along the row y = a: where rounding decides the sign."""
     a = draw(st.sampled_from(_AXIS.tolist()) | st.floats(-1.5, 1.5))
     scale = draw(st.sampled_from([1.0, 3.0, 0.1]))
-    return {(2, 2): scale, (1, 2): -2.0 * a * scale, (0, 2): a * a * scale}
+    square = {(2, 2): scale, (1, 2): -2.0 * a * scale, (0, 2): a * a * scale}
+    return {(j, i): c for (i, j), c in square.items()} if along_row else square
+
+
+def _damped_square(a, scale, damping):
+    """Expanded (1 - damping x^2) y^2 (y - a)^2: near the row y = a the x^0
+    and x^2 sums nearly cancel, so only rounding decides the row's sign."""
+    square = {2: a * a * scale, 3: -2.0 * a * scale, 4: scale}
+    return {**{(0, j): c for j, c in square.items()},
+            **{(2, j): -damping * c for j, c in square.items()}}
+
+
+_LOW_DEGREE = (_SPARSE | _touching_square() | _touching_square(along_row=True)
+               | st.builds(_damped_square,
+                           st.builds(float.__add__, st.sampled_from(_AXIS.tolist()),
+                                     st.floats(-1e-6, 1e-6)),
+                           st.floats(0.1, 10.0), st.floats(0.3, 1.0)))
+# the same shapes with coefficients near +-1e300, where the row bounds' sums
+# come close to overflowing
+_NEAR_MAX = _LOW_DEGREE.flatmap(lambda terms: st.sampled_from([1e299, -1e300, 1.7e300]).map(
+    lambda scale: {key: c * scale for key, c in terms.items()}))
+
+
+@st.composite
+def _far_exponents(draw):
+    """Up to two terms with exponents up to 100000, 10**300 or 10**400, with
+    or without a nonnegative x^2 + y^2 beside them: (terms, max_degree)."""
+    max_degree = draw(st.sampled_from([100_000, 10**300, 10**400]))
+    k = st.integers(0, max_degree // 2)
+    far = draw(st.dictionaries(st.tuples(k, k).filter(any), st.floats(-10.0, 10.0),
+                               min_size=1, max_size=2))
+    base = draw(st.sampled_from([{}, {(2, 0): 1.0, (0, 2): 1.0}]))
+    return {**base, **far}, max_degree
 
 
 @settings(max_examples=300, deadline=None)
-@given(_SPARSE | _touching_square())
-def test_grid_check_verdict_equals_the_dense_check(terms):
-    sig = PolySignature(terms)
-    dense_min = float(eval_signature(sig, *np.meshgrid(_AXIS, _AXIS)).min())
-    if dense_min < 0.0:
-        with pytest.raises(ValueError, match="negative"):
-            validate_smsf(sig)
-    else:
-        assert validate_smsf(sig) is True
+@given((_LOW_DEGREE | _NEAR_MAX).map(lambda terms: (terms, 6)) | _far_exponents())
+@example(({(2, 2): 1.0, (2, 1): -0.2, (2, 0): 0.01}, 4))  # x^2 (y - 0.1)^2: rounds below 0
+# row bounds just above 0 where the grid rounds below it
+@example((_damped_square(-0.5199999999940248, 9.405004050258244, 0.7323847363374834), 6))
+@example((_damped_square(-0.3999999999272024, 1.639849269918533, 0.5049385935889814), 6))
+@example(({(2, 0): 1.7e308, (0, 2): 1.7e308, (2, 2): 1.7e308}, 4))  # sums overflow to inf
+@example(({(2, 0): 1.7e308, (1, 0): -1.7e308, (0, 1): 1.7e308}, 4))
+@example(({(2, 0): 1.0, (0, 2): 1.0, (10**300, 0): 1.0}, 10**300))
+@example(({(2, 0): 1.0, (0, 2): 1.0, (10**400 + 1, 0): 1e-3}, 10**400 + 1))
+@example(({(2, 0): 1.0, (100_001, 0): -1.0, (0, 100_000): 1.0}, 200_001))
+def test_grid_check_verdict_equals_the_dense_check(sig_args):
+    sig = PolySignature(*sig_args)
+    with np.errstate(over="ignore"):  # the near-overflow cases sum to inf
+        # every value of the 201 x 201 grid, as outer products of axis powers
+        if float(eval_signature(sig, _AXIS, _AXIS[:, None]).min()) < 0.0:
+            with pytest.raises(ValueError, match="negative"):
+                validate_smsf(sig)
+        else:
+            assert validate_smsf(sig) is True
+
+
+def test_the_default_signature_evaluates_at_most_three_grid_rows(monkeypatch):
+    grids = _record_grid_rows(monkeypatch)
+    assert validate_smsf(default_signature()) is True
+    assert sum(len(rows) for rows, _ in grids) <= 3
 
 
 def test_default_signature_is_zero_only_at_origin_on_grid():
