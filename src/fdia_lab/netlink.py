@@ -30,8 +30,8 @@ import numpy as np
 from . import smsf
 from .fdia import AffineAttack, _number, _shown, attack_command, attack_state
 from .kinematics import rk4_step
-from .simloop import TRACE_COLUMNS, SimConfig, SimTrace
-from .tracking import control, reference_table
+from .simloop import TRACE_COLUMNS, SimConfig, SimTrace, _reference_rows
+from .tracking import control
 
 MSG_KINDS = ("Obs", "Cmd", "Sig", "Hello", "Bye")
 _NUMERIC_ARITY = {"Obs": 3, "Cmd": 2, "Sig": 1}
@@ -380,16 +380,16 @@ def _controller_session(sock: socket.socket, cfg: SimConfig, sig) -> SimTrace:
     if hello.payload[1] != digest:
         raise ProtocolError(f"config digest mismatch: ours {digest}, peer {hello.payload[1]}")
 
-    refs = reference_table(cfg.ref, cfg.dt).tolist()
+    refs = _reference_rows(cfg)
     ref, gains = cfg.ref, cfg.gains
     rows = []
     complete = False
     try:
-        for k in range(cfg.n_steps() + 1):
+        for k, p_ref in enumerate(refs):
             t = k * cfg.dt
             x, y, th = _expect(sock, rx, "Obs").payload
             (phi_rx,) = _expect(sock, rx, "Sig").payload
-            v, w, xe, ye, the, lyap = control(ref, gains, refs[k], t, x, y, th)
+            v, w, xe, ye, the, lyap = control(ref, gains, p_ref, x, y, th)
             send_message(sock, _message("Cmd", next(tx), t, (v, w)))
             if k % cfg.log_stride == 0:
                 rows.append((t, x, y, th, v, w, xe, ye, the, lyap, phi_rx))

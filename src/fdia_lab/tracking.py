@@ -3,12 +3,15 @@
 The reference carries a constant linear velocity and a sinusoidal angular
 feedforward. Its posture is integrated with the same zero-order-hold RK4
 step the plant uses, so the reference is exactly trackable by the discrete
-loop: with zero initial error the closed loop reproduces it bitwise.
+loop: with zero initial error the closed loop reproduces it bitwise. Each
+reference row also holds the turn rate held over its step, so the controller
+tick reads the feedforward from the table instead of evaluating it again.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -18,6 +21,7 @@ from .kinematics import rk4_step
 
 TWO_PI = 2.0 * math.pi
 REFERENCE_CACHE_SIZE = 8  # reference tables kept by reference_table
+_ROW = struct.Struct("4d")  # one reference_table row as native float64s
 
 
 @dataclass(frozen=True)
@@ -62,37 +66,40 @@ def _omega_ref(cfg: RefConfig, t: float) -> float:
 
 @lru_cache(maxsize=REFERENCE_CACHE_SIZE)
 def reference_table(cfg: RefConfig, dt: float = 0.01) -> np.ndarray:
-    """Reference postures on the grid k*dt for k = 0..ceil(duration/dt).
+    """Reference rows (xr, yr, thr, omega_r) on the grid k*dt for k = 0..ceil(duration/dt).
 
-    Integrated from the origin posture by holding q_r(k*dt) over each step,
-    matching the plant's own discretization. Cached per (cfg, dt), keeping
-    the REFERENCE_CACHE_SIZE most recently used tables.
+    The posture is integrated from the origin by holding the feedforward
+    omega_r(k*dt) over each step, matching the plant's own discretization;
+    omega_r is the same expression the step used. Cached per (cfg, dt),
+    keeping the REFERENCE_CACHE_SIZE most recently used tables.
     """
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     n = int(math.ceil(cfg.duration / dt - 1e-9))
-    table = np.empty((n + 1, 3))
+    rows = bytearray(_ROW.size * (n + 1))
     x = y = th = 0.0
-    table[0] = (x, y, th)
     for k in range(n):
-        x, y, th = rk4_step(x, y, th, cfg.v_ref, _omega_ref(cfg, k * dt), dt)
-        table[k + 1] = (x, y, th)
+        w = _omega_ref(cfg, k * dt)
+        _ROW.pack_into(rows, _ROW.size * k, x, y, th, w)
+        x, y, th = rk4_step(x, y, th, cfg.v_ref, w, dt)
+    _ROW.pack_into(rows, _ROW.size * n, x, y, th, _omega_ref(cfg, n * dt))
+    table = np.frombuffer(rows).reshape(n + 1, 4)
     table.setflags(write=False)
     return table
 
 
-def control(ref: RefConfig, gains: ControllerGains, p_ref, t: float,
-            x: float, y: float, theta: float):
+def control(ref: RefConfig, gains: ControllerGains, p_ref, x: float, y: float, theta: float):
     """One controller tick: the Kanayama law at the observed posture (x, y, theta).
 
-    p_ref is the reference posture (xr, yr, thr) at time t. The error is the
+    p_ref is one reference_table row (xr, yr, thr, omega_r): the reference
+    posture and feedforward turn rate at the tick's time. The error is the
     world-frame offset to the reference rotated into the body frame:
 
     xe = cos(theta)*(xr-x) + sin(theta)*(yr-y)
     ye = -sin(theta)*(xr-x) + cos(theta)*(yr-y)
     thetae = thr - theta   (headings unwrapped on both sides)
 
-    and with the feedforward (v_r, omega_r) = (v_ref, omega_r(t)):
+    and with the feedforward (v_r, omega_r) = (v_ref, omega_r):
 
     v = v_r*cos(thetae) + kx*xe
     omega = omega_r + v_r*(ky*ye + ktheta*sin(thetae))
@@ -100,7 +107,7 @@ def control(ref: RefConfig, gains: ControllerGains, p_ref, t: float,
 
     Returns (v, omega, xe, ye, thetae, V).
     """
-    xr, yr, thr = p_ref
+    xr, yr, thr, omega_r = p_ref
     c = math.cos(theta)
     s = math.sin(theta)
     dx = xr - x
@@ -108,8 +115,9 @@ def control(ref: RefConfig, gains: ControllerGains, p_ref, t: float,
     xe = c * dx + s * dy
     ye = -s * dx + c * dy
     thetae = thr - theta
+    ce = math.cos(thetae)
     v_r = ref.v_ref
-    v = v_r * math.cos(thetae) + gains.kx * xe
-    omega = _omega_ref(ref, t) + v_r * (gains.ky * ye + gains.ktheta * math.sin(thetae))
-    lyap = 0.5 * (xe * xe + ye * ye) + (1.0 - math.cos(thetae)) / gains.ky
+    v = v_r * ce + gains.kx * xe
+    omega = omega_r + v_r * (gains.ky * ye + gains.ktheta * math.sin(thetae))
+    lyap = 0.5 * (xe * xe + ye * ye) + (1.0 - ce) / gains.ky
     return v, omega, xe, ye, thetae, lyap

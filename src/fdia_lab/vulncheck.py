@@ -279,7 +279,7 @@ def classify(fam: ScalarFamily, tol: float = 1e-9, alpha_range=(-3.0, 3.0),
                   [k for k, b in enumerate(lower) if tol < b <= best])
     nontrivial = _nontrivial(alphas, betas, alpha_range, step)
     admitted = nontrivial & (residuals <= tol)
-    candidates = [(float(a), float(b)) for a, b in zip(alphas[admitted], betas[admitted])]
+    candidates = list(zip(alphas[admitted].tolist(), betas[admitted].tolist()))
     best = float(np.min(residuals[nontrivial])) if nontrivial.any() else math.inf
 
     if len(candidates) >= 10:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import os
+from fractions import Fraction
 import subprocess
 import sys
 from pathlib import Path
@@ -62,6 +63,15 @@ def test_diverging_run_raises():
     # a start 1e308 m off the reference commands an infinite speed at once
     with pytest.raises(ValueError):
         run(SimConfig(p0=Posture(1e308, 0.0, 0.0), duration=1.0))
+
+
+def test_a_reference_shorter_than_the_run_raises():
+    # SimConfig admits a reference up to 1e-9 s shorter than the run; at
+    # dt = 1e-9 that is a table one row short, which run() refuses
+    cfg = SimConfig(ref=RefConfig(duration=9e-9), dt=1e-9, duration=1e-8)
+    assert len(reference_table(cfg.ref, cfg.dt)) == cfg.n_steps()
+    with pytest.raises(ValueError, match="shorter"):
+        run(cfg)
 
 
 def test_time_grid_shape(scenario_runs):
@@ -176,7 +186,8 @@ def test_logged_columns_are_the_controller_tick(scenario_runs):
         k = round(row[0] / cfg.dt)
         assert row[0] == k * cfg.dt
         assert tuple(row[4:7]) == attack_state(bundle.attack, *row[1:4])
-        tick = control(cfg.ref, cfg.gains, table[k].tolist(), row[0], *row[4:7])
+        omega_r = cfg.ref.omega_amp * math.sin(2.0 * math.pi * row[0] / cfg.ref.omega_period)
+        tick = control(cfg.ref, cfg.gains, (*table[k, :3].tolist(), omega_r), *row[4:7])
         assert (row[7], row[8], *row[11:15]) == tick
         assert tuple(row[9:11]) == attack_command(bundle.attack, row[7], row[8])
 
@@ -378,6 +389,75 @@ def test_write_csv_array_bytes_on_a_million_values(tmp_path):
     want = (tmp_path / "per_value.csv").read_bytes().splitlines()
     mismatched = [k for k, (a, b) in enumerate(zip(got, want)) if a != b]
     assert len(got) == len(want) and not mismatched, f"{len(mismatched)} rows differ"
+
+
+@st.composite
+def _deep_near_ties(draw):
+    """The float nearest a 17-digit decimal ending in 5 at exponent -38..-12, where the
+    kernel scales by two products, then moved by up to 3 ulps."""
+    digits = draw(st.integers(min_value=10**15, max_value=10**16 - 1)) * 10 + 5
+    value = float(f"{digits}e{draw(st.integers(min_value=-38, max_value=-12)) - 16}")
+    value = _nudged(value, draw(st.integers(min_value=-3, max_value=3)))
+    return -value if draw(st.booleans()) else value
+
+
+_DEEP_FLOATS = (st.floats(min_value=1e-38, max_value=1e-11)
+                | st.floats(min_value=-38.5, max_value=-10.5).map(lambda p: 10.0**p)
+                | _deep_near_ties())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=1, max_value=5), st.lists(_DEEP_FLOATS, max_size=40))
+@example(1, [1e-38, 9.9999999999999996e-39, 1e-12, 9.9999999999999998e-13, 1.5e-20])
+def test_write_csv_array_bytes_below_1e_11_equal_the_per_value_writer(
+        tmp_path_factory, cols, values):
+    rows = np.array(values[:len(values) - len(values) % cols]).reshape(-1, cols)
+    base = tmp_path_factory.getbasetemp()
+    columns = [f"c{k}" for k in range(cols)]
+    write_csv(base / "array.csv", columns, rows)
+    _per_value_write_csv(base / "per_value.csv", columns, rows.tolist())
+    assert (base / "array.csv").read_bytes() == (base / "per_value.csv").read_bytes()
+
+
+def test_write_csv_array_bytes_within_0_02_of_a_deep_tie(tmp_path):
+    # floats whose exact scaled value |x| * 10**(16 - E) lies within 0.02 of a
+    # rounding tie at E = -38..-12: the kernel proves those beyond its 0.012
+    # guard and hands the rest to "%.17g"
+    rng = np.random.default_rng(20261019)
+    values = []
+    while len(values) < 1000:
+        e = int(rng.integers(-38, -11))
+        value = float(f"{int(rng.integers(10**15, 10**16)) * 10 + 5}e{e - 16}")
+        scaled = Fraction(value) * 10 ** (16 - e)
+        if abs(scaled - math.floor(scaled) - Fraction(1, 2)) < Fraction(1, 50):
+            values.append(value)
+    rows = np.array(values).reshape(-1, 4) * np.array([1.0, -1.0, 1.0, -1.0])
+    write_csv(tmp_path / "array.csv", ("a", "b", "c", "d"), rows)
+    _per_value_write_csv(tmp_path / "per_value.csv", ("a", "b", "c", "d"), rows.tolist())
+    assert (tmp_path / "array.csv").read_bytes() == (tmp_path / "per_value.csv").read_bytes()
+
+
+@pytest.mark.parametrize("cols", [1, 2, 3])
+def test_write_csv_narrow_tables_cross_block_boundaries(tmp_path, cols):
+    # 5,000 rows of 1-3 columns span two to four value-count blocks
+    rng = np.random.default_rng(cols)
+    values = rng.choice([-1.0, 1.0], 5000 * cols) * 10.0 ** rng.uniform(-40.0, 19.0, 5000 * cols)
+    values[::97] = 0.0
+    values[::101] = rng.integers(0, 2**64, values[::101].size, dtype=np.uint64).view(np.float64)
+    rows = values.reshape(5000, cols)
+    assert rows.size > _csvfloat._BLOCK
+    columns = [f"c{k}" for k in range(cols)]
+    write_csv(tmp_path / "array.csv", columns, rows)
+    _per_value_write_csv(tmp_path / "per_value.csv", columns, rows.tolist())
+    assert (tmp_path / "array.csv").read_bytes() == (tmp_path / "per_value.csv").read_bytes()
+
+
+def test_write_csv_kernel_proves_all_but_the_near_ties_of_a_trace(scenario_runs):
+    # the late Lyapunov values below 1e-11 take the kernel too; what is left
+    # for "%.17g" is about 1.3% of scenario1's trace, values near a tie
+    values = scenario_runs["scenario1"].attacked.data.ravel()
+    ok, _, _ = _csvfloat._significands(values, _csvfloat._tables())
+    assert int((~ok & (values != 0)).sum()) <= 400
 
 
 def test_write_csv_without_extended_precision_writes_the_same_bytes(

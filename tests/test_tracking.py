@@ -13,6 +13,7 @@ from fdia_lab.tracking import (
     REFERENCE_CACHE_SIZE,
     ControllerGains,
     RefConfig,
+    _omega_ref,
     control,
     reference_table,
 )
@@ -22,8 +23,13 @@ REF = RefConfig()
 
 
 def tick(p_ref, pose, ref=REF, t=0.0):
-    """control() at the observed pose; returns (v, omega, xe, ye, thetae, V)."""
-    return control(ref, GAINS, p_ref, t, *pose)
+    """control() at the observed pose against the reference posture p_ref at time t.
+
+    The feedforward turn rate is written out here as the oracle for the
+    table's omega_r column. Returns (v, omega, xe, ye, thetae, V).
+    """
+    omega_r = ref.omega_amp * math.sin(2.0 * math.pi * t / ref.omega_period)
+    return control(ref, GAINS, (*p_ref, omega_r), *pose)
 
 
 def error(p_ref, pose):
@@ -69,11 +75,30 @@ def test_reference_follows_its_own_feedforward():
         v, omega = tick(on_ref, on_ref, cfg, k * 0.01)[:2]
         x, y, th = rk4_step(x, y, th, v, omega, 0.01)
     table = reference_table(cfg, 0.01)
-    assert tuple(table[200]) == (x, y, th)
-    on_ref = tuple(table[200])
+    assert tuple(table[200, :3]) == (x, y, th)
+    on_ref = tuple(table[200, :3])
     v, omega = tick(on_ref, on_ref, cfg, 2.0)[:2]
     assert abs(omega) <= 1e-12, "half a period later the turn rate crosses zero"
     assert v == 0.02
+
+
+@pytest.mark.parametrize("cfg, dt", [
+    (RefConfig(), 0.01),
+    (RefConfig(duration=1.01), 0.01),
+    (RefConfig(v_ref=0.5, omega_amp=-1.3, omega_period=2.7, duration=5.0), 0.003),
+    (RefConfig(omega_amp=0.0, duration=2.0), 0.02),
+    (RefConfig(omega_amp=2.5, omega_period=0.37, duration=3.3), 0.001),
+])
+def test_reference_rows_carry_the_feedforward_bitwise(cfg, dt):
+    """Column 3 of row k is _omega_ref(cfg, k*dt), the turn rate held over step k."""
+    table = reference_table(cfg, dt)
+    assert table.shape == (int(math.ceil(cfg.duration / dt - 1e-9)) + 1, 4)
+    omega = [_omega_ref(cfg, k * dt) for k in range(len(table))]
+    assert table[:, 3].tobytes() == np.array(omega).tobytes()  # bitwise, signed zeros too
+    x = y = th = 0.0
+    for k in range(len(table) - 1):
+        x, y, th = rk4_step(x, y, th, cfg.v_ref, omega[k], dt)
+        assert table[k + 1, :3].tolist() == [x, y, th]
 
 
 def test_reference_cache_is_bounded():
