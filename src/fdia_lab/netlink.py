@@ -30,8 +30,8 @@ import numpy as np
 from . import smsf
 from .fdia import AffineAttack, _number, _shown, attack_command, attack_state
 from .kinematics import rk4_step
-from .simloop import TRACE_COLUMNS, SimConfig, SimTrace, _reference_rows
-from .tracking import control
+from .simloop import TRACE_COLUMNS, SimConfig, SimTrace
+from .tracking import _reference_rows, control
 
 MSG_KINDS = ("Obs", "Cmd", "Sig", "Hello", "Bye")
 _NUMERIC_ARITY = {"Obs": 3, "Cmd": 2, "Sig": 1}
@@ -380,7 +380,7 @@ def _controller_session(sock: socket.socket, cfg: SimConfig, sig) -> SimTrace:
     if hello.payload[1] != digest:
         raise ProtocolError(f"config digest mismatch: ours {digest}, peer {hello.payload[1]}")
 
-    refs = _reference_rows(cfg)
+    refs = _reference_rows(cfg.ref, cfg.dt, cfg.n_steps() + 1)
     ref, gains = cfg.ref, cfg.gains
     rows = []
     complete = False

@@ -17,7 +17,7 @@ import numpy as np
 from . import smsf
 from .fdia import AffineAttack, attack_command, attack_state
 from .kinematics import Posture, rk4_step
-from .tracking import _ROW, ControllerGains, RefConfig, control, reference_table
+from .tracking import ControllerGains, RefConfig, _reference_rows, control
 
 TRACE_COLUMNS = (
     "t",
@@ -152,17 +152,6 @@ def write_trace_csv(path, table: SimTrace) -> None:
     write_csv(path, table.columns, table.data)
 
 
-def _reference_rows(cfg: SimConfig):
-    """The run's reference rows (xr, yr, thr, omega_r), one float tuple per tick.
-
-    Unpacked one row at a time, so no Python copy of the table is held.
-    """
-    table = reference_table(cfg.ref, cfg.dt)
-    if len(table) < cfg.n_steps() + 1:
-        raise ValueError("reference table shorter than the run")
-    return _ROW.iter_unpack(table[:cfg.n_steps() + 1])
-
-
 def run(cfg: SimConfig, attack: AffineAttack | None = None,
         signature: smsf.PolySignature | None = None) -> SimTrace:
     """Execute one closed-loop run and return its trace.
@@ -180,7 +169,7 @@ def run(cfg: SimConfig, attack: AffineAttack | None = None,
     ref, gains, dt, stride = cfg.ref, cfg.gains, cfg.dt, cfg.log_stride
     x, y, th = cfg.p0.x, cfg.p0.y, cfg.p0.theta
     rows = []
-    for k, p_ref in enumerate(_reference_rows(cfg)):
+    for k, p_ref in enumerate(_reference_rows(cfg.ref, dt, n_steps + 1)):
         t = k * dt
         xo, yo, tho = (x, y, th) if attack is None else attack_state(attack, x, y, th)
         v, w, xe, ye, the, lyap = control(ref, gains, p_ref, xo, yo, tho)

@@ -88,6 +88,18 @@ def reference_table(cfg: RefConfig, dt: float = 0.01) -> np.ndarray:
     return table
 
 
+def _reference_rows(cfg: RefConfig, dt: float, n: int):
+    """The first n rows of reference_table(cfg, dt), unpacked one float tuple at a time.
+
+    A loop over them holds no Python copy of the table. Raises ValueError
+    when the table is shorter than n rows.
+    """
+    table = reference_table(cfg, dt)
+    if len(table) < n:
+        raise ValueError("reference table shorter than the run")
+    return _ROW.iter_unpack(table[:n])
+
+
 def control(ref: RefConfig, gains: ControllerGains, p_ref, x: float, y: float, theta: float):
     """One controller tick: the Kanayama law at the observed posture (x, y, theta).
 
