@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import math
 import os
-from fractions import Fraction
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
