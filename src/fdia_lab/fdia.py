@@ -39,9 +39,11 @@ class AttackError(ValueError):
 class AffineAttack:
     """Affine channel maps: observable p -> s_x p + d_x, command q -> s_u q + d_u.
 
-    Immutable: the arrays are read-only and their rows are kept as Python
-    floats for attack_state/attack_command. s_x must be invertible so the
-    actual trajectory can be recovered from the observed one.
+    Immutable: the arrays are read-only. Their values are also kept as flat
+    row-major tuples of Python floats, _state_map (s_x then d_x, 12 floats)
+    and _command_map (s_u then d_u, 6 floats), which attack_state and
+    attack_command unpack in one step. s_x must be invertible so the actual
+    trajectory can be recovered from the observed one.
     """
 
     s_x: np.ndarray
@@ -52,16 +54,19 @@ class AffineAttack:
     beta11: float = 1.0
 
     def __post_init__(self):
+        floats = []  # s_x, d_x, s_u, d_u, each row-major
         for name, shape in _SHAPES.items():
             arr, size = np.array(getattr(self, name), dtype=float), math.prod(shape)
             if arr.size != size:
                 raise AttackError(f"AffineAttack.{name} must hold {size} numbers, got {arr.size}")
+            floats += arr.ravel().tolist()
             arr = arr.reshape(shape)
             if not np.all(np.isfinite(arr)):
                 raise AttackError(f"AffineAttack.{name} must be finite")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-            object.__setattr__(self, f"_{name}_floats", arr.tolist())
+        object.__setattr__(self, "_state_map", tuple(floats[:12]))
+        object.__setattr__(self, "_command_map", tuple(floats[12:]))
         if abs(np.linalg.det(self.s_x)) <= 1e-12:
             raise AttackError("AffineAttack.s_x must be invertible")
         if self.kind not in KINDS:
@@ -123,8 +128,7 @@ def attack_state(a: AffineAttack, x: float, y: float, theta: float) -> tuple:
     Each row is the float sum s0*x + s1*y + s2*theta + d, left to right, so
     the result does not depend on which BLAS kernel is loaded.
     """
-    (s00, s01, s02), (s10, s11, s12), (s20, s21, s22) = a._s_x_floats
-    d0, d1, d2 = a._d_x_floats
+    s00, s01, s02, s10, s11, s12, s20, s21, s22, d0, d1, d2 = a._state_map
     return (s00 * x + s01 * y + s02 * theta + d0,
             s10 * x + s11 * y + s12 * theta + d1,
             s20 * x + s21 * y + s22 * theta + d2)
@@ -135,8 +139,7 @@ def attack_command(a: AffineAttack, v: float, omega: float) -> tuple:
 
     Summed left to right per row, like attack_state.
     """
-    (s00, s01), (s10, s11) = a._s_u_floats
-    d0, d1 = a._d_u_floats
+    s00, s01, s10, s11, d0, d1 = a._command_map
     return (s00 * v + s01 * omega + d0, s10 * v + s11 * omega + d1)
 
 
@@ -184,7 +187,8 @@ def _closure_residual(a: AffineAttack) -> float:
     the identity holds for every theta, v and omega. check_condition2
     samples the same identity.
     """
-    s22, d2 = a._s_x_floats[2][2], a._d_x_floats[2]
+    sx = a._state_map  # s_x row-major, then d_x
+    s22, d2 = sx[8], sx[11]
     if s22 not in (-1.0, 0.0, 1.0):
         return math.inf
     c, s = math.cos(d2), math.sin(d2)
@@ -193,11 +197,11 @@ def _closure_residual(a: AffineAttack) -> float:
     rhs = [[(w, 0.0, 0.0) for w in row] for row in heading]
     rhs.append([(0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 1.0, 0.0)])
     # the received command (v~, omega~) over (v, omega, 1)
-    (u00, u01), (u10, u11) = a._s_u_floats
-    speed, turn = (u00, u01, a._d_u_floats[0]), (u10, u11, a._d_u_floats[1])
+    u00, u01, u10, u11, e0, e1 = a._command_map
+    speed, turn = (u00, u01, e0), (u10, u11, e1)
     return max(abs(r * q - want)
-               for (r0, r1, r2), row in zip(a._s_x_floats, rhs)
-               for r, form, wants in zip((r0, r1, r2), (speed, speed, turn), row)
+               for s_row, row in zip((sx[0:3], sx[3:6], sx[6:9]), rhs)
+               for r, form, wants in zip(s_row, (speed, speed, turn), row)
                for q, want in zip(form, wants))
 
 

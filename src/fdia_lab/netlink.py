@@ -30,7 +30,7 @@ import numpy as np
 from . import smsf
 from .fdia import AffineAttack, _number, _shown, attack_command, attack_state
 from .kinematics import rk4_step
-from .simloop import TRACE_COLUMNS, SimConfig, SimTrace
+from .simloop import TRACE_COLUMNS, SimConfig, SimTrace, _packed_rows
 from .tracking import _reference_rows, control
 
 MSG_KINDS = ("Obs", "Cmd", "Sig", "Hello", "Bye")
@@ -333,6 +333,7 @@ def _plant_session(conn: socket.socket, cfg: SimConfig, sig) -> SimTrace:
 
     n_steps = cfg.n_steps()
     x, y, th = cfg.p0.x, cfg.p0.y, cfg.p0.theta
+    pack, table = _packed_rows(len(PLANT_VIEW_COLUMNS))
     rows = []
     complete = False
     try:
@@ -343,7 +344,7 @@ def _plant_session(conn: socket.socket, cfg: SimConfig, sig) -> SimTrace:
                          _message("Sig", next(tx), t, (phi,)))
             v, w = _expect(conn, rx, "Cmd").payload
             if k % cfg.log_stride == 0:
-                rows.append((t, x, y, th, v, w, phi))
+                rows.append(pack(t, x, y, th, v, w, phi))
             if k < n_steps:
                 x, y, th = rk4_step(x, y, th, v, w, cfg.dt)
         _expect(conn, rx, "Bye", "before Bye")
@@ -351,8 +352,7 @@ def _plant_session(conn: socket.socket, cfg: SimConfig, sig) -> SimTrace:
         complete = True
     except (OSError, TruncatedFrameError):
         pass  # lost peer: hand back the partial log, flagged incomplete
-    arr = np.array(rows, dtype=float).reshape(-1, len(PLANT_VIEW_COLUMNS))
-    return SimTrace(arr, PLANT_VIEW_COLUMNS, complete)
+    return SimTrace(table(rows), PLANT_VIEW_COLUMNS, complete)
 
 
 def run_controller(cfg: SimConfig, connect=("127.0.0.1", DEFAULT_PROXY_PORT),
@@ -382,6 +382,7 @@ def _controller_session(sock: socket.socket, cfg: SimConfig, sig) -> SimTrace:
 
     refs = _reference_rows(cfg.ref, cfg.dt, cfg.n_steps() + 1)
     ref, gains = cfg.ref, cfg.gains
+    pack, table = _packed_rows(len(CTRL_VIEW_COLUMNS) - 1)
     rows = []
     complete = False
     try:
@@ -392,13 +393,13 @@ def _controller_session(sock: socket.socket, cfg: SimConfig, sig) -> SimTrace:
             v, w, xe, ye, the, lyap = control(ref, gains, p_ref, x, y, th)
             send_message(sock, _message("Cmd", next(tx), t, (v, w)))
             if k % cfg.log_stride == 0:
-                rows.append((t, x, y, th, v, w, xe, ye, the, lyap, phi_rx))
+                rows.append(pack(t, x, y, th, v, w, xe, ye, the, lyap, phi_rx))
         send_message(sock, WireMessage("Bye", next(tx), cfg.duration, ("complete",)))
         _expect(sock, rx, "Bye", "before Bye")
         complete = True
     except (OSError, TruncatedFrameError):
         pass
-    arr = np.array(rows, dtype=float).reshape(-1, len(CTRL_VIEW_COLUMNS) - 1)
+    arr = table(rows)
     phi_ctrl = smsf.eval_signature(sig, arr[:, 1], arr[:, 2])
     return SimTrace(np.column_stack([arr, phi_ctrl]), CTRL_VIEW_COLUMNS, complete)
 

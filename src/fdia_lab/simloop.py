@@ -4,12 +4,14 @@ One run steps the plant at a fixed rate with zero-order-hold commands,
 applying the attack's observable map before the controller and its command
 map after, and logs a decimated trace of the actual state, the observed
 state, both command streams, the body-frame error, the Lyapunov value, and
-the signature evaluations on both sides of the channel.
+the signature evaluations on both sides of the channel. Logged ticks are
+packed to bytes and read back as one table (_packed_rows).
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +40,8 @@ TRACE_COLUMNS = (
     "phi_plant",
     "phi_ctrl",
 )
+_ACTUAL = slice(TRACE_COLUMNS.index("x"), TRACE_COLUMNS.index("theta") + 1)
+_OBSERVED = slice(TRACE_COLUMNS.index("x_obs"), TRACE_COLUMNS.index("theta_obs") + 1)
 
 
 @dataclass(frozen=True)
@@ -64,7 +68,9 @@ class SimConfig:
             raise ValueError(
                 f"SimConfig.duration {self.duration} is not a whole number of dt={self.dt} steps"
             )
-        if self.ref.duration < self.duration - 1e-9:
+        # reference_table(ref, dt) builds ceil(ref.duration/dt - 1e-9) + 1 rows and
+        # the run reads steps + 1: ceil(r) < steps exactly when r <= steps - 1
+        if self.ref.duration / self.dt - 1e-9 <= steps - 1:
             raise ValueError(
                 f"reference duration {self.ref.duration} shorter than run duration {self.duration}"
             )
@@ -110,6 +116,20 @@ class SimTrace:
 
     def to_csv(self, path) -> None:
         write_trace_csv(path, self)
+
+
+def _packed_rows(width: int):
+    """(pack, table) for a log of rows of `width` floats, the one packed-row format.
+
+    pack(*row) gives one row's bytes as native float64s; table(rows) reads a
+    list of them back as one writable (len(rows), width) array, (0, width)
+    for none. The bytes are joined and read in one pass, where np.array
+    would convert a list of tuples value by value.
+    """
+    def table(rows) -> np.ndarray:
+        return np.frombuffer(bytearray().join(rows)).reshape(-1, width)
+
+    return struct.Struct(f"{width}d").pack, table
 
 
 def write_csv(path, columns, rows) -> None:
@@ -159,8 +179,9 @@ def run(cfg: SimConfig, attack: AffineAttack | None = None,
     Per tick: observe (through the attack's state map if present), apply the
     controller tick against the reference, pass the command through the
     attack's command map, log if due, then advance the plant one RK4 step.
-    The final tick at t = duration is logged without stepping. The signature
-    columns are evaluated on the logged positions after the loop. Identical
+    The final tick at t = duration is logged without stepping. Both signature
+    columns are evaluated in one call on the logged positions after the loop,
+    bitwise two separate calls, as every operation is elementwise. Identical
     configs yield bit-identical traces; a run that diverges to a non-finite
     state or command raises ValueError.
     """
@@ -168,6 +189,7 @@ def run(cfg: SimConfig, attack: AffineAttack | None = None,
     n_steps = cfg.n_steps()
     ref, gains, dt, stride = cfg.ref, cfg.gains, cfg.dt, cfg.log_stride
     x, y, th = cfg.p0.x, cfg.p0.y, cfg.p0.theta
+    pack, table = _packed_rows(len(TRACE_COLUMNS) - 2)
     rows = []
     for k, p_ref in enumerate(_reference_rows(cfg.ref, dt, n_steps + 1)):
         t = k * dt
@@ -175,15 +197,15 @@ def run(cfg: SimConfig, attack: AffineAttack | None = None,
         v, w, xe, ye, the, lyap = control(ref, gains, p_ref, xo, yo, tho)
         v_rx, w_rx = (v, w) if attack is None else attack_command(attack, v, w)
         if k % stride == 0:
-            rows.append((t, x, y, th, xo, yo, tho, v, w, v_rx, w_rx, xe, ye, the, lyap))
+            rows.append(pack(t, x, y, th, xo, yo, tho, v, w, v_rx, w_rx, xe, ye, the, lyap))
         if k < n_steps:
             x, y, th = rk4_step(x, y, th, v_rx, w_rx, dt)
     data = np.empty((len(rows), len(TRACE_COLUMNS)))
-    data[:, :-2] = rows
+    data[:, :-2] = table(rows)
     if not np.isfinite(data[:, :-2]).all():
         raise ValueError("run diverged: the trace holds non-finite values")
-    data[:, -2] = smsf.eval_signature(sig, data[:, 1], data[:, 2])
-    data[:, -1] = smsf.eval_signature(sig, data[:, 4], data[:, 5])
+    # (phi_plant, phi_ctrl) at the actual (x, y) and the observed (x_obs, y_obs)
+    data[:, -2:] = smsf.eval_signature(sig, data[:, [1, 4]], data[:, [2, 5]])
     return SimTrace(data)
 
 
@@ -204,15 +226,16 @@ def undetectability_report(attacked: SimTrace, nominal: SimTrace,
     sup_obs_dev is the max-norm deviation between the attacked run's observed
     posture and the nominal actual posture; sup_actual_dev compares the
     attacked actual posture against the affine inverse image of the nominal
-    one. The verdict holds when sup_obs_dev <= tol.
+    one. The verdict holds when sup_obs_dev <= tol. Both traces hold the full
+    TRACE_COLUMNS schema, where x..theta and x_obs..theta_obs are adjacent
+    column blocks, read as slices of the data.
     """
+    if attacked.columns != TRACE_COLUMNS or nominal.columns != TRACE_COLUMNS:
+        raise ValueError("undetectability_report compares two full traces")
     if not np.array_equal(attacked.t, nominal.t):
         raise ValueError("time grids differ between the two traces")
-    obs = np.stack([attacked.x_obs, attacked.y_obs, attacked.theta_obs], axis=1)
-    nom = np.stack([nominal.x, nominal.y, nominal.theta], axis=1)
-    sup_obs = float(np.max(np.abs(obs - nom)))
-
-    act = np.stack([attacked.x, attacked.y, attacked.theta], axis=1)
+    nom = nominal.data[:, _ACTUAL]
+    sup_obs = float(np.max(np.abs(attacked.data[:, _OBSERVED] - nom)))
     mapped = np.linalg.solve(attack.s_x, (nom - attack.d_x).T).T
-    sup_act = float(np.max(np.abs(act - mapped)))
+    sup_act = float(np.max(np.abs(attacked.data[:, _ACTUAL] - mapped)))
     return UndetectabilityReport(sup_obs, sup_act, sup_obs <= tol, tol)

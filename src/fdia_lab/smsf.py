@@ -286,11 +286,12 @@ def monitor(trace, sig: PolySignature, cfg: DetectionConfig | None = None) -> Mo
     whose phi_plant column differs.
     """
     cfg = cfg if cfg is not None else DetectionConfig()
+    t = trace.t  # one column lookup
     residual = np.abs(trace.phi_plant - eval_signature(sig, trace.x_obs, trace.y_obs))
     exceed = residual > cfg.epsilon
-    detect_t = windowed_detect(trace.t, exceed, cfg.window)
-    first_exceed_t = float(trace.t[np.argmax(exceed)]) if bool(exceed.any()) else None
-    return MonitorResult(np.array(trace.t), residual, detect_t is not None, first_exceed_t, detect_t)
+    detect_t = windowed_detect(t, exceed, cfg.window)
+    first_exceed_t = float(t[np.argmax(exceed)]) if bool(exceed.any()) else None
+    return MonitorResult(np.array(t), residual, detect_t is not None, first_exceed_t, detect_t)
 
 
 def signature_to_dict(sig: PolySignature) -> dict:

@@ -148,6 +148,33 @@ def test_attack_maps_follow_the_written_order_bitwise():
             assert attack_command(a, *q) == _written_order(a.s_u, a.d_u, q)
 
 
+def test_array_maps_equal_the_scalar_maps_bitwise():
+    # resilience_check maps whole grids at once: each element must get the
+    # scalar call's bits, for the builders and for a custom map from a document
+    rng = np.random.default_rng(18)
+    custom = attack_from_dict({
+        "s_x": rng.uniform(-2, 2, 9).tolist(), "d_x": rng.uniform(-1, 1, 3).tolist(),
+        "s_u": rng.uniform(-2, 2, 4).tolist(), "d_u": rng.uniform(-1, 1, 2).tolist(),
+    })
+    attacks = [custom, identity_attack(), build_reflection(-1.7, P0_TILTED),
+               build_reflection(0.6, P0), build_scaling(2.5, P0_TILTED), build_scaling(-0.4, P0)]
+    x, y, theta = rng.uniform(-2, 2, (3, 64))
+    v, omega = rng.uniform(-1, 1, (2, 64))
+    for a in attacks:
+        state = np.column_stack(attack_state(a, x, y, theta))
+        scalar = np.array([attack_state(a, *p) for p in zip(x.tolist(), y.tolist(),
+                                                            theta.tolist())])
+        assert state.tobytes() == scalar.tobytes()
+        # the grid form resilience_check uses: arrays of positions, one heading
+        grid = np.column_stack(attack_state(a, x, y, 0.25))
+        scalar = np.array([attack_state(a, px, py, 0.25) for px, py in zip(x.tolist(),
+                                                                          y.tolist())])
+        assert grid.tobytes() == scalar.tobytes()
+        command = np.column_stack(attack_command(a, v, omega))
+        scalar = np.array([attack_command(a, *q) for q in zip(v.tolist(), omega.tolist())])
+        assert command.tobytes() == scalar.tobytes()
+
+
 def test_attack_is_immutable():
     a = build_reflection(1.0, P0_TILTED)
     with pytest.raises(dataclasses.FrozenInstanceError):

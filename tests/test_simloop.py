@@ -15,19 +15,21 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fdia_lab import _csvfloat
-from fdia_lab.fdia import attack_command, attack_state, build_reflection
-from fdia_lab.kinematics import Posture
+from fdia_lab.fdia import attack_command, attack_state, build_reflection, build_scaling
+from fdia_lab.kinematics import Posture, rk4_step
 from fdia_lab.netlink import CTRL_VIEW_COLUMNS, PLANT_VIEW_COLUMNS
+from fdia_lab.scenarios import builtin_names, load_scenario
 from fdia_lab.simloop import (
     TRACE_COLUMNS,
     SimConfig,
     SimTrace,
+    _packed_rows,
     run,
     undetectability_report,
     write_csv,
 )
-from fdia_lab.smsf import eval_signature
-from fdia_lab.tracking import RefConfig, control, reference_table
+from fdia_lab.smsf import default_signature, eval_signature
+from fdia_lab.tracking import RefConfig, _reference_rows, control, reference_table
 
 
 def test_trace_column_order():
@@ -66,12 +68,41 @@ def test_diverging_run_raises():
 
 
 def test_a_reference_shorter_than_the_run_raises():
-    # SimConfig admits a reference up to 1e-9 s shorter than the run; at
-    # dt = 1e-9 that is a table one row short, which run() refuses
-    cfg = SimConfig(ref=RefConfig(duration=9e-9), dt=1e-9, duration=1e-8)
-    assert len(reference_table(cfg.ref, cfg.dt)) == cfg.n_steps()
+    # 9e-9 s is within 1e-9 s of the run, but at dt = 1e-9 its table is one
+    # row short: SimConfig counts the rows reference_table builds
+    ref = RefConfig(duration=9e-9)
+    assert len(reference_table(ref, 1e-9)) == 10
     with pytest.raises(ValueError, match="shorter"):
-        run(cfg)
+        SimConfig(ref=ref, dt=1e-9, duration=1e-8)
+    # the loops' own guard still refuses a table one row short
+    with pytest.raises(ValueError, match="shorter"):
+        _reference_rows(ref, 1e-9, 11)
+    assert len(list(_reference_rows(ref, 1e-9, 10))) == 10
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(1e-3, 1e3), st.floats(1e-4, 1.0), st.integers(1, 10**6))
+@example(9e-9, 1e-9, 10)  # within 1e-9 s of the run, one row short
+@example(1.01, 0.01, 100)  # a reference a tick longer than a 1 s run
+@example(30.0, 0.01, 3000)  # 30 / 0.01 is 2999.9999999999995
+@example(5e7, 0.5, 10**8 + 1)  # 1e8 - 1e-9 rounds to 1e8: exactly one row short
+def test_sim_config_builds_exactly_when_the_reference_table_is_long_enough(
+        ref_duration, dt, steps):
+    ref = RefConfig(duration=ref_duration)
+    rows = math.ceil(ref_duration / dt - 1e-9) + 1  # what reference_table builds
+    if rows >= steps + 1:
+        assert SimConfig(ref=ref, dt=dt, duration=steps * dt).n_steps() == steps
+    else:
+        with pytest.raises(ValueError, match="shorter"):
+            SimConfig(ref=ref, dt=dt, duration=steps * dt)
+
+
+def test_builtin_and_benchmark_configs_still_build():
+    for name in builtin_names():
+        sim = load_scenario(name).sim
+        assert len(reference_table(sim.ref, sim.dt)) >= sim.n_steps() + 1
+    # a one-row-longer table beside a 1 s run
+    assert SimConfig(ref=RefConfig(duration=1.01), duration=1.0).n_steps() == 100
 
 
 def test_time_grid_shape(scenario_runs):
@@ -89,6 +120,57 @@ def test_runs_are_deterministic(scenario_runs):
     again = run(bundle.scenario.sim, attack=bundle.attack,
                 signature=bundle.scenario.signature)
     np.testing.assert_array_equal(again.data, bundle.attacked.data)
+
+
+def _tuple_loop(cfg, attack, sig):
+    """run()'s table as the loop built it before packed rows: 15-tuples, one
+    np.array conversion, and one eval_signature call per signature column."""
+    n_steps = cfg.n_steps()
+    x, y, th = cfg.p0.x, cfg.p0.y, cfg.p0.theta
+    rows = []
+    for k, p_ref in enumerate(_reference_rows(cfg.ref, cfg.dt, n_steps + 1)):
+        xo, yo, tho = (x, y, th) if attack is None else attack_state(attack, x, y, th)
+        v, w, xe, ye, the, lyap = control(cfg.ref, cfg.gains, p_ref, xo, yo, tho)
+        v_rx, w_rx = (v, w) if attack is None else attack_command(attack, v, w)
+        if k % cfg.log_stride == 0:
+            rows.append((k * cfg.dt, x, y, th, xo, yo, tho, v, w, v_rx, w_rx, xe, ye, the, lyap))
+        if k < n_steps:
+            x, y, th = rk4_step(x, y, th, v_rx, w_rx, cfg.dt)
+    data = np.empty((len(rows), len(TRACE_COLUMNS)))
+    data[:, :-2] = rows
+    data[:, -2] = eval_signature(sig, data[:, 1], data[:, 2])
+    data[:, -1] = eval_signature(sig, data[:, 4], data[:, 5])
+    return data
+
+
+_P0 = st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5), st.floats(-math.pi, math.pi))
+_BETA = st.floats(0.25, 4.0) | st.floats(-4.0, -0.25)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_P0, st.sampled_from([None, build_reflection, build_scaling]), _BETA,
+       st.floats(-math.pi, math.pi), st.integers(1, 150), st.integers(1, 4))
+@example((0.0, 0.02, 0.0), build_reflection, 1.0, 0.0, 100, 2)
+@example((0.0, 0.02, 0.0), None, 1.0, 0.0, 1, 1)  # two ticks, one logged row past a step
+def test_run_equals_the_tuple_loop_bitwise(p0, builder, beta11, theta0, steps, stride):
+    p0 = Posture(*p0)
+    attack = None if builder is None else builder(beta11, Posture(p0.x, p0.y, theta0))
+    cfg = SimConfig(p0=p0, duration=steps * 0.01, log_stride=stride)
+    sig = default_signature()
+    data = run(cfg, attack, sig).data
+    assert data.shape == (steps // stride + 1, len(TRACE_COLUMNS))
+    assert data.tobytes() == _tuple_loop(cfg, attack, sig).tobytes()
+
+
+def test_packed_rows_read_back_bitwise():
+    rows = [(0.0, -0.0, 5e-324), (math.pi, -1e308, 2.0**-1074)]
+    pack, table = _packed_rows(3)
+    got = table([pack(*row) for row in rows])
+    assert got.shape == (2, 3) and got.flags.writeable
+    assert got.tobytes() == np.array(rows).tobytes()
+    # no rows: the empty table keeps its width, as a session cut before its first tick
+    assert table([]).shape == (0, 3)
+    assert SimTrace(table([]), PLANT_VIEW_COLUMNS[:3]).data.shape == (0, 3)
 
 
 def test_zero_initial_error_stays_on_reference():
@@ -207,6 +289,54 @@ def test_undetectability_report_rejects_mismatched_grids(scenario_runs):
     short = run(SimConfig(duration=1.0))
     with pytest.raises(ValueError):
         undetectability_report(short, bundle.nominal, bundle.attack)
+
+
+def test_undetectability_report_rejects_a_view(scenario_runs):
+    bundle = scenario_runs["scenario1"]
+    attacked = bundle.attacked
+    view = SimTrace(attacked.data[:, :len(CTRL_VIEW_COLUMNS)], CTRL_VIEW_COLUMNS)
+    with pytest.raises(ValueError, match="full traces"):
+        undetectability_report(view, bundle.nominal, bundle.attack)
+    with pytest.raises(ValueError, match="full traces"):
+        undetectability_report(attacked, view, bundle.attack)
+
+
+def _stacked_report(attacked, nominal, attack):
+    """undetectability_report's two sups as computed from stacked column copies."""
+    obs = np.stack([attacked.x_obs, attacked.y_obs, attacked.theta_obs], axis=1)
+    nom = np.stack([nominal.x, nominal.y, nominal.theta], axis=1)
+    act = np.stack([attacked.x, attacked.y, attacked.theta], axis=1)
+    mapped = np.linalg.solve(attack.s_x, (nom - attack.d_x).T).T
+    return float(np.max(np.abs(obs - nom))), float(np.max(np.abs(act - mapped)))
+
+
+def _bits(*values):
+    return np.array(values).tobytes()
+
+
+def test_undetectability_report_equals_the_stacked_columns_bitwise(scenario_runs):
+    nominal = scenario_runs["nominal"].nominal
+    for name in ("scenario1", "scenario2", "scenario3"):
+        bundle = scenario_runs[name]
+        report = undetectability_report(bundle.attacked, nominal, bundle.attack)
+        want = _stacked_report(bundle.attacked, nominal, bundle.attack)
+        assert _bits(report.sup_obs_dev, report.sup_actual_dev) == _bits(*want)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_P0, st.sampled_from([build_reflection, build_scaling]), _BETA,
+       st.floats(-math.pi, math.pi), st.floats(-0.05, 0.05))
+def test_undetectability_report_on_drawn_attacks_equals_the_stacked_columns(
+        p0, builder, beta11, theta0, anchor_shift):
+    # anchored at p0 the attack hides; shifted, it does not, and both sups move
+    p0 = Posture(*p0)
+    cfg = SimConfig(p0=p0, duration=0.5, log_stride=1)
+    attack = builder(beta11, Posture(p0.x + anchor_shift, p0.y, theta0))
+    attacked, nominal = run(cfg, attack), run(cfg)
+    report = undetectability_report(attacked, nominal, attack)
+    want = _stacked_report(attacked, nominal, attack)
+    assert _bits(report.sup_obs_dev, report.sup_actual_dev) == _bits(*want)
+    assert report.undetectable == (want[0] <= 1e-9)
 
 
 def test_wrong_anchor_breaks_undetectability(scenario_runs):
