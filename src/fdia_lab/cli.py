@@ -31,7 +31,7 @@ from .scenarios import (
     run_scenario,
     write_monitor_csv,
 )
-from .simloop import run, write_csv
+from .simloop import run, write_csv, write_trace_csv
 from .smsf import DetectionConfig, monitor
 
 
@@ -268,7 +268,7 @@ def _session_done(role: str, log, out) -> int:
     state = "complete" if log.complete else "incomplete"
     print(f"{role} session {state}: {len(log)} logged rows")
     if out:
-        log.to_csv(out)
+        write_trace_csv(out, log)
         print(f"wrote {out}")
     return 0 if log.complete else 1
 

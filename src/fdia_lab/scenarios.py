@@ -47,6 +47,7 @@ from .simloop import (
     run,
     undetectability_report,
     write_csv,
+    write_trace_csv,
 )
 from .smsf import (
     DetectionConfig,
@@ -322,8 +323,8 @@ def run_scenario(name_or_path, out_dir=None) -> dict:
     out = resolve_out_dir(sc.name, out_dir)
     out.mkdir(parents=True, exist_ok=True)
     ev = evaluate(sc)
-    ev.attacked.to_csv(out / "trace.csv")
-    ev.nominal.to_csv(out / "nominal.csv")
+    write_trace_csv(out / "trace.csv", ev.attacked)
+    write_trace_csv(out / "nominal.csv", ev.nominal)
     save_attack(ev.channel, out / "attack.json")
     write_monitor_csv(out / "monitor.csv", ev.monitor, sc.detection.epsilon)
 

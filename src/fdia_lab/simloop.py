@@ -114,9 +114,6 @@ class SimTrace:
     def __len__(self) -> int:
         return self.data.shape[0]
 
-    def to_csv(self, path) -> None:
-        write_trace_csv(path, self)
-
 
 def _packed_rows(width: int):
     """(pack, table) for a log of rows of `width` floats, the one packed-row format.

@@ -8,19 +8,15 @@ closed form (one-dimensional least squares), and classifies the candidate
 set: a one-dimensional manifold of solutions, isolated nontrivial pairs, or
 only the trivial identity.
 
-The beta grid is scored in fixed blocks of BETA_BLOCK rows, split at block
-boundaries over the usable CPUs when there are more blocks than CPUs.
-Every row goes through the same IEEE operations in the same order whatever
-the split, so the alphas, residuals and verdicts do not depend on the
-number of workers. Blocks that a lower bound of their residuals rules out
-are skipped, so the verdicts stay the exhaustive scan's.
+The beta grid is scored on the calling thread in fixed blocks of
+BETA_BLOCK rows. Blocks that a lower bound of their residuals rules out are
+skipped; every scored row goes through the same IEEE operations as in a
+scan of the whole grid, so the verdicts stay the exhaustive scan's.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import groupby
 
@@ -38,8 +34,8 @@ CLASS_DISCRETE = "discrete-nontrivial"
 CLASS_TRIVIAL = "trivial-only"
 
 # classify() scores the beta grid this many rows at a time through two
-# (BETA_BLOCK, n_grid) buffers per worker; a multiple of 4, so the BLAS
-# matrix-vector kernel groups the rows of every block the same way
+# (BETA_BLOCK, n_grid) buffers per _score_rows call; a multiple of 4, so the
+# BLAS matrix-vector kernel groups the rows of every block the same way
 BETA_BLOCK = 64
 # the most beta grid points classify() scans: 16 MB of alphas and residuals
 _MAX_BETAS = 10**6
@@ -119,19 +115,12 @@ def _manifold_label(candidates, tol: float) -> str:
     return "alpha = h(beta) (tabulated)"
 
 
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _score_rows(g, x, gx, betas, alphas, residuals, lo, hi) -> None:
     """Fill alphas and residuals for betas[lo:hi], BETA_BLOCK rows at a time.
 
     Per row: alpha = <g(beta*x), g(x)> / <g(beta*x), g(beta*x)> (inf where the
     denominator is not positive) and residual = max |alpha*g(beta*x) - g(x)|.
-    Each pass writes into one of two preallocated buffers; only numpy runs
-    here, so worker threads can call it.
+    Each pass writes into one of two buffers allocated once per call.
     """
     rows = min(BETA_BLOCK, hi - lo)
     arg = np.empty((rows, x.size))
@@ -152,27 +141,12 @@ def _score_rows(g, x, gx, betas, alphas, residuals, lo, hi) -> None:
             buf.max(axis=1, out=residuals[start:stop])
 
 
-def _score_blocks(cpus, g, x, gx, betas, alphas, residuals, blocks) -> None:
-    """Score the ascending block indices, in contiguous shares over `cpus` threads.
-
-    At most one block per CPU runs on the calling thread, and so does every
-    block with one CPU: a pool thread's malloc arena keeps its scan buffers
-    resident, which cost the analysis benchmark about 2 MB of peak RSS for no
-    measurable time.
-    """
-    def score(share):
-        # one _score_rows call per run of consecutive blocks
-        for _, run in groupby(enumerate(share), lambda ik: ik[1] - ik[0]):
-            run = [k for _, k in run]
-            _score_rows(g, x, gx, betas, alphas, residuals, run[0] * BETA_BLOCK,
-                        min((run[-1] + 1) * BETA_BLOCK, len(betas)))
-
-    if cpus == 1 or len(blocks) <= cpus:
-        score(blocks)
-    else:
-        with ThreadPoolExecutor(max_workers=cpus) as pool:
-            list(pool.map(score, [blocks[k * len(blocks) // cpus:(k + 1) * len(blocks) // cpus]
-                                  for k in range(cpus)]))
+def _score_blocks(g, x, gx, betas, alphas, residuals, blocks) -> None:
+    """Score the ascending block indices, one _score_rows call per run of consecutive blocks."""
+    for _, run in groupby(enumerate(blocks), lambda ik: ik[1] - ik[0]):
+        run = [k for _, k in run]
+        _score_rows(g, x, gx, betas, alphas, residuals, run[0] * BETA_BLOCK,
+                    min((run[-1] + 1) * BETA_BLOCK, len(betas)))
 
 
 def _block_bounds(g, x, gx, betas, scale) -> np.ndarray:
@@ -270,12 +244,11 @@ def classify(fam: ScalarFamily, tol: float = 1e-9, alpha_range=(-3.0, 3.0),
     # that may hold a residual at or below the best of those: all of them
     # when there is none
     lower = bounds.tolist()
-    cpus = _usable_cpus()
-    _score_blocks(cpus, g, x, gx, betas, alphas, residuals,
+    _score_blocks(g, x, gx, betas, alphas, residuals,
                   [k for k, b in enumerate(lower) if b <= tol])
     nontrivial = _nontrivial(alphas, betas, alpha_range, step)
     best = float(np.min(residuals[nontrivial])) if nontrivial.any() else math.inf
-    _score_blocks(cpus, g, x, gx, betas, alphas, residuals,
+    _score_blocks(g, x, gx, betas, alphas, residuals,
                   [k for k, b in enumerate(lower) if tol < b <= best])
     nontrivial = _nontrivial(alphas, betas, alpha_range, step)
     admitted = nontrivial & (residuals <= tol)

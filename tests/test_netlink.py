@@ -47,7 +47,7 @@ from fdia_lab.netlink import (
     serve_plant,
     serve_proxy,
 )
-from fdia_lab.simloop import SimConfig, SimTrace, run
+from fdia_lab.simloop import SimConfig, SimTrace, run, write_trace_csv
 from fdia_lab.smsf import PolySignature, default_signature, monitor
 
 TIMEOUT = 15.0
@@ -675,8 +675,8 @@ def test_merge_views_rejects_mismatched_grids():
 
 def test_view_csv_headers(tmp_path):
     plant, ctrl = _tiny_views()
-    plant.to_csv(tmp_path / "plant.csv")
-    ctrl.to_csv(tmp_path / "ctrl.csv")
+    write_trace_csv(tmp_path / "plant.csv", plant)
+    write_trace_csv(tmp_path / "ctrl.csv", ctrl)
     assert (tmp_path / "plant.csv").read_text().splitlines()[0] == ",".join(PLANT_VIEW_COLUMNS)
     assert (tmp_path / "ctrl.csv").read_text().splitlines()[0] == ",".join(CTRL_VIEW_COLUMNS)
 

@@ -27,6 +27,7 @@ from fdia_lab.simloop import (
     run,
     undetectability_report,
     write_csv,
+    write_trace_csv,
 )
 from fdia_lab.smsf import default_signature, eval_signature
 from fdia_lab.tracking import RefConfig, _reference_rows, control, reference_table
@@ -368,7 +369,7 @@ def test_csv_round_trip_is_bitwise(tmp_path, scenario_runs, columns):
     trace = scenario_runs["scenario3"].attacked
     table = SimTrace(np.column_stack([getattr(trace, c) for c in columns]), columns)
     path = tmp_path / "table.csv"
-    table.to_csv(path)
+    write_trace_csv(path, table)
     with open(path, "r", encoding="utf-8") as fh:
         assert fh.readline().strip() == ",".join(columns)
     back = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)

@@ -3,10 +3,8 @@
 from __future__ import annotations
 
 import math
-import sys
 import threading
 import warnings
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -301,32 +299,16 @@ def test_row_ranges_score_bitwise_alike(tag):
         assert np.array_equal(residuals, results[0][1], equal_nan=True)
 
 
-def test_verdicts_do_not_depend_on_the_worker_count(monkeypatch, verdicts):
-    # workers write disjoint slices of shared arrays; more workers than cores
-    # and a short switch interval would expose a row written by two of them
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for cpus in (1, 3, 8):
-            monkeypatch.setattr(vulncheck, "_usable_cpus", lambda: cpus)
-            assert {v.family: v for v in verdict_table()} == verdicts
-    finally:
-        sys.setswitchinterval(interval)
+def test_the_scan_starts_no_thread(monkeypatch, verdicts):
+    def no_thread(self):
+        raise AssertionError("the scan started a thread")
 
-
-def test_the_scan_leaves_no_thread_behind():
-    before = threading.active_count()
-    verdict_table()
-    assert threading.active_count() == before
-
-
-def test_one_usable_cpu_starts_no_thread(monkeypatch, verdicts):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a thread pool was opened with one usable CPU")
-
-    monkeypatch.setattr(vulncheck, "_usable_cpus", lambda: 1)
-    monkeypatch.setattr(vulncheck, "ThreadPoolExecutor", no_pool)
-    assert classify(ScalarFamily(TAG_SINE)) == verdicts[TAG_SINE]
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    assert {v.family: v for v in verdict_table()} == verdicts
+    # no alpha in range: the first round finds no nontrivial residual, so
+    # the second scores every block
+    _assert_pruned_scan_is_exhaustive(ScalarFamily(TAG_SINE), 1e-9, (50.0, 60.0),
+                                      (-3.0, 3.0), 0.001)
 
 
 def _exhaustive(fam, tol, alpha_range, beta_range, step):
@@ -379,16 +361,15 @@ def _scan_configs(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(_scan_configs(), st.sampled_from([1, 2, 3, 8]))
+@given(_scan_configs())
 # no beta near +-1: no block is within tol, so the second round scores them all
-@example((ScalarFamily(TAG_COSINE), 1e-9, (-3.0, 3.0), (1.2, 2.9), 0.001), 2)
-@example((ScalarFamily(TAG_EXPONENTIAL), 1e-9, (-3.0, 3.0), (-2.5, -1.5), 0.001), 3)
+@example((ScalarFamily(TAG_COSINE), 1e-9, (-3.0, 3.0), (1.2, 2.9), 0.001))
+@example((ScalarFamily(TAG_EXPONENTIAL), 1e-9, (-3.0, 3.0), (-2.5, -1.5), 0.001))
 # no alpha in range: the best is inf, so every block is scored
-@example((ScalarFamily(TAG_SINE), 1e-9, (50.0, 60.0), (-3.0, 3.0), 0.001), 2)
-@example((ScalarFamily(TAG_EXPONENTIAL, c=4.0), 1e-3, (-1.0, -0.5), (-1.0, 2.0), 0.01), 8)
-def test_pruned_scan_equals_the_exhaustive_scan(config, cpus):
-    with mock.patch.object(vulncheck, "_usable_cpus", lambda: cpus):
-        _assert_pruned_scan_is_exhaustive(*config)
+@example((ScalarFamily(TAG_SINE), 1e-9, (50.0, 60.0), (-3.0, 3.0), 0.001))
+@example((ScalarFamily(TAG_EXPONENTIAL, c=4.0), 1e-3, (-1.0, -0.5), (-1.0, 2.0), 0.01))
+def test_pruned_scan_equals_the_exhaustive_scan(config):
+    _assert_pruned_scan_is_exhaustive(*config)
 
 
 def test_pruned_scan_is_exact_at_the_exponential_best_residual():
