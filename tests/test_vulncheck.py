@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import os
 import threading
 import warnings
 
@@ -309,6 +310,23 @@ def test_the_scan_starts_no_thread(monkeypatch, verdicts):
     # the second scores every block
     _assert_pruned_scan_is_exhaustive(ScalarFamily(TAG_SINE), 1e-9, (50.0, 60.0),
                                       (-3.0, 3.0), 0.001)
+
+
+def test_the_scan_leaves_no_thread_behind():
+    before = threading.active_count()
+    verdict_table()
+    assert threading.active_count() == before
+
+
+def test_one_usable_cpu_starts_no_thread(monkeypatch, verdicts):
+    def no_thread(self):
+        raise AssertionError("the scan started a thread with one usable CPU")
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    if hasattr(os, "sched_getaffinity"):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    assert classify(ScalarFamily(TAG_SINE)) == verdicts[TAG_SINE]
 
 
 def _exhaustive(fam, tol, alpha_range, beta_range, step):
