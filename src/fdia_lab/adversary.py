@@ -25,7 +25,11 @@ SPIRAL_RADIUS = 0.39
 
 
 class UnderdeterminedFit(ValueError):
-    """Raised when the sample set cannot pin down the polynomial coefficients."""
+    """Raised when the sample set cannot pin down the polynomial coefficients.
+
+    That is too few samples, a rank-deficient design, or sample positions so
+    large that the design's monomials overflow.
+    """
 
 
 @dataclass
@@ -79,7 +83,13 @@ def fit_signature(samples: SampleSet, degree: int = 4) -> PolySignature:
         raise UnderdeterminedFit(
             f"under-determined: {samples.count} samples for {len(basis)} coefficients"
         )
-    design = design_matrix(samples.x, samples.y, basis)
+    with np.errstate(over="ignore", invalid="ignore"):
+        design = design_matrix(samples.x, samples.y, basis)
+    # lstsq fails to converge on an overflowed design, with no clearer message
+    if not np.isfinite(design).all():
+        raise UnderdeterminedFit(
+            f"no fit: sample positions overflow the degree-{degree} design matrix"
+        )
     coeff, _, rank, _ = np.linalg.lstsq(design, samples.phi, rcond=1e-15)
     if rank < len(basis):
         raise UnderdeterminedFit(

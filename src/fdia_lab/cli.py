@@ -31,7 +31,7 @@ from .scenarios import (
     run_scenario,
     write_monitor_csv,
 )
-from .simloop import run, write_csv, write_trace_csv
+from .simloop import RunDiverged, run, write_csv, write_trace_csv
 from .smsf import DetectionConfig, monitor
 
 
@@ -212,6 +212,10 @@ def _cmd_monitor(args) -> int:
 def _cmd_estimate(args) -> int:
     sc = load_scenario(args.scenario)
     trace = run(sc.sim, sc.attack, sc.signature)
+    # the study fits the trajectory source at every n, whichever source is shown
+    if max(args.n) > len(trace):
+        raise ScenarioError(f"scenario {sc.name} logs {len(trace)} samples,"
+                            f" fewer than --n {max(args.n)}")
     rows = adversary.estimation_study(trace, truth=sc.signature, ns=args.n,
                                       noise_std=args.noise_std, seed=args.seed)
     if args.source != "both":
@@ -306,8 +310,8 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     # OSError covers a missing file, and for the networked commands a refused
     # connection, a port in use or a timeout
-    except (ScenarioError, AttackError, adversary.UnderdeterminedFit, netlink.NetlinkError,
-            OSError) as exc:
+    except (ScenarioError, AttackError, RunDiverged, adversary.UnderdeterminedFit,
+            netlink.NetlinkError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -19,7 +19,7 @@ import numpy as np
 from . import smsf
 from .fdia import AffineAttack, attack_command, attack_state
 from .kinematics import Posture, rk4_step
-from .tracking import ControllerGains, RefConfig, _reference_rows, control
+from .tracking import ControllerGains, RefConfig, _reference_rows, _table_steps, control
 
 TRACE_COLUMNS = (
     "t",
@@ -42,6 +42,10 @@ TRACE_COLUMNS = (
 )
 _ACTUAL = slice(TRACE_COLUMNS.index("x"), TRACE_COLUMNS.index("theta") + 1)
 _OBSERVED = slice(TRACE_COLUMNS.index("x_obs"), TRACE_COLUMNS.index("theta_obs") + 1)
+
+
+class RunDiverged(ValueError):
+    """A closed-loop run reached a non-finite state or command."""
 
 
 @dataclass(frozen=True)
@@ -68,9 +72,8 @@ class SimConfig:
             raise ValueError(
                 f"SimConfig.duration {self.duration} is not a whole number of dt={self.dt} steps"
             )
-        # reference_table(ref, dt) builds ceil(ref.duration/dt - 1e-9) + 1 rows and
-        # the run reads steps + 1: ceil(r) < steps exactly when r <= steps - 1
-        if self.ref.duration / self.dt - 1e-9 <= steps - 1:
+        # reference_table(ref, dt) builds _table_steps + 1 rows, and the run reads steps + 1
+        if _table_steps(self.ref, self.dt) < steps:
             raise ValueError(
                 f"reference duration {self.ref.duration} shorter than run duration {self.duration}"
             )
@@ -180,7 +183,7 @@ def run(cfg: SimConfig, attack: AffineAttack | None = None,
     columns are evaluated in one call on the logged positions after the loop,
     bitwise two separate calls, as every operation is elementwise. Identical
     configs yield bit-identical traces; a run that diverges to a non-finite
-    state or command raises ValueError.
+    state or command raises RunDiverged.
     """
     sig = signature if signature is not None else smsf.default_signature()
     n_steps = cfg.n_steps()
@@ -188,19 +191,23 @@ def run(cfg: SimConfig, attack: AffineAttack | None = None,
     x, y, th = cfg.p0.x, cfg.p0.y, cfg.p0.theta
     pack, table = _packed_rows(len(TRACE_COLUMNS) - 2)
     rows = []
-    for k, p_ref in enumerate(_reference_rows(cfg.ref, dt, n_steps + 1)):
-        t = k * dt
-        xo, yo, tho = (x, y, th) if attack is None else attack_state(attack, x, y, th)
-        v, w, xe, ye, the, lyap = control(ref, gains, p_ref, xo, yo, tho)
-        v_rx, w_rx = (v, w) if attack is None else attack_command(attack, v, w)
-        if k % stride == 0:
-            rows.append(pack(t, x, y, th, xo, yo, tho, v, w, v_rx, w_rx, xe, ye, the, lyap))
-        if k < n_steps:
-            x, y, th = rk4_step(x, y, th, v_rx, w_rx, dt)
+    ref_rows = _reference_rows(cfg.ref, dt, n_steps + 1)
+    try:
+        for k, p_ref in enumerate(ref_rows):
+            t = k * dt
+            xo, yo, tho = (x, y, th) if attack is None else attack_state(attack, x, y, th)
+            v, w, xe, ye, the, lyap = control(ref, gains, p_ref, xo, yo, tho)
+            v_rx, w_rx = (v, w) if attack is None else attack_command(attack, v, w)
+            if k % stride == 0:
+                rows.append(pack(t, x, y, th, xo, yo, tho, v, w, v_rx, w_rx, xe, ye, the, lyap))
+            if k < n_steps:
+                x, y, th = rk4_step(x, y, th, v_rx, w_rx, dt)
+    except ValueError as exc:  # math.cos or math.sin of an infinite heading
+        raise RunDiverged(f"run diverged: non-finite heading at t = {k * dt:g} s") from exc
     data = np.empty((len(rows), len(TRACE_COLUMNS)))
     data[:, :-2] = table(rows)
     if not np.isfinite(data[:, :-2]).all():
-        raise ValueError("run diverged: the trace holds non-finite values")
+        raise RunDiverged("run diverged: the trace holds non-finite values")
     # (phi_plant, phi_ctrl) at the actual (x, y) and the observed (x_obs, y_obs)
     data[:, -2:] = smsf.eval_signature(sig, data[:, [1, 4]], data[:, [2, 5]])
     return SimTrace(data)

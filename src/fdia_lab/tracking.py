@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import struct
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -22,6 +23,7 @@ from .kinematics import rk4_step
 TWO_PI = 2.0 * math.pi
 REFERENCE_CACHE_SIZE = 8  # reference tables kept by reference_table
 _ROW = struct.Struct("4d")  # one reference_table row as native float64s
+_MAX_ROWS = sys.maxsize // _ROW.size  # a bytearray indexes at most sys.maxsize bytes
 
 
 @dataclass(frozen=True)
@@ -64,6 +66,21 @@ def _omega_ref(cfg: RefConfig, t: float) -> float:
     return cfg.omega_amp * math.sin(TWO_PI * t / cfg.omega_period)
 
 
+def _table_steps(cfg: RefConfig, dt: float) -> int:
+    """The last row index of reference_table(cfg, dt): ceil(cfg.duration/dt - 1e-9).
+
+    Raises ValueError when the table's rows would pass sys.maxsize bytes, which
+    no bytearray can index; the ratio is compared before it is rounded, so an
+    overflowing one never reaches ceil.
+    """
+    ratio = cfg.duration / dt - 1e-9
+    # ceil(ratio) + 1 <= _MAX_ROWS exactly when ratio <= _MAX_ROWS - 1
+    if not ratio <= _MAX_ROWS - 1:
+        raise ValueError(f"reference duration {cfg.duration} at dt={dt} needs a table"
+                         f" of more than sys.maxsize bytes")
+    return math.ceil(ratio)
+
+
 @lru_cache(maxsize=REFERENCE_CACHE_SIZE)
 def reference_table(cfg: RefConfig, dt: float = 0.01) -> np.ndarray:
     """Reference rows (xr, yr, thr, omega_r) on the grid k*dt for k = 0..ceil(duration/dt).
@@ -75,7 +92,7 @@ def reference_table(cfg: RefConfig, dt: float = 0.01) -> np.ndarray:
     """
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    n = int(math.ceil(cfg.duration / dt - 1e-9))
+    n = _table_steps(cfg, dt)
     rows = bytearray(_ROW.size * (n + 1))
     x = y = th = 0.0
     for k in range(n):

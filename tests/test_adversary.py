@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -97,6 +99,18 @@ def test_underdetermined_fits_are_rejected():
     on_axis = SampleSet(ax, np.zeros(20), eval_signature(sig, ax, np.zeros(20)))
     with pytest.raises(UnderdeterminedFit):
         fit_signature(on_axis)
+
+
+def test_positions_that_overflow_the_design_are_rejected_without_warnings():
+    # 1e150 m of noise puts x^4 past float64: lstsq used to raise LinAlgError
+    samples = spiral_samples(200, noise_std=1e150)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(UnderdeterminedFit, match="overflow the degree-4 design"):
+            fit_signature(samples)
+    # at 1e75 m the design stays finite and the fit is refused as rank-deficient
+    with pytest.raises(UnderdeterminedFit, match="rank-deficient"):
+        fit_signature(spiral_samples(200, noise_std=1e75))
 
 
 def test_nrmse_basics():

@@ -518,6 +518,50 @@ def test_cli_estimate_refuses_too_few_samples(capsys):
     assert err.startswith("error: under-determined") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("source", ["both", "trajectory", "spiral"])
+def test_cli_estimate_refuses_more_samples_than_the_run_logs(source, capsys):
+    # the study fits the trajectory source under every --source
+    assert main(["estimate", "--n", "150,2000", "--source", source]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: scenario scenario1 logs 1501 samples, fewer than --n 2000")
+
+
+def test_cli_estimate_refuses_noise_that_overflows_the_design(capsys):
+    assert main(["estimate", "--noise-std", "1e150"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: no fit: sample positions overflow") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify", "monitor", "estimate"])
+@pytest.mark.parametrize("overrides", [
+    {"gains": {"kx": 1e300}},
+    {"p0": [1e300, 0.0, 0.0]},
+    {"ref": {"v_ref": 1e300}},  # math.cos of an infinite heading
+], ids=["kx", "p0", "v_ref"])
+def test_cli_reports_a_diverging_run_as_an_error(command, overrides, tmp_path, monkeypatch,
+                                                 capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("FDIA_LAB_OUT_DIR", raising=False)
+    doc = tmp_path / "diverging.json"
+    doc.write_text(json.dumps(_quick_doc(**overrides)), encoding="utf-8")
+    assert main([command, "--scenario", str(doc)]) == 2
+    assert capsys.readouterr().err.startswith("error: run diverged")
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify", "monitor", "estimate"])
+def test_cli_refuses_a_run_whose_reference_table_passes_sys_maxsize_bytes(command, tmp_path,
+                                                                          monkeypatch, capsys):
+    # refused from the ratio alone, before any table is allocated
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("FDIA_LAB_OUT_DIR", raising=False)
+    doc = tmp_path / "unsizeable.json"
+    doc.write_text(json.dumps({"seed": 1, "duration": 1e300, "dt": 1.0}), encoding="utf-8")
+    with pytest.raises(ScenarioError, match="sys.maxsize bytes"):
+        load_scenario(doc)
+    assert main([command, "--scenario", str(doc)]) == 2
+    assert "sys.maxsize bytes" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("doc", ["{}", '{"s_x": 1}', "[1, 2", '{"d_x": ["0", "0", "0"]}'])
 def test_cli_proxy_refuses_a_malformed_attack_file(doc, tmp_path, capsys):
     path = tmp_path / "attack.json"

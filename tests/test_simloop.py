@@ -21,6 +21,7 @@ from fdia_lab.netlink import CTRL_VIEW_COLUMNS, PLANT_VIEW_COLUMNS
 from fdia_lab.scenarios import builtin_names, load_scenario
 from fdia_lab.simloop import (
     TRACE_COLUMNS,
+    RunDiverged,
     SimConfig,
     SimTrace,
     _packed_rows,
@@ -30,7 +31,14 @@ from fdia_lab.simloop import (
     write_trace_csv,
 )
 from fdia_lab.smsf import default_signature, eval_signature
-from fdia_lab.tracking import RefConfig, _reference_rows, control, reference_table
+from fdia_lab.tracking import (
+    _MAX_ROWS,
+    RefConfig,
+    _reference_rows,
+    _table_steps,
+    control,
+    reference_table,
+)
 
 
 def test_trace_column_order():
@@ -64,8 +72,38 @@ def test_duration_must_be_whole_steps():
 
 def test_diverging_run_raises():
     # a start 1e308 m off the reference commands an infinite speed at once
-    with pytest.raises(ValueError):
+    with pytest.raises(RunDiverged, match="non-finite values"):
         run(SimConfig(p0=Posture(1e308, 0.0, 0.0), duration=1.0))
+    assert issubclass(RunDiverged, ValueError)
+
+
+def test_an_infinite_heading_raises_run_diverged():
+    # a 1e300 m/s reference speed commands an infinite turn rate, and the next
+    # tick takes math.cos of an infinite heading
+    with pytest.raises(RunDiverged, match="non-finite heading at t = 0.01 s"):
+        run(SimConfig(ref=RefConfig(v_ref=1e300, duration=1.0), duration=1.0))
+
+
+def test_a_reference_table_past_sys_maxsize_bytes_is_refused():
+    # checked on the ratio alone: nothing here allocates a table
+    assert _MAX_ROWS * 32 <= sys.maxsize < (_MAX_ROWS + 1) * 32
+    top = float(_MAX_ROWS - 1)
+    if top > _MAX_ROWS - 1:  # the nearest float rounded up
+        top = math.nextafter(top, 0.0)
+    beyond = math.nextafter(top, math.inf)
+    assert _table_steps(RefConfig(duration=top), 1.0) == top
+    with pytest.raises(ValueError, match="sys.maxsize bytes"):
+        _table_steps(RefConfig(duration=beyond), 1.0)
+    assert SimConfig(ref=RefConfig(duration=top), dt=1.0, duration=top).n_steps() == top
+    for duration in (beyond, 1e300):
+        with pytest.raises(ValueError, match="sys.maxsize bytes"):
+            SimConfig(ref=RefConfig(duration=duration), dt=1.0, duration=duration)
+    # a reference longer than its run is sized by its own duration
+    with pytest.raises(ValueError, match="sys.maxsize bytes"):
+        SimConfig(ref=RefConfig(duration=1e300), duration=1.0)
+    # reference_table used to raise OverflowError from bytearray
+    with pytest.raises(ValueError, match="sys.maxsize bytes"):
+        reference_table(RefConfig(duration=1e300), 1.0)
 
 
 def test_a_reference_shorter_than_the_run_raises():
