@@ -213,9 +213,9 @@ def _cmd_estimate(args) -> int:
     sc = load_scenario(args.scenario)
     trace = run(sc.sim, sc.attack, sc.signature)
     # the study fits the trajectory source at every n, whichever source is shown
-    if max(args.n) > len(trace):
-        raise ScenarioError(f"scenario {sc.name} logs {len(trace)} samples,"
-                            f" fewer than --n {max(args.n)}")
+    most = max(args.n)
+    if most > len(trace):
+        raise ScenarioError(f"scenario {sc.name} logs {len(trace)} samples, fewer than --n {most}")
     rows = adversary.estimation_study(trace, truth=sc.signature, ns=args.n,
                                       noise_std=args.noise_std, seed=args.seed)
     if args.source != "both":
