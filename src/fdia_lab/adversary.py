@@ -18,10 +18,16 @@ import numpy as np
 from .simloop import SimTrace
 from .smsf import PolySignature, _powers, default_signature, eval_signature
 
-# study protocol defaults: interception noise [m] and spiral geometry
+# study protocol defaults: interception noise [m]
 STUDY_NOISE_STD = 0.01
-SPIRAL_TURNS = 4.0
-SPIRAL_RADIUS = 0.39
+# the spiral probe's turns and radius [m], and the held-out grid's points per
+# axis and its inflation of the trajectory's bounding box
+_SPIRAL_TURNS = 4.0
+_SPIRAL_RADIUS = 0.39
+_HOLDOUT_N = 50
+_HOLDOUT_INFLATE = 0.2
+# the fit's (i, j) exponent pairs, i + j <= 4, in graded-lexicographic order
+_BASIS = tuple((d - j, j) for d in range(5) for j in range(d + 1))
 
 
 class UnderdeterminedFit(ValueError):
@@ -55,47 +61,35 @@ class SampleSet:
         return len(self.x)
 
 
-def monomial_basis(degree: int):
-    """(i, j) exponent pairs with i + j <= degree in graded-lexicographic order."""
-    if degree < 0:
-        raise ValueError(f"degree must be >= 0, got {degree}")
-    return [(d - j, j) for d in range(degree + 1) for j in range(d + 1)]
-
-
-def design_matrix(x: np.ndarray, y: np.ndarray, basis) -> np.ndarray:
+def _design_matrix(x: np.ndarray, y: np.ndarray, basis) -> np.ndarray:
     px, py = {0: 1.0, 1: x}, {0: 1.0, 1: y}
     return np.column_stack(np.broadcast_arrays(*[_powers(px, i) * _powers(py, j)
                                                  for (i, j) in basis]))
 
 
-def fit_signature(samples: SampleSet, degree: int = 4) -> PolySignature:
-    """Least-squares polynomial fit of the intercepted signature values.
+def fit_signature(samples: SampleSet) -> PolySignature:
+    """Least-squares degree-4 polynomial fit of the intercepted signature values.
 
     Solved via numpy's SVD-based lstsq. The rank cutoff (rcond=1e-15) only
     trips on exact degeneracy such as too few samples, duplicated points, or
     samples confined to a coordinate axis; merely ill-conditioned coverage
     (a short trajectory arc) returns the honest, poorly extrapolating fit.
     """
-    if not isinstance(degree, int) or degree < 1:
-        raise ValueError(f"degree must be a positive int, got {degree}")
-    basis = monomial_basis(degree)
-    if samples.count < len(basis):
+    if samples.count < len(_BASIS):
         raise UnderdeterminedFit(
-            f"under-determined: {samples.count} samples for {len(basis)} coefficients"
+            f"under-determined: {samples.count} samples for {len(_BASIS)} coefficients"
         )
     with np.errstate(over="ignore", invalid="ignore"):
-        design = design_matrix(samples.x, samples.y, basis)
+        design = _design_matrix(samples.x, samples.y, _BASIS)
     # lstsq fails to converge on an overflowed design, with no clearer message
     if not np.isfinite(design).all():
-        raise UnderdeterminedFit(
-            f"no fit: sample positions overflow the degree-{degree} design matrix"
-        )
+        raise UnderdeterminedFit("no fit: sample positions overflow the degree-4 design matrix")
     coeff, _, rank, _ = np.linalg.lstsq(design, samples.phi, rcond=1e-15)
-    if rank < len(basis):
+    if rank < len(_BASIS):
         raise UnderdeterminedFit(
             "under-determined: rank-deficient design matrix (insufficient workspace coverage)"
         )
-    return PolySignature(dict(zip(basis, (float(c) for c in coeff))), max_degree=degree)
+    return PolySignature(dict(zip(_BASIS, (float(c) for c in coeff))))
 
 
 def nrmse(estimate: PolySignature, truth: PolySignature, eval_xy) -> float:
@@ -111,22 +105,21 @@ def nrmse(estimate: PolySignature, truth: PolySignature, eval_xy) -> float:
     return float(np.sqrt(np.mean((est - tru) ** 2)) / rng)
 
 
-def spiral_samples(n: int, turns: float = SPIRAL_TURNS, radius: float = SPIRAL_RADIUS,
-                   sig: PolySignature | None = None, noise_std: float = 0.0,
+def spiral_samples(n: int, sig: PolySignature | None = None, noise_std: float = 0.0,
                    seed: int = 0) -> SampleSet:
-    """Fictitious Archimedean spiral probe: r = radius*s, angle = 2*pi*turns*s.
+    """Fictitious Archimedean spiral probe: r = 0.39*s, angle = 2*pi*4*s.
 
     s runs uniformly over [0, 1] in n samples, so the probe always covers the
-    full spiral and only the density grows with n. Phi comes from the true
-    signature at the true spiral points; noise perturbs the recorded
-    positions only.
+    full spiral and only the density grows with n. Phi comes from sig (the
+    default signature when None) at the true spiral points; noise perturbs
+    the recorded positions only.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     sig = sig if sig is not None else default_signature()
     s = np.linspace(0.0, 1.0, n)
-    angle = 2.0 * np.pi * turns * s
-    r = radius * s
+    angle = 2.0 * np.pi * _SPIRAL_TURNS * s
+    r = _SPIRAL_RADIUS * s
     x = r * np.cos(angle)
     y = r * np.sin(angle)
     phi = np.atleast_1d(eval_signature(sig, x, y)).astype(float)
@@ -153,14 +146,14 @@ def trajectory_samples(trace, n: int, noise_std: float = 0.0, seed: int = 0) -> 
     return SampleSet(x, y, phi, source="trajectory")
 
 
-def holdout_grid(trace, n: int = 50, inflate: float = 0.2) -> np.ndarray:
-    """n x n evaluation grid over the actual-trajectory bounding box, inflated."""
+def holdout_grid(trace) -> np.ndarray:
+    """50 x 50 evaluation grid over the actual-trajectory bounding box, inflated by 20%."""
     x_lo, x_hi = float(trace.x.min()), float(trace.x.max())
     y_lo, y_hi = float(trace.y.min()), float(trace.y.max())
-    pad_x = max(0.5 * inflate * (x_hi - x_lo), 1e-6)
-    pad_y = max(0.5 * inflate * (y_hi - y_lo), 1e-6)
-    xs = np.linspace(x_lo - pad_x, x_hi + pad_x, n)
-    ys = np.linspace(y_lo - pad_y, y_hi + pad_y, n)
+    pad_x = max(0.5 * _HOLDOUT_INFLATE * (x_hi - x_lo), 1e-6)
+    pad_y = max(0.5 * _HOLDOUT_INFLATE * (y_hi - y_lo), 1e-6)
+    xs = np.linspace(x_lo - pad_x, x_hi + pad_x, _HOLDOUT_N)
+    ys = np.linspace(y_lo - pad_y, y_hi + pad_y, _HOLDOUT_N)
     gx, gy = np.meshgrid(xs, ys)
     return np.column_stack([gx.ravel(), gy.ravel()])
 
@@ -186,13 +179,12 @@ class StudyRow:
 
 
 def estimation_study(trace, truth: PolySignature | None = None, ns=(150, 500, 1000),
-                     noise_std: float = STUDY_NOISE_STD, seed: int = 0,
-                     degree: int = 4):
+                     noise_std: float = STUDY_NOISE_STD, seed: int = 0):
     """Coverage study: fit quality versus sample count and eavesdropping source.
 
     For each n, fits once from the run's own trajectory prefix and once from
-    the spiral probe, then scores both on the same held-out grid over the
-    run's operating region. Returns StudyRow entries (source, n, nrmse).
+    the spiral probe of truth, then scores both on the same held-out grid
+    over the run's operating region. Returns StudyRow entries (source, n, nrmse).
     """
     truth = truth if truth is not None else default_signature()
     grid = holdout_grid(trace)
@@ -202,7 +194,7 @@ def estimation_study(trace, truth: PolySignature | None = None, ns=(150, 500, 10
             if source == "trajectory":
                 samples = trajectory_samples(trace, n, noise_std=noise_std, seed=seed)
             else:
-                samples = spiral_samples(n, noise_std=noise_std, seed=seed)
-            estimate = fit_signature(samples, degree)
+                samples = spiral_samples(n, sig=truth, noise_std=noise_std, seed=seed)
+            estimate = fit_signature(samples)
             rows.append(StudyRow(source, int(n), nrmse(estimate, truth, grid)))
     return rows

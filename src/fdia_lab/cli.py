@@ -254,8 +254,11 @@ def _cmd_vulncheck(args) -> int:
 def _cmd_serve_plant(args) -> int:
     sc = load_scenario(args.scenario)
     host, port = args.listen
-    print(f"plant: scenario {sc.name}, listening on {host}:{port}", flush=True)
-    log = netlink.serve_plant(sc.sim, sc.signature, host=host, port=port)
+
+    def listening(bound: int) -> None:  # the bound port: --listen may ask for port 0
+        print(f"plant: scenario {sc.name}, listening on {host}:{bound}", flush=True)
+
+    log = netlink.serve_plant(sc.sim, sc.signature, host=host, port=port, on_bound=listening)
     return _session_done("plant", log, args.out)
 
 
@@ -284,10 +287,14 @@ def _cmd_proxy(args) -> int:
     elif args.scenario is not None:
         attack = load_scenario(args.scenario).attack
     label = attack.kind if attack is not None else "passthrough"
-    print(f"proxy: {label}, {args.listen[0]}:{args.listen[1]}"
-          f" -> {args.connect[0]}:{args.connect[1]}", flush=True)
+
+    def listening(bound: int) -> None:  # the bound port: --listen may ask for port 0
+        print(f"proxy: {label}, {args.listen[0]}:{bound}"
+              f" -> {args.connect[0]}:{args.connect[1]}", flush=True)
+
     netlink.serve_proxy(attack, listen=args.listen, upstream=args.connect,
-                        sig_scale=args.sig_scale, sig_offset=args.sig_offset)
+                        sig_scale=args.sig_scale, sig_offset=args.sig_offset,
+                        on_bound=listening)
     print("proxy session ended")
     return 0
 

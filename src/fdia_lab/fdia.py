@@ -25,7 +25,7 @@ KIND_REFLECTION = "Reflection"
 KIND_SCALING = "Scaling"
 KIND_IDENTITY = "Identity"
 KIND_CUSTOM = "Custom"
-KINDS = (KIND_REFLECTION, KIND_SCALING, KIND_IDENTITY, KIND_CUSTOM)
+_KINDS = (KIND_REFLECTION, KIND_SCALING, KIND_IDENTITY, KIND_CUSTOM)
 
 _SHAPES = {"s_x": (3, 3), "d_x": (3,), "s_u": (2, 2), "d_u": (2,)}
 _OPTIONAL_KEYS = {"kind", "beta11"}
@@ -69,7 +69,7 @@ class AffineAttack:
         object.__setattr__(self, "_command_map", tuple(floats[12:]))
         if abs(np.linalg.det(self.s_x)) <= 1e-12:
             raise AttackError("AffineAttack.s_x must be invertible")
-        if self.kind not in KINDS:
+        if self.kind not in _KINDS:
             raise AttackError(f"unknown attack kind {_shown(self.kind)}")
         if not math.isfinite(self.beta11):
             raise AttackError("AffineAttack.beta11 must be finite")

@@ -33,7 +33,6 @@ from .kinematics import rk4_step
 from .simloop import TRACE_COLUMNS, SimConfig, SimTrace, _packed_rows
 from .tracking import _reference_rows, control
 
-MSG_KINDS = ("Obs", "Cmd", "Sig", "Hello", "Bye")
 _NUMERIC_ARITY = {"Obs": 3, "Cmd": 2, "Sig": 1}
 _STRING_ARITY = {"Hello": 2, "Bye": 1}
 _ARITY = {**_NUMERIC_ARITY, **_STRING_ARITY}
@@ -79,7 +78,7 @@ class WireFormatError(NetlinkError):
 
 
 class UnknownKindError(WireFormatError):
-    """Message kind outside MSG_KINDS."""
+    """Message kind outside the protocol's five (Obs, Cmd, Sig, Hello, Bye)."""
 
 
 class ProtocolError(NetlinkError):
@@ -118,7 +117,7 @@ def _check_message(msg: WireMessage) -> None:
             and type(msg.kind) is str and len(payload) == _NUMERIC_ARITY.get(msg.kind)
             and _FLOAT.issuperset(map(type, payload)) and (s := sum(payload)) - s == 0.0):
         return
-    if msg.kind not in MSG_KINDS:
+    if not isinstance(msg.kind, str) or msg.kind not in _ARITY:
         raise UnknownKindError(f"unknown message kind {msg.kind!r}")
     if not isinstance(msg.seq, int) or isinstance(msg.seq, bool) or not 0 <= msg.seq < 2**64:
         raise WireFormatError(f"seq must be an int in [0, 2**64), got {_shown(msg.seq)}")
@@ -277,7 +276,7 @@ def _expect(sock: socket.socket, rx, kind: str, where: str = "mid-run") -> WireM
     return msg
 
 
-def config_digest(cfg: SimConfig, signature: smsf.PolySignature) -> str:
+def _config_digest(cfg: SimConfig, signature: smsf.PolySignature) -> str:
     """16-hex-char digest of the canonical run configuration."""
     payload = {"sim": asdict(cfg), "signature": smsf.signature_to_dict(signature)}
     canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
@@ -317,7 +316,7 @@ def _accept_one(addr, on_bound, timeout: float) -> socket.socket:
 
 
 def _plant_session(conn: socket.socket, cfg: SimConfig, sig) -> SimTrace:
-    digest = config_digest(cfg, sig)
+    digest = _config_digest(cfg, sig)
     rx = itertools.count()
     tx = itertools.count()
     hello = recv_message(conn)
@@ -365,7 +364,7 @@ def run_controller(cfg: SimConfig, connect=("127.0.0.1", DEFAULT_PROXY_PORT),
 
 
 def _controller_session(sock: socket.socket, cfg: SimConfig, sig) -> SimTrace:
-    digest = config_digest(cfg, sig)
+    digest = _config_digest(cfg, sig)
     rx = itertools.count()
     tx = itertools.count()
     send_message(sock, WireMessage("Hello", next(tx), 0.0, ("controller", digest)))

@@ -53,6 +53,7 @@ from .smsf import (
     DetectionConfig,
     MonitorResult,
     PolySignature,
+    _exceeds,
     default_signature,
     monitor,
     signature_from_dict,
@@ -302,9 +303,9 @@ def evaluate(sc: Scenario, tol: float = _UNDETECTABLE_TOL) -> Evaluation:
 
 
 def write_monitor_csv(path, result: MonitorResult, epsilon: float) -> None:
-    """The monitor.csv schema: t, residual, and 1 where the residual exceeds epsilon."""
+    """The monitor.csv schema: t, residual, and 1 where monitor counts an exceedance."""
     write_csv(path, ("t", "residual", "exceeds"),
-              np.column_stack([result.t, result.residual, result.residual > epsilon]))
+              np.column_stack([result.t, result.residual, _exceeds(result.residual, epsilon)]))
 
 
 def run_scenario(name_or_path, out_dir=None) -> dict:
@@ -356,7 +357,8 @@ def run_scenario(name_or_path, out_dir=None) -> dict:
             "summary": "summary.json",
         },
     }
+    # strict JSON: a non-finite metric raises here, before the file is opened
+    text = json.dumps(summary, indent=2, sort_keys=True, allow_nan=False)
     with open(out / "summary.json", "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
     return summary

@@ -45,7 +45,7 @@ _OBSERVED = slice(TRACE_COLUMNS.index("x_obs"), TRACE_COLUMNS.index("theta_obs")
 
 
 class RunDiverged(ValueError):
-    """A closed-loop run reached a non-finite state or command."""
+    """A closed-loop run reached a non-finite state, command or signature value."""
 
 
 @dataclass(frozen=True)
@@ -183,7 +183,7 @@ def run(cfg: SimConfig, attack: AffineAttack | None = None,
     columns are evaluated in one call on the logged positions after the loop,
     bitwise two separate calls, as every operation is elementwise. Identical
     configs yield bit-identical traces; a run that diverges to a non-finite
-    state or command raises RunDiverged.
+    state, command or signature value raises RunDiverged.
     """
     sig = signature if signature is not None else smsf.default_signature()
     n_steps = cfg.n_steps()
@@ -206,10 +206,12 @@ def run(cfg: SimConfig, attack: AffineAttack | None = None,
         raise RunDiverged(f"run diverged: non-finite heading at t = {k * dt:g} s") from exc
     data = np.empty((len(rows), len(TRACE_COLUMNS)))
     data[:, :-2] = table(rows)
-    if not np.isfinite(data[:, :-2]).all():
+    # (phi_plant, phi_ctrl) at the actual (x, y) and the observed (x_obs, y_obs);
+    # an overflow there is caught with the rest of the table below
+    with np.errstate(over="ignore", invalid="ignore"):
+        data[:, -2:] = smsf.eval_signature(sig, data[:, [1, 4]], data[:, [2, 5]])
+    if not np.isfinite(data).all():
         raise RunDiverged("run diverged: the trace holds non-finite values")
-    # (phi_plant, phi_ctrl) at the actual (x, y) and the observed (x_obs, y_obs)
-    data[:, -2:] = smsf.eval_signature(sig, data[:, [1, 4]], data[:, [2, 5]])
     return SimTrace(data)
 
 

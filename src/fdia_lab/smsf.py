@@ -25,6 +25,7 @@ _TERM_KEY = re.compile(r"(0|[1-9][0-9]*),(0|[1-9][0-9]*)")  # canonical exponent
 _EPS, _TINY = float(np.finfo(float).eps), float(np.finfo(float).tiny)
 _GRID_AXIS = np.linspace(-1.0, 1.0, 201)  # validate_smsf's grid: [-1, 1] at 0.01
 _GRID_AXIS.setflags(write=False)
+_HALF_WIDTH, _GRID_N = 0.1, 101  # resilience_check's grid: half width [m], points per axis
 
 
 @dataclass(frozen=True)
@@ -169,20 +170,13 @@ class AffineFit:
     nrmse: float
 
 
-def affine_fit(pairs) -> AffineFit:
-    """Fit phi_out = s_phi*phi_in + d_phi by least squares over (in, out) pairs.
+def _affine_fit(phi_in: np.ndarray, phi_out: np.ndarray) -> AffineFit:
+    """Fit phi_out = s_phi*phi_in + d_phi by least squares over two equal-length arrays.
 
     nrmse is the fit RMSE normalized by the output range. Degenerate input
-    spread (range below 1e-12) is rejected: no affine channel is identifiable
-    from a constant input stream.
+    spread (range below 1e-12, a single sample included) is rejected: no
+    affine channel is identifiable from a constant input stream.
     """
-    arr = np.asarray(list(pairs) if not isinstance(pairs, np.ndarray) else pairs, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise ValueError("pairs must be an iterable of (phi_in, phi_out)")
-    if arr.shape[0] < 2:
-        raise ValueError("need at least two pairs")
-    phi_in = arr[:, 0]
-    phi_out = arr[:, 1]
     if float(phi_in.max() - phi_in.min()) < 1e-12:
         raise ValueError("degenerate input spread: phi_in range < 1e-12")
     design = np.column_stack([phi_in, np.ones_like(phi_in)])
@@ -207,15 +201,14 @@ class ResilienceResult:
     fit: AffineFit
 
 
-def resilience_check(sig: PolySignature, attack, trace, tol: float = 0.05,
-                     half_width: float = 0.1, grid_n: int = 101) -> ResilienceResult:
+def resilience_check(sig: PolySignature, attack, trace, tol: float = 0.05) -> ResilienceResult:
     """Resilience of sig against an affine attack near a run's anchor posture.
 
     Fits Phi(observed) = s_phi*Phi(actual) + d_phi, the best scalar channel
-    the attacker could splice into the plant-side stream, over a grid of
-    actual positions covering the square of the given half width centered on
-    the run's starting position (heading held at its starting value). The
-    signature is vulnerable when the fit's NRMSE is at most tol.
+    the attacker could splice into the plant-side stream, over a 101 x 101
+    grid of actual positions covering the square of half width 0.1 m
+    centered on the run's starting position (heading held at its starting
+    value). The signature is vulnerable when the fit's NRMSE is at most tol.
 
     The neighborhood scale matters: every anchored affine state map looks
     affine in Phi far from its anchor, so the verdict is only informative at
@@ -224,21 +217,15 @@ def resilience_check(sig: PolySignature, attack, trace, tol: float = 0.05,
     strictly easier for the attacker and is not what this check answers; use
     monitor() to judge a specific run.
     """
-    if not (math.isfinite(half_width) and half_width > 0.0):
-        raise ValueError(f"half_width must be positive, got {half_width}")
-    if not isinstance(grid_n, int) or grid_n < 2:
-        raise ValueError(f"grid_n must be an int >= 2, got {grid_n}")
     x0 = float(trace.x[0])
     y0 = float(trace.y[0])
     theta0 = float(trace.theta[0])
-    ax = np.linspace(x0 - half_width, x0 + half_width, grid_n)
-    ay = np.linspace(y0 - half_width, y0 + half_width, grid_n)
+    ax = np.linspace(x0 - _HALF_WIDTH, x0 + _HALF_WIDTH, _GRID_N)
+    ay = np.linspace(y0 - _HALF_WIDTH, y0 + _HALF_WIDTH, _GRID_N)
     gx, gy = np.meshgrid(ax, ay)
     x, y = gx.ravel(), gy.ravel()
     x_obs, y_obs, _ = attack_state(attack, x, y, theta0)
-    phi_in = eval_signature(sig, x, y)
-    phi_out = eval_signature(sig, x_obs, y_obs)
-    fit = affine_fit(np.column_stack([phi_in, phi_out]))
+    fit = _affine_fit(eval_signature(sig, x, y), eval_signature(sig, x_obs, y_obs))
     return ResilienceResult(fit.nrmse > tol, fit)
 
 
@@ -265,7 +252,7 @@ class MonitorResult:
     detect_t: float | None
 
 
-def windowed_detect(t: np.ndarray, exceed: np.ndarray, window: int):
+def _windowed_detect(t: np.ndarray, exceed: np.ndarray, window: int):
     """First time a run of `window` consecutive True samples completes, or None."""
     if len(exceed) >= window:
         runs = np.convolve(exceed.astype(float), np.ones(window), mode="valid")
@@ -273,6 +260,11 @@ def windowed_detect(t: np.ndarray, exceed: np.ndarray, window: int):
         if len(hits):
             return float(t[hits[0] + window - 1])
     return None
+
+
+def _exceeds(residual: np.ndarray, epsilon: float) -> np.ndarray:
+    """The one exceedance rule: residual above epsilon, or NaN (which compares false)."""
+    return ~(residual <= epsilon)
 
 
 def monitor(trace, sig: PolySignature, cfg: DetectionConfig | None = None) -> MonitorResult:
@@ -283,13 +275,14 @@ def monitor(trace, sig: PolySignature, cfg: DetectionConfig | None = None) -> Mo
     Only the t, phi_plant, x_obs and y_obs columns are read, so the same call
     judges an in-process trace, a merged networked trace and the controller's
     own view; a tampered or spoofed stream is simply a trace
-    whose phi_plant column differs.
+    whose phi_plant column differs. A residual that is not finite counts as
+    an exceedance, so a NaN stream is flagged, not passed.
     """
     cfg = cfg if cfg is not None else DetectionConfig()
     t = trace.t  # one column lookup
     residual = np.abs(trace.phi_plant - eval_signature(sig, trace.x_obs, trace.y_obs))
-    exceed = residual > cfg.epsilon
-    detect_t = windowed_detect(t, exceed, cfg.window)
+    exceed = _exceeds(residual, cfg.epsilon)
+    detect_t = _windowed_detect(t, exceed, cfg.window)
     first_exceed_t = float(t[np.argmax(exceed)]) if bool(exceed.any()) else None
     return MonitorResult(np.array(t), residual, detect_t is not None, first_exceed_t, detect_t)
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .kinematics import rk4_step
 
-TWO_PI = 2.0 * math.pi
+_TWO_PI = 2.0 * math.pi
 REFERENCE_CACHE_SIZE = 8  # reference tables kept by reference_table
 _ROW = struct.Struct("4d")  # one reference_table row as native float64s
 _MAX_ROWS = sys.maxsize // _ROW.size  # a bytearray indexes at most sys.maxsize bytes
@@ -63,7 +63,7 @@ class RefConfig:
 
 def _omega_ref(cfg: RefConfig, t: float) -> float:
     """Feedforward turn rate omega_r(t); the feedforward speed is cfg.v_ref."""
-    return cfg.omega_amp * math.sin(TWO_PI * t / cfg.omega_period)
+    return cfg.omega_amp * math.sin(_TWO_PI * t / cfg.omega_period)
 
 
 def _table_steps(cfg: RefConfig, dt: float) -> int:

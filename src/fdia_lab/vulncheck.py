@@ -9,7 +9,7 @@ set: a one-dimensional manifold of solutions, isolated nontrivial pairs, or
 only the trivial identity.
 
 The beta grid is scored on the calling thread in fixed blocks of
-BETA_BLOCK rows. Blocks that a lower bound of their residuals rules out are
+_BETA_BLOCK rows. Blocks that a lower bound of their residuals rules out are
 skipped; every scored row goes through the same IEEE operations as in a
 scan of the whole grid, so the verdicts stay the exhaustive scan's.
 """
@@ -27,22 +27,22 @@ TAG_COSINE = "Cosine"
 TAG_SINE = "Sine"
 TAG_QUADRATIC = "Quadratic"
 TAG_EXPONENTIAL = "Exponential"
-FAMILY_TAGS = (TAG_LINEAR, TAG_COSINE, TAG_SINE, TAG_QUADRATIC, TAG_EXPONENTIAL)
+_FAMILY_TAGS = (TAG_LINEAR, TAG_COSINE, TAG_SINE, TAG_QUADRATIC, TAG_EXPONENTIAL)
 
 CLASS_CONTINUOUS = "continuous-family"
 CLASS_DISCRETE = "discrete-nontrivial"
 CLASS_TRIVIAL = "trivial-only"
 
 # classify() scores the beta grid this many rows at a time through two
-# (BETA_BLOCK, n_grid) buffers per _score_rows call; a multiple of 4, so the
+# (_BETA_BLOCK, n_grid) buffers per _score_rows call; a multiple of 4, so the
 # BLAS matrix-vector kernel groups the rows of every block the same way
-BETA_BLOCK = 64
+_BETA_BLOCK = 64
 # the most beta grid points classify() scans: 16 MB of alphas and residuals
 _MAX_BETAS = 10**6
 # the grid points S of the residual bound, as fractions of the grid: irregular,
 # so that no symmetry of a family repeats a point; and betas bounded per pass
 _BOUND_AT = (0.05, 0.17, 0.28, 0.41, 0.53, 0.66, 0.79, 0.92)
-_BOUND_BETAS = 16 * BETA_BLOCK
+_BOUND_BETAS = 16 * _BETA_BLOCK
 
 
 @dataclass(frozen=True)
@@ -53,15 +53,19 @@ class ScalarFamily:
     c: float = 1.0
 
     def __post_init__(self):
-        if self.tag not in FAMILY_TAGS:
-            raise ValueError(f"unknown family {self.tag!r}, expected one of {FAMILY_TAGS}")
+        if self.tag not in _FAMILY_TAGS:
+            raise ValueError(f"unknown family {self.tag!r}, expected one of {_FAMILY_TAGS}")
         if not math.isfinite(self.c):
             raise ValueError("ScalarFamily.c must be finite")
         if self.tag in (TAG_LINEAR, TAG_QUADRATIC, TAG_EXPONENTIAL) and self.c == 0.0:
             raise ValueError(f"{self.tag} requires c != 0")
 
 
-def family_function(fam: ScalarFamily):
+# verdict_table's families, one default member per tag, in _FAMILY_TAGS order
+_FAMILIES = tuple(ScalarFamily(tag) for tag in _FAMILY_TAGS)
+
+
+def _family_function(fam: ScalarFamily):
     """g as a ufunc-like callable: g(x) returns a new array, g(x, out=buf) fills buf.
 
     buf must not be x itself: the quadratic reads x again after writing c*x.
@@ -85,17 +89,6 @@ def default_grid(fam: ScalarFamily) -> np.ndarray:
     return np.linspace(-2.0, 2.0, 401)
 
 
-def attack_residual(fam: ScalarFamily, alpha: float, beta: float, grid) -> float:
-    """max |alpha*g(beta*x) - g(x)| over the grid; alpha, beta and the grid must be finite."""
-    x = np.asarray(grid, dtype=float)
-    if x.size == 0:
-        raise ValueError("empty evaluation grid")
-    if not (math.isfinite(alpha) and math.isfinite(beta) and np.isfinite(x).all()):
-        raise ValueError(f"alpha {alpha!r}, beta {beta!r} and the grid must be finite")
-    g = family_function(fam)
-    return float(np.max(np.abs(alpha * g(beta * x) - g(x))))
-
-
 @dataclass
 class VulnVerdict:
     family: str
@@ -116,18 +109,18 @@ def _manifold_label(candidates, tol: float) -> str:
 
 
 def _score_rows(g, x, gx, betas, alphas, residuals, lo, hi) -> None:
-    """Fill alphas and residuals for betas[lo:hi], BETA_BLOCK rows at a time.
+    """Fill alphas and residuals for betas[lo:hi], _BETA_BLOCK rows at a time.
 
     Per row: alpha = <g(beta*x), g(x)> / <g(beta*x), g(beta*x)> (inf where the
     denominator is not positive) and residual = max |alpha*g(beta*x) - g(x)|.
     Each pass writes into one of two buffers allocated once per call.
     """
-    rows = min(BETA_BLOCK, hi - lo)
+    rows = min(_BETA_BLOCK, hi - lo)
     arg = np.empty((rows, x.size))
     gb = np.empty((rows, x.size))
     with np.errstate(divide="ignore", invalid="ignore"):
-        for start in range(lo, hi, BETA_BLOCK):
-            stop = min(start + BETA_BLOCK, hi)
+        for start in range(lo, hi, _BETA_BLOCK):
+            stop = min(start + _BETA_BLOCK, hi)
             buf, gbx, alpha = arg[:stop - start], gb[:stop - start], alphas[start:stop]
             np.multiply(betas[start:stop, None], x, out=buf)
             g(buf, out=gbx)
@@ -145,8 +138,8 @@ def _score_blocks(g, x, gx, betas, alphas, residuals, blocks) -> None:
     """Score the ascending block indices, one _score_rows call per run of consecutive blocks."""
     for _, run in groupby(enumerate(blocks), lambda ik: ik[1] - ik[0]):
         run = [k for _, k in run]
-        _score_rows(g, x, gx, betas, alphas, residuals, run[0] * BETA_BLOCK,
-                    min((run[-1] + 1) * BETA_BLOCK, len(betas)))
+        _score_rows(g, x, gx, betas, alphas, residuals, run[0] * _BETA_BLOCK,
+                    min((run[-1] + 1) * _BETA_BLOCK, len(betas)))
 
 
 def _block_bounds(g, x, gx, betas, scale) -> np.ndarray:
@@ -162,8 +155,8 @@ def _block_bounds(g, x, gx, betas, scale) -> np.ndarray:
     xs, h = x[at, None], gx[at, None]
     eps = 64.0 * np.finfo(float).eps
     h_slack = eps * np.max(np.abs(h)) + (scale + 1.0) * np.finfo(float).tiny
-    n_blocks = -(-len(betas) // BETA_BLOCK)
-    bounds = np.full(n_blocks * BETA_BLOCK, np.inf)
+    n_blocks = -(-len(betas) // _BETA_BLOCK)
+    bounds = np.full(n_blocks * _BETA_BLOCK, np.inf)
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, len(betas), _BOUND_BETAS):  # a row per point of S
             a = g(np.multiply(xs, betas[lo:lo + _BOUND_BETAS]))
@@ -175,7 +168,7 @@ def _block_bounds(g, x, gx, betas, scale) -> np.ndarray:
             out = bounds[lo:lo + a.shape[1]]
             np.subtract(num.max(axis=0), slack + h_slack, out=out)
             out[~np.isfinite(out)] = -np.inf
-    return bounds.reshape(n_blocks, BETA_BLOCK).min(axis=1)
+    return bounds.reshape(n_blocks, _BETA_BLOCK).min(axis=1)
 
 
 def _nontrivial(alphas, betas, alpha_range, step) -> np.ndarray:
@@ -226,7 +219,7 @@ def classify(fam: ScalarFamily, tol: float = 1e-9, alpha_range=(-3.0, 3.0),
         raise ValueError(f"beta_range {beta_range!r} at step {step!r} leaves"
                          f" {len(betas)} nonzero betas, fewer than 2")
     x = default_grid(fam)
-    g = family_function(fam)
+    g = _family_function(fam)
     gx = g(x)
 
     # the sum of squares of g(beta*x) is convex in beta for every default
@@ -263,16 +256,6 @@ def classify(fam: ScalarFamily, tol: float = 1e-9, alpha_range=(-3.0, 3.0),
     return VulnVerdict(fam.tag, CLASS_TRIVIAL, None, [], best)
 
 
-def default_families():
-    return (
-        ScalarFamily(TAG_LINEAR),
-        ScalarFamily(TAG_COSINE),
-        ScalarFamily(TAG_SINE),
-        ScalarFamily(TAG_QUADRATIC),
-        ScalarFamily(TAG_EXPONENTIAL),
-    )
-
-
 def verdict_table(tol: float = 1e-9):
-    """Classify every default family; returns the verdicts in declaration order."""
-    return [classify(fam, tol=tol) for fam in default_families()]
+    """Classify every default family; returns the verdicts in _FAMILY_TAGS order."""
+    return [classify(fam, tol=tol) for fam in _FAMILIES]

@@ -1,15 +1,19 @@
-"""Shared fixtures and strategies: the built-in scenario runs and JSON-ish documents."""
+"""Shared fixtures, strategies and oracles: the built-in scenario runs, JSON-ish
+documents, and the exhaustive residual of a scalar-family attack."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 from fdia_lab.fdia import AffineAttack
 from fdia_lab.scenarios import Scenario, load_scenario
 from fdia_lab.simloop import SimTrace, run
+from fdia_lab.vulncheck import ScalarFamily, _family_function
 
 # JSON-ish values for the untrusted-input properties (scenario and attack
 # documents, wire frames): every JSON scalar, integers far outside float64,
@@ -22,6 +26,17 @@ JSONISH = st.recursive(
                                                                  max_size=4),
     max_leaves=12,
 )
+
+
+def attack_residual(fam: ScalarFamily, alpha: float, beta: float, grid) -> float:
+    """max |alpha*g(beta*x) - g(x)| over the grid; alpha, beta and the grid must be finite."""
+    x = np.asarray(grid, dtype=float)
+    if x.size == 0:
+        raise ValueError("empty evaluation grid")
+    if not (math.isfinite(alpha) and math.isfinite(beta) and np.isfinite(x).all()):
+        raise ValueError(f"alpha {alpha!r}, beta {beta!r} and the grid must be finite")
+    g = _family_function(fam)
+    return float(np.max(np.abs(alpha * g(beta * x) - g(x))))
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ import time
 
 import numpy as np
 
+from conftest import attack_residual
 from fdia_lab.adversary import SampleSet, estimation_study, fit_signature
 from fdia_lab.fdia import (
     AffineAttack,
@@ -22,7 +23,6 @@ from fdia_lab.fdia import (
 )
 from fdia_lab.kinematics import Posture
 from fdia_lab.netlink import (
-    MSG_KINDS,
     WireMessage,
     decode,
     encode,
@@ -49,7 +49,6 @@ from fdia_lab.vulncheck import (
     TAG_QUADRATIC,
     TAG_SINE,
     ScalarFamily,
-    attack_residual,
     default_grid,
     verdict_table,
 )
@@ -359,7 +358,7 @@ def test_criterion_09_networked_fidelity(scenario_runs):
     # wire round-trip property, 10,000 random messages
     rng = np.random.default_rng(1234)
     arity = {"Obs": 3, "Cmd": 2, "Sig": 1, "Hello": 2, "Bye": 1}
-    kinds = list(MSG_KINDS)
+    kinds = list(arity)
     wire_ok = True
     for _ in range(10_000):
         kind = kinds[rng.integers(len(kinds))]

@@ -8,16 +8,16 @@ import numpy as np
 import pytest
 
 from fdia_lab.adversary import (
-    SPIRAL_RADIUS,
-    SPIRAL_TURNS,
     STUDY_NOISE_STD,
+    _BASIS,
+    _SPIRAL_RADIUS,
+    _SPIRAL_TURNS,
     SampleSet,
     UnderdeterminedFit,
-    design_matrix,
+    _design_matrix,
     estimation_study,
     fit_signature,
     holdout_grid,
-    monomial_basis,
     nrmse,
     spiral_samples,
     spoof,
@@ -37,21 +37,17 @@ def _grid_samples(sig, n, half=1.0):
 
 
 def test_monomial_basis_orders_by_total_degree():
-    assert monomial_basis(1) == [(0, 0), (1, 0), (0, 1)]
-    assert monomial_basis(2) == [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
-    assert len(monomial_basis(4)) == 15
+    assert _BASIS[:6] == ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
+    assert _BASIS[-5:] == ((4, 0), (3, 1), (2, 2), (1, 3), (0, 4))
+    assert len(_BASIS) == len(set(_BASIS)) == 15
+    assert [i + j for i, j in _BASIS] == sorted(i + j for i, j in _BASIS)
 
 
 def test_design_matrix_columns():
     x = np.array([1.0, 2.0])
     y = np.array([3.0, 4.0])
-    mat = design_matrix(x, y, [(0, 0), (1, 0), (1, 1)])
+    mat = _design_matrix(x, y, [(0, 0), (1, 0), (1, 1)])
     np.testing.assert_array_equal(mat, [[1.0, 1.0, 3.0], [1.0, 2.0, 8.0]])
-
-
-def test_estimator_config_validation():
-    with pytest.raises(ValueError):
-        fit_signature(_grid_samples(default_signature(), 5), degree=0)
 
 
 def test_sample_set_validation():
@@ -143,14 +139,14 @@ def test_spiral_geometry():
     assert samples.source == "spiral"
     assert samples.count == 200
     radii = np.hypot(samples.x, samples.y)
-    assert abs(float(radii.max()) - SPIRAL_RADIUS) <= 1e-12
+    assert abs(float(radii.max()) - _SPIRAL_RADIUS) <= 1e-12
     assert samples.x[0] == 0.0 and samples.y[0] == 0.0
     # noiseless phi agrees with the signature at the recorded points
     np.testing.assert_allclose(
         samples.phi, eval_signature(default_signature(), samples.x, samples.y),
         rtol=0.0, atol=1e-15,
     )
-    assert SPIRAL_TURNS == 4.0
+    assert _SPIRAL_TURNS == 4.0
     assert spiral_samples(1).count == 1
 
 

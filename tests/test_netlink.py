@@ -24,7 +24,6 @@ from fdia_lab.kinematics import Posture
 from fdia_lab.netlink import (
     CTRL_VIEW_COLUMNS,
     MAX_FRAME,
-    MSG_KINDS,
     PLANT_VIEW_COLUMNS,
     FrameLengthError,
     NetlinkError,
@@ -34,10 +33,10 @@ from fdia_lab.netlink import (
     WireFormatError,
     WireMessage,
     _check_message,
+    _config_digest,
     _controller_session,
     _plant_session,
     _pump,
-    config_digest,
     decode,
     encode,
     merge_views,
@@ -51,6 +50,10 @@ from fdia_lab.simloop import SimConfig, SimTrace, run, write_trace_csv
 from fdia_lab.smsf import PolySignature, default_signature, monitor
 
 TIMEOUT = 15.0
+# the protocol's message kinds, in the order the draws below index them, and
+# their payload arities
+_ARITY = {"Obs": 3, "Cmd": 2, "Sig": 1, "Hello": 2, "Bye": 1}
+_KINDS = tuple(_ARITY)
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +202,7 @@ def test_any_bytes_decode_or_raise_netlink_errors(data):
 @given(st.one_of(
     JSONISH,
     st.fixed_dictionaries({
-        "kind": st.sampled_from(MSG_KINDS) | JSONISH,
+        "kind": st.sampled_from(_KINDS) | JSONISH,
         "seq": st.integers(min_value=-2, max_value=10**400) | JSONISH,
         "t": JSON_SCALARS,
         "payload": st.lists(JSON_SCALARS, max_size=4) | JSONISH,
@@ -213,7 +216,7 @@ _WIRE_NUMBERS = st.floats() | st.integers(min_value=-(10**400), max_value=10**40
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.sampled_from(MSG_KINDS), st.integers(min_value=-2, max_value=10**5000), _WIRE_NUMBERS,
+@given(st.sampled_from(_KINDS), st.integers(min_value=-2, max_value=10**5000), _WIRE_NUMBERS,
        st.lists(_WIRE_NUMBERS | st.text(max_size=8), max_size=4))
 def test_messages_encode_exactly_or_raise_netlink_errors(kind, seq, t, payload):
     msg = WireMessage(kind, seq, t, payload)
@@ -226,7 +229,7 @@ def test_messages_encode_exactly_or_raise_netlink_errors(kind, seq, t, payload):
 
 def test_random_messages_round_trip():
     rng = np.random.default_rng(42)
-    kinds = list(MSG_KINDS)
+    kinds = list(_KINDS)
     arity = {"Obs": 3, "Cmd": 2, "Sig": 1, "Hello": 2, "Bye": 1}
     for _ in range(500):
         kind = kinds[rng.integers(len(kinds))]
@@ -290,11 +293,10 @@ def _per_value_body(msg: WireMessage) -> bytes:
 _EXACT_NUMBERS = (st.floats(allow_nan=False, allow_infinity=False)
                   | st.integers(min_value=-(2**53), max_value=2**53)
                   | st.integers(min_value=0, max_value=1023).map(lambda k: 2**k))
-_ARITY = {"Obs": 3, "Cmd": 2, "Sig": 1, "Hello": 2, "Bye": 1}
 
 
 @settings(max_examples=500, deadline=None)
-@given(st.sampled_from(MSG_KINDS), st.integers(min_value=0, max_value=2**64 - 1),
+@given(st.sampled_from(_KINDS), st.integers(min_value=0, max_value=2**64 - 1),
        _EXACT_NUMBERS, st.data())
 def test_template_body_equals_the_per_value_body(kind, seq, t, data):
     items = _EXACT_NUMBERS if kind in ("Obs", "Cmd", "Sig") else st.text(max_size=8)
@@ -319,7 +321,7 @@ def _decode_through_json_loads(frame: bytes) -> WireMessage:
         if not isinstance(obj, dict) or obj.keys() != {"kind", "seq", "t", "payload"}:
             raise WireFormatError("frame body must carry exactly kind/seq/t/payload")
         kind = obj["kind"]
-        if not isinstance(kind, str) or kind not in MSG_KINDS:
+        if not isinstance(kind, str) or kind not in _KINDS:
             raise UnknownKindError(f"unknown message kind {kind!r}")
         payload = obj["payload"]
         if not isinstance(payload, list):
@@ -343,7 +345,7 @@ def _outcome(fn, frame: bytes):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.sampled_from(MSG_KINDS), st.integers(min_value=0, max_value=2**64 - 1),
+@given(st.sampled_from(_KINDS), st.integers(min_value=0, max_value=2**64 - 1),
        _EXACT_NUMBERS, st.data())
 def test_decode_equals_json_loads_on_canonical_frames(kind, seq, t, data):
     items = _EXACT_NUMBERS if kind in ("Obs", "Cmd", "Sig") else st.text(max_size=8)
@@ -373,7 +375,7 @@ _OTHER_TOKENS = st.sampled_from(['"Obs"', '"Sig"', '"Bye"', '"Ping"', '"x"', "tr
 def _perturbed_bodies(draw):
     """Message bodies with whitespace, reordered, duplicate or extra keys, odd
     number tokens and trailing data."""
-    kind = draw(st.sampled_from(MSG_KINDS))
+    kind = draw(st.sampled_from(_KINDS))
     item = _NUMBER_TOKENS if kind in ("Obs", "Cmd", "Sig") else st.text(max_size=6).map(json.dumps)
     odd = st.integers(0, 7).map(lambda k: k == 7)  # one draw in eight goes astray
     n = _ARITY[kind] + (draw(st.sampled_from([-1, 1])) if draw(odd) else 0)
@@ -584,7 +586,7 @@ def test_a_session_refuses_a_first_frame_that_is_not_hello(endpoint):
 
 def test_the_plant_refuses_an_obs_where_a_cmd_belongs():
     cfg, sig = SimConfig(duration=0.1), default_signature()
-    script = [WireMessage("Hello", 0, 0.0, ("controller", config_digest(cfg, sig))),
+    script = [WireMessage("Hello", 0, 0.0, ("controller", _config_digest(cfg, sig))),
               WireMessage("Cmd", 1, 0.0, (0.0, 0.0)), WireMessage("Cmd", 2, 0.01, (0.0, 0.0)),
               WireMessage("Obs", 3, 0.02, (0.0, 0.02, 0.0))]
     wire = _Wire([encode(msg) for msg in script])
@@ -595,7 +597,7 @@ def test_the_plant_refuses_an_obs_where_a_cmd_belongs():
 
 def test_the_controller_refuses_a_plant_of_another_config():
     cfg, sig = SimConfig(duration=0.1), default_signature()
-    other = config_digest(SimConfig(duration=0.2), sig)
+    other = _config_digest(SimConfig(duration=0.2), sig)
     wire = _Wire([encode(WireMessage("Hello", 0, 0.0, ("plant", other)))])
     with pytest.raises(ProtocolError, match="config digest mismatch"):
         _controller_session(wire, cfg, sig)
@@ -605,7 +607,7 @@ def test_the_controller_refuses_a_plant_of_another_config():
 def test_a_controller_stream_cut_mid_frame_gives_a_partial_view():
     cfg, sig = SimConfig(duration=0.1, log_stride=1), default_signature()
     honest = run(cfg, signature=sig)
-    frames = [encode(WireMessage("Hello", 0, 0.0, ("plant", config_digest(cfg, sig))))]
+    frames = [encode(WireMessage("Hello", 0, 0.0, ("plant", _config_digest(cfg, sig))))]
     for k in range(4):
         frames.append(encode(WireMessage("Obs", 2 * k + 1, honest.t[k],
                                          (honest.x[k], honest.y[k], honest.theta[k]))))
@@ -622,12 +624,12 @@ def test_a_controller_stream_cut_mid_frame_gives_a_partial_view():
 def test_config_digest_is_stable_and_sensitive():
     cfg = SimConfig(duration=2.0)
     sig = default_signature()
-    digest = config_digest(cfg, sig)
+    digest = _config_digest(cfg, sig)
     assert len(digest) == 16
     assert all(c in "0123456789abcdef" for c in digest)
-    assert digest == config_digest(SimConfig(duration=2.0), default_signature())
-    assert digest != config_digest(SimConfig(duration=3.0), sig)
-    assert digest != config_digest(cfg, PolySignature({(2, 0): 1.0, (0, 2): 1.0}, max_degree=2))
+    assert digest == _config_digest(SimConfig(duration=2.0), default_signature())
+    assert digest != _config_digest(SimConfig(duration=3.0), sig)
+    assert digest != _config_digest(cfg, PolySignature({(2, 0): 1.0, (0, 2): 1.0}, max_degree=2))
 
 
 # ---------------------------------------------------------------------------
@@ -851,7 +853,7 @@ def test_out_of_sequence_peer_is_rejected():
     on_bound, wait = _bound_port(ports)
     plant_box = _spawn(serve_plant, cfg=cfg, port=0, on_bound=on_bound, timeout=TIMEOUT)
     with socket.create_connection(("127.0.0.1", wait()), timeout=TIMEOUT) as sock:
-        digest = config_digest(cfg, default_signature())
+        digest = _config_digest(cfg, default_signature())
         send_message(sock, WireMessage("Hello", 7, 0.0, ("controller", digest)))
         with pytest.raises(ProtocolError, match="seq gap"):
             _finish(plant_box)
@@ -863,7 +865,7 @@ def test_lost_peer_yields_partial_log():
     on_bound, wait = _bound_port(ports)
     plant_box = _spawn(serve_plant, cfg=cfg, port=0, on_bound=on_bound, timeout=TIMEOUT)
     with socket.create_connection(("127.0.0.1", wait()), timeout=TIMEOUT) as sock:
-        digest = config_digest(cfg, default_signature())
+        digest = _config_digest(cfg, default_signature())
         send_message(sock, WireMessage("Hello", 0, 0.0, ("controller", digest)))
         assert recv_message(sock).kind == "Hello"
         for k in range(4):

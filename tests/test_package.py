@@ -1,7 +1,8 @@
-"""The package namespace: every public name is imported from its own module."""
+"""The package namespace and the public surface of its modules."""
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
@@ -30,3 +31,58 @@ def test_importing_the_package_loads_no_module_and_binds_only_the_version():
     assert seen["modules"] == []
     assert seen["names"] == []
     assert isinstance(seen["version"], str) and seen["version"]
+
+
+# every top-level public name of the public modules, by module; a new public
+# name must be added here, and a name nothing outside its module and the
+# tests uses should be made private instead
+PUBLIC = {
+    "adversary": "STUDY_NOISE_STD UnderdeterminedFit SampleSet fit_signature nrmse spiral_samples"
+                 " trajectory_samples holdout_grid spoof StudyRow estimation_study",
+    "cli": "main",
+    "fdia": "KIND_REFLECTION KIND_SCALING KIND_IDENTITY KIND_CUSTOM AttackError AffineAttack"
+            " identity_attack build_reflection build_scaling attack_state attack_command"
+            " check_condition1 check_condition2 attack_to_dict attack_from_dict save_attack"
+            " load_attack",
+    "kinematics": "Posture rk4_step",
+    "netlink": "MAX_FRAME DEFAULT_PLANT_PORT DEFAULT_PROXY_PORT PLANT_VIEW_COLUMNS"
+               " CTRL_VIEW_COLUMNS NetlinkError FrameLengthError TruncatedFrameError"
+               " WireFormatError UnknownKindError ProtocolError WireMessage encode decode"
+               " recv_message send_message serve_plant run_controller serve_proxy merge_views",
+    "scenarios": "ScenarioError Scenario builtin_names validate_scenario scenario_from_dict"
+                 " load_scenario resolve_out_dir Evaluation evaluate write_monitor_csv"
+                 " run_scenario",
+    "simloop": "TRACE_COLUMNS RunDiverged SimConfig SimTrace write_csv write_trace_csv run"
+               " UndetectabilityReport undetectability_report",
+    "smsf": "PolySignature default_signature eval_signature validate_smsf AffineFit"
+            " ResilienceResult resilience_check DetectionConfig MonitorResult monitor"
+            " signature_to_dict signature_from_dict",
+    "tracking": "REFERENCE_CACHE_SIZE ControllerGains RefConfig reference_table control",
+    "vulncheck": "TAG_LINEAR TAG_COSINE TAG_SINE TAG_QUADRATIC TAG_EXPONENTIAL CLASS_CONTINUOUS"
+                 " CLASS_DISCRETE CLASS_TRIVIAL ScalarFamily default_grid VulnVerdict classify"
+                 " verdict_table",
+}
+
+
+def _defined_names(tree: ast.Module) -> list:
+    """Names a module's top-level statements define: functions, classes and assignments."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, ast.Assign):
+            names += [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.append(node.target.id)
+    return names
+
+
+def test_the_public_surface_is_the_listed_names():
+    found = {}
+    for path in sorted((SRC / "fdia_lab").glob("*.py")):
+        if path.stem.startswith("_"):
+            continue  # the package itself and its private modules
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found[path.stem] = sorted(n for n in _defined_names(tree) if not n.startswith("_"))
+    assert found == {module: sorted(names.split()) for module, names in PUBLIC.items()}
+    assert sum(map(len, found.values())) == 101

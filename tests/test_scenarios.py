@@ -4,10 +4,16 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import re
 import socket
+import subprocess
+import sys
 import threading
 import time
 import tracemalloc
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,6 +42,7 @@ from fdia_lab.simloop import SimConfig, run
 from fdia_lab.smsf import eval_signature
 
 ARTIFACTS = ("trace.csv", "nominal.csv", "attack.json", "monitor.csv", "summary.json")
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _quick_doc(**overrides):
@@ -469,6 +476,22 @@ def test_cli_estimate_spiral_band(tmp_path, capsys):
     assert float(value) < 0.1
 
 
+def test_cli_estimate_probes_the_scenarios_own_signature(tmp_path, capsys):
+    # noiseless, a degree-4 fit of the spiral recovers any quartic exactly; the
+    # probe used to sample the default signature whatever the scenario declared
+    doc = tmp_path / "quartic.json"
+    doc.write_text(json.dumps(_quick_doc(duration=30.0, signature={
+        "terms": {"2,0": 1, "0,2": 1, "4,0": 3}})), encoding="utf-8")
+    out = tmp_path / "study.csv"
+    assert main(["estimate", "--scenario", str(doc), "--noise-std", "0",
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    rows = [line.split(",") for line in out.read_text(encoding="utf-8").splitlines()[1:]]
+    assert [r[0] for r in rows] == ["trajectory"] * 3 + ["spiral"] * 3
+    for source, n, value in rows:
+        assert float(value) < 1e-6, (source, n, value)
+
+
 def test_cli_vulncheck_table(tmp_path, capsys):
     out = tmp_path / "verdicts.csv"
     assert main(["vulncheck", "--out", str(out)]) == 0
@@ -537,15 +560,21 @@ def test_cli_estimate_refuses_noise_that_overflows_the_design(capsys):
     {"gains": {"kx": 1e300}},
     {"p0": [1e300, 0.0, 0.0]},
     {"ref": {"v_ref": 1e300}},  # math.cos of an infinite heading
-], ids=["kx", "p0", "v_ref"])
+    # a finite state whose x^4 overflows Phi: simulate used to exit 0 with inf
+    # phi columns and "peak_residual": NaN in summary.json
+    {"p0": [1e150, 0.0, 0.0]},
+], ids=["kx", "p0", "v_ref", "phi"])
 def test_cli_reports_a_diverging_run_as_an_error(command, overrides, tmp_path, monkeypatch,
                                                  capsys):
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("FDIA_LAB_OUT_DIR", raising=False)
     doc = tmp_path / "diverging.json"
     doc.write_text(json.dumps(_quick_doc(**overrides)), encoding="utf-8")
-    assert main([command, "--scenario", str(doc)]) == 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--scenario", str(doc)]) == 2
     assert capsys.readouterr().err.startswith("error: run diverged")
+    assert not list(tmp_path.glob("runs/*/summary.json"))
 
 
 @pytest.mark.parametrize("command", ["simulate", "verify", "monitor", "estimate"])
@@ -605,6 +634,39 @@ def test_cli_networked_pair(tmp_path, capsys):
     assert "complete" in out
     assert plant_csv.read_text(encoding="utf-8").splitlines()[0].startswith("t,x,y,theta")
     assert ctrl_csv.read_text(encoding="utf-8").splitlines()[0].startswith("t,x_obs")
+
+
+def test_cli_servers_print_the_port_they_bound(tmp_path):
+    # plant and proxy as processes on port 0: each first stdout line names the
+    # port the system picked, and a controller completes a session through both
+    doc = tmp_path / "short.json"
+    doc.write_text(json.dumps(_quick_doc(duration=0.2)), encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    procs = []
+
+    def start(*argv):
+        proc = subprocess.Popen([sys.executable, "-m", "fdia_lab.cli", *argv], env=env,
+                                stdout=subprocess.PIPE, text=True)
+        procs.append(proc)
+        line = proc.stdout.readline()
+        found = re.search(r"127\.0\.0\.1:(\d+)", line)
+        assert found and int(found[1]) != 0, line
+        return int(found[1])
+
+    try:
+        plant = start("serve-plant", "--scenario", str(doc), "--listen", "127.0.0.1:0")
+        proxy = start("proxy", "--scenario", str(doc), "--listen", "127.0.0.1:0",
+                      "--connect", "127.0.0.1:%d" % plant)
+        view = netlink.run_controller(load_scenario(doc).sim, connect=("127.0.0.1", proxy),
+                                      timeout=15.0)
+        codes = [proc.wait(15.0) for proc in procs]
+    finally:
+        for proc in procs:
+            proc.kill()
+            proc.wait()
+            proc.stdout.close()
+    assert view.complete and len(view) == 11
+    assert codes == [0, 0]
 
 
 def _closed_port() -> socket.socket:

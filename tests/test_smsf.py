@@ -16,18 +16,20 @@ from conftest import JSON_SCALARS, JSONISH
 from fdia_lab import smsf
 from fdia_lab.adversary import (
     STUDY_NOISE_STD,
-    design_matrix,
+    _BASIS,
+    _design_matrix,
     fit_signature,
-    monomial_basis,
     spiral_samples,
 )
 from fdia_lab.fdia import attack_state, build_reflection, build_scaling
 from fdia_lab.kinematics import Posture
+from fdia_lab.scenarios import write_monitor_csv
 from fdia_lab.simloop import TRACE_COLUMNS, SimConfig, SimTrace, run
 from fdia_lab.smsf import (
     DetectionConfig,
     PolySignature,
-    affine_fit,
+    _affine_fit,
+    _windowed_detect,
     default_signature,
     eval_signature,
     monitor,
@@ -35,7 +37,6 @@ from fdia_lab.smsf import (
     signature_from_dict,
     signature_to_dict,
     validate_smsf,
-    windowed_detect,
 )
 from test_scenarios import _MALFORMED_VALUES, _TERM_KEYS
 
@@ -79,7 +80,7 @@ def test_eval_returns_float_for_scalars():
 
 def _fitted_estimate():
     estimate = fit_signature(spiral_samples(150, noise_std=STUDY_NOISE_STD, seed=0))
-    assert sorted(estimate.terms) == sorted(monomial_basis(4))  # all 15 monomials
+    assert sorted(estimate.terms) == sorted(_BASIS)  # all 15 monomials
     return estimate
 
 
@@ -198,7 +199,7 @@ def test_every_power_is_the_written_chain(monkeypatch):
 
     basis = sorted(_CHAIN_TERMS)
     want = np.column_stack([_chain_power(x, i) * _chain_power(y, j) for i, j in basis])
-    np.testing.assert_array_equal(design_matrix(x, y, basis).view(np.int64),
+    np.testing.assert_array_equal(_design_matrix(x, y, basis).view(np.int64),
                                   want.view(np.int64))
 
     grids = _record_grid_rows(monkeypatch)
@@ -362,7 +363,7 @@ def test_default_signature_is_zero_only_at_origin_on_grid():
 
 def test_affine_fit_identity_pairs():
     v = np.linspace(-3.0, 5.0, 40)
-    fit = affine_fit(np.column_stack([v, v]))
+    fit = _affine_fit(v, v)
     assert abs(fit.s_phi - 1.0) <= 1e-9
     assert abs(fit.d_phi) <= 1e-9
     assert fit.nrmse <= 1e-12
@@ -376,19 +377,17 @@ def test_affine_fit_recovers_known_channel():
         if abs(s) < 0.1:
             continue
         phi_in = rng.uniform(-1.0, 1.0, size=60)
-        fit = affine_fit(np.column_stack([phi_in, s * phi_in + d]))
+        fit = _affine_fit(phi_in, s * phi_in + d)
         assert abs(fit.s_phi - s) <= 1e-9
         assert abs(fit.d_phi - d) <= 1e-9
         assert fit.nrmse <= 1e-10
 
 
 def test_affine_fit_input_validation():
-    with pytest.raises(ValueError):
-        affine_fit(np.array([[1.0, 2.0]]))
-    with pytest.raises(ValueError):
-        affine_fit(np.array([1.0, 2.0, 3.0]))
     with pytest.raises(ValueError, match="degenerate"):
-        affine_fit(np.array([[2.0, 1.0], [2.0, 5.0], [2.0, 9.0]]))
+        _affine_fit(np.array([2.0, 2.0, 2.0]), np.array([1.0, 5.0, 9.0]))
+    with pytest.raises(ValueError, match="degenerate"):  # one sample has no spread
+        _affine_fit(np.array([1.0]), np.array([2.0]))
 
 
 def test_squared_radius_scales_quadratically_under_position_scaling():
@@ -402,7 +401,7 @@ def test_squared_radius_scales_quadratically_under_position_scaling():
         alpha = rng.uniform(0.3, 2.5)
         phi_in = eval_signature(sig, gx, gy).ravel()
         phi_out = eval_signature(sig, alpha * gx, alpha * gy).ravel()
-        fit = affine_fit(np.column_stack([phi_in, phi_out]))
+        fit = _affine_fit(phi_in, phi_out)
         assert abs(fit.s_phi - alpha**2) <= 1e-9
         assert abs(fit.d_phi) <= 1e-9
         assert fit.nrmse <= 1e-10
@@ -454,11 +453,11 @@ def test_resilience_check_fits_the_grid_attack_state_maps(scenario_runs, monkeyp
     trace = bundle.nominal
     fitted = []
 
-    def recording(pairs):
-        fitted.append(pairs)
-        return affine_fit(pairs)
+    def recording(phi_in, phi_out):
+        fitted.append(np.column_stack([phi_in, phi_out]))
+        return _affine_fit(phi_in, phi_out)
 
-    monkeypatch.setattr(smsf, "affine_fit", recording)
+    monkeypatch.setattr(smsf, "_affine_fit", recording)
     sig = default_signature()
     resilience_check(sig, bundle.attack, trace)
     x0, y0, theta0 = float(trace.x[0]), float(trace.y[0]), float(trace.theta[0])
@@ -468,17 +467,6 @@ def test_resilience_check_fits_the_grid_attack_state_maps(scenario_runs, monkeyp
     want = np.column_stack([eval_signature(sig, x, y), eval_signature(sig, x_obs, y_obs)])
     assert len(fitted) == 1
     np.testing.assert_array_equal(fitted[0].view(np.int64), want.view(np.int64))
-
-
-def test_resilience_check_rejects_bad_grid_arguments(scenario_runs):
-    bundle = scenario_runs["scenario1"]
-    sig = default_signature()
-    with pytest.raises(ValueError):
-        resilience_check(sig, bundle.attack, bundle.nominal, half_width=0.0)
-    with pytest.raises(ValueError):
-        resilience_check(sig, bundle.attack, bundle.nominal, half_width=float("inf"))
-    with pytest.raises(ValueError):
-        resilience_check(sig, bundle.attack, bundle.nominal, grid_n=1)
 
 
 # ---------------------------------------------------------------------------
@@ -498,10 +486,26 @@ def test_detection_config_validation():
 def test_windowed_detect_examples():
     t = np.arange(6) * 0.5
     exceed = np.array([False, True, True, False, True, True])
-    assert windowed_detect(t, exceed, 2) == t[2]
-    assert windowed_detect(t, exceed, 3) is None
-    assert windowed_detect(t, np.zeros(6, dtype=bool), 1) is None
-    assert windowed_detect(t, np.ones(3, dtype=bool), 5) is None
+    assert _windowed_detect(t, exceed, 2) == t[2]
+    assert _windowed_detect(t, exceed, 3) is None
+    assert _windowed_detect(t, np.zeros(6, dtype=bool), 1) is None
+    assert _windowed_detect(t, np.ones(3, dtype=bool), 5) is None
+
+
+def test_monitor_fails_closed_on_a_non_finite_residual(scenario_runs, tmp_path):
+    # NaN compares false against epsilon: a NaN stream used to read as silent
+    nominal = scenario_runs["nominal"].nominal
+    data = nominal.data.copy()
+    data[100:, TRACE_COLUMNS.index("phi_plant")] = np.nan
+    data[120, TRACE_COLUMNS.index("phi_plant")] = np.inf
+    result = monitor(SimTrace(data), default_signature())
+    assert result.flag
+    assert result.first_exceed_t == nominal.t[100]
+    assert result.detect_t == nominal.t[109]
+    # monitor.csv marks the same samples as the detector counted
+    write_monitor_csv(tmp_path / "monitor.csv", result, DetectionConfig().epsilon)
+    exceeds = np.loadtxt(tmp_path / "monitor.csv", delimiter=",", skiprows=1)[:, 2]
+    np.testing.assert_array_equal(exceeds, np.arange(len(data)) >= 100)
 
 
 def test_monitor_is_silent_on_nominal_run(scenario_runs):

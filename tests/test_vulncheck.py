@@ -12,24 +12,24 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import attack_residual
 from fdia_lab import vulncheck
 from fdia_lab.vulncheck import (
-    BETA_BLOCK,
     CLASS_CONTINUOUS,
     CLASS_DISCRETE,
     CLASS_TRIVIAL,
-    FAMILY_TAGS,
     TAG_COSINE,
     TAG_EXPONENTIAL,
     TAG_LINEAR,
     TAG_QUADRATIC,
     TAG_SINE,
+    _BETA_BLOCK,
+    _FAMILIES,
+    _FAMILY_TAGS,
     ScalarFamily,
-    attack_residual,
+    _family_function,
     classify,
-    default_families,
     default_grid,
-    family_function,
     verdict_table,
 )
 
@@ -147,7 +147,7 @@ def test_classify_scans_a_large_scale_it_can_hold(fam, kind):
 def test_a_bound_that_overflows_prunes_nothing():
     # classify refuses this family; called directly, its bounds meet inf - inf
     fam = ScalarFamily(TAG_EXPONENTIAL, c=1e306)
-    x, g = default_grid(fam), family_function(fam)
+    x, g = default_grid(fam), _family_function(fam)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         bounds = vulncheck._block_bounds(g, x, g(x), np.linspace(-3.0, 3.0, 6001), 3.0)
@@ -165,7 +165,7 @@ def test_classify_accepts_a_step_that_divides_up_to_rounding():
 
 
 def test_table_covers_default_families(verdicts):
-    assert [f.tag for f in default_families()] == [
+    assert [f.tag for f in _FAMILIES] == [
         TAG_LINEAR, TAG_COSINE, TAG_SINE, TAG_QUADRATIC, TAG_EXPONENTIAL,
     ]
     assert set(verdicts) == {TAG_LINEAR, TAG_COSINE, TAG_SINE, TAG_QUADRATIC, TAG_EXPONENTIAL}
@@ -226,7 +226,7 @@ def test_identity_is_never_reported(verdicts):
 def test_candidates_pass_numeric_substitution(verdicts):
     # Every reported pair must actually reproduce the function on the grid;
     # the verdict is only as good as this substitution.
-    for fam in default_families():
+    for fam in _FAMILIES:
         v = verdicts[fam.tag]
         grid = default_grid(fam)
         for alpha, beta in v.candidates[:50]:
@@ -257,16 +257,16 @@ def test_loose_tolerance_cannot_fake_an_exponential_family():
 def _default_scan(tag):
     fam = ScalarFamily(tag)
     x = default_grid(fam)
-    g = family_function(fam)
+    g = _family_function(fam)
     betas = np.linspace(-3.0, 3.0, 6001)
     return g, x, g(x), betas[np.abs(betas) > 0.0005]
 
 
-@pytest.mark.parametrize("tag", FAMILY_TAGS)
+@pytest.mark.parametrize("tag", _FAMILY_TAGS)
 def test_blocked_scan_equals_the_dense_formula(tag, verdicts):
     """classify() scores the beta grid in blocks; the result is the one-block result bitwise."""
     g, x, gx, betas = _default_scan(tag)
-    assert len(betas) > BETA_BLOCK
+    assert len(betas) > _BETA_BLOCK
     gbx = g(betas[:, None] * x[None, :])
     denom = np.sum(gbx * gbx, axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -283,12 +283,12 @@ def test_blocked_scan_equals_the_dense_formula(tag, verdicts):
     assert np.array_equal(verdict.residual, np.min(residuals[nontrivial]))
 
 
-@pytest.mark.parametrize("tag", FAMILY_TAGS)
+@pytest.mark.parametrize("tag", _FAMILY_TAGS)
 def test_row_ranges_score_bitwise_alike(tag):
     """Any split of the grid at 4-row multiples gives the one-range alphas and residuals."""
     g, x, gx, betas = _default_scan(tag)
     n = len(betas)
-    splits = [[0, n], [0, n // 2 // BETA_BLOCK * BETA_BLOCK, n], [0, 1004, 4020, n]]
+    splits = [[0, n], [0, n // 2 // _BETA_BLOCK * _BETA_BLOCK, n], [0, 1004, 4020, n]]
     results = []
     for edges in splits:
         alphas, residuals = np.full(n, -1.0), np.full(n, -1.0)
@@ -335,7 +335,7 @@ def _exhaustive(fam, tol, alpha_range, beta_range, step):
     betas = np.linspace(beta_range[0], beta_range[1], n_beta + 1)
     betas = betas[np.abs(betas) > 0.5 * step]
     x = default_grid(fam)
-    g = family_function(fam)
+    g = _family_function(fam)
     alphas, residuals = np.empty(len(betas)), np.empty(len(betas))
     vulncheck._score_rows(g, x, g(x), betas, alphas, residuals, 0, len(betas))
     in_range = np.isfinite(alphas) & (alphas >= alpha_range[0]) & (alphas <= alpha_range[1])
@@ -367,7 +367,7 @@ def _assert_pruned_scan_is_exhaustive(fam, tol, alpha_range, beta_range, step):
 
 @st.composite
 def _scan_configs(draw):
-    tag = draw(st.sampled_from(FAMILY_TAGS))
+    tag = draw(st.sampled_from(_FAMILY_TAGS))
     c = draw(st.sampled_from([1.0, -1.0])) * 10.0 ** draw(st.floats(-3.0, 3.0))
     a_lo = draw(st.floats(-5.0, 4.0))
     alpha_range = (a_lo, a_lo + 10.0 ** draw(st.floats(-2.0, 1.0)))
@@ -408,11 +408,11 @@ def test_the_default_scans_skip_the_blocks_that_cannot_matter(monkeypatch, verdi
         score_rows(g, x, gx, betas, alphas, residuals, lo, hi)
 
     monkeypatch.setattr(vulncheck, "_score_rows", counting)
-    n_blocks = -(-len(_default_scan(TAG_LINEAR)[3]) // BETA_BLOCK)
-    for fam in default_families():
+    n_blocks = -(-len(_default_scan(TAG_LINEAR)[3]) // _BETA_BLOCK)
+    for fam in _FAMILIES:
         scored.clear()
         assert classify(fam) == verdicts[fam.tag]
-        blocks = -(-sum(scored) // BETA_BLOCK)
+        blocks = -(-sum(scored) // _BETA_BLOCK)
         if fam.tag in (TAG_LINEAR, TAG_QUADRATIC):
             # every |beta| >= 1/3 is admitted, so every block can hold a candidate
             assert blocks == n_blocks
