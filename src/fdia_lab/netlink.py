@@ -5,12 +5,13 @@ Frames are a 4-byte big-endian length prefix followed by a UTF-8 JSON object
 digits, which round-trips float64 exactly: a networked run with an identity
 proxy reproduces the in-process simulation bit for bit.
 
-Per tick the plant sends Obs (actual posture) then Sig (its signature value)
-in one write and waits for Cmd; after the final Cmd the controller sends Bye
-and the plant answers Bye. Hello opens each direction carrying (role, config
-digest). seq increases by one per frame per direction; gaps are protocol
-errors. The proxy rewrites Obs through the attack's state map, Cmd through
-its command map, and optionally Sig through a scalar affine channel.
+Each endpoint opens a session by sending its Hello (role, config digest) at
+once and reading the peer's, and refuses a digest unlike its own; after the
+final Cmd each sends Bye and reads the peer's. Per tick the plant sends Obs
+(actual posture) then Sig (its signature value) in one write and waits for
+Cmd. seq increases by one per frame per direction; gaps are protocol errors.
+The proxy rewrites Obs through the attack's state map, Cmd through its
+command map, and optionally Sig through a scalar affine channel.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import contextlib
 import hashlib
 import itertools
 import json
+import math
 import socket
 import struct
 import threading
@@ -30,7 +32,7 @@ import numpy as np
 from . import smsf
 from .fdia import AffineAttack, _number, _shown, attack_command, attack_state
 from .kinematics import rk4_step
-from .simloop import TRACE_COLUMNS, SimConfig, SimTrace, _packed_rows
+from .simloop import TRACE_COLUMNS, RunDiverged, SimConfig, SimTrace, _packed_rows
 from .tracking import _reference_rows, control
 
 _NUMERIC_ARITY = {"Obs": 3, "Cmd": 2, "Sig": 1}
@@ -258,22 +260,27 @@ def send_message(sock: socket.socket, *msgs: WireMessage) -> None:
     sock.sendall(b"".join([encode(msg) for msg in msgs]))
 
 
-def _in_seq(msg: WireMessage, rx) -> None:
-    """Raise ProtocolError unless msg's seq is the next one the rx counter yields."""
+def _expect(sock: socket.socket, rx, kind: str, lost=ConnectionError) -> WireMessage:
+    """Receive the next in-sequence message of the given kind; EOF raises lost."""
+    msg = recv_message(sock)
+    if msg is None:
+        raise lost(f"peer closed before {kind}")
     expected = next(rx)
     if msg.seq != expected:
         raise ProtocolError(f"seq gap: expected {expected}, got {msg.seq}")
-
-
-def _expect(sock: socket.socket, rx, kind: str, where: str = "mid-run") -> WireMessage:
-    """Receive the next in-sequence message of the given kind."""
-    msg = recv_message(sock)
-    if msg is None:
-        raise ConnectionError(f"peer closed {where}")
-    _in_seq(msg, rx)
     if msg.kind != kind:
         raise ProtocolError(f"expected {kind}, got {msg.kind}")
     return msg
+
+
+def _require_finite(t: float, *values: float) -> None:
+    """Raise RunDiverged, naming the tick's time t, unless every value is finite.
+
+    An endpoint checks its own values before it sends them, where its encoder
+    would refuse them as if they made a malformed frame.
+    """
+    if not all(map(math.isfinite, values)):
+        raise RunDiverged(f"run diverged: non-finite value at t = {t:g} s")
 
 
 def _config_digest(cfg: SimConfig, signature: smsf.PolySignature) -> str:
@@ -281,6 +288,28 @@ def _config_digest(cfg: SimConfig, signature: smsf.PolySignature) -> str:
     payload = {"sim": asdict(cfg), "signature": smsf.signature_to_dict(signature)}
     canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
+
+
+def _greet(sock: socket.socket, role: str, cfg: SimConfig, sig) -> tuple:
+    """Open a session: send this endpoint's Hello at once, then expect the peer's.
+
+    Each side compares the peer's config digest with its own and refuses a
+    mismatch. Returns the (rx, tx) seq counters, each past its Hello.
+    """
+    digest = _config_digest(cfg, sig)
+    rx = itertools.count()
+    tx = itertools.count()
+    send_message(sock, WireMessage("Hello", next(tx), 0.0, (role, digest)))
+    peer = _expect(sock, rx, "Hello", ProtocolError).payload[1]
+    if peer != digest:
+        raise ProtocolError(f"config digest mismatch: ours {digest}, peer {peer}")
+    return rx, tx
+
+
+def _part(sock: socket.socket, rx, tx, t: float) -> None:
+    """Close a session: send Bye("complete"), then expect the peer's Bye."""
+    send_message(sock, WireMessage("Bye", next(tx), t, ("complete",)))
+    _expect(sock, rx, "Bye")
 
 
 def serve_plant(cfg: SimConfig, signature: smsf.PolySignature | None = None,
@@ -316,20 +345,7 @@ def _accept_one(addr, on_bound, timeout: float) -> socket.socket:
 
 
 def _plant_session(conn: socket.socket, cfg: SimConfig, sig) -> SimTrace:
-    digest = _config_digest(cfg, sig)
-    rx = itertools.count()
-    tx = itertools.count()
-    hello = recv_message(conn)
-    if hello is None:
-        raise ProtocolError("peer closed before Hello")
-    _in_seq(hello, rx)
-    if hello.kind != "Hello":
-        raise ProtocolError(f"expected Hello, got {hello.kind}")
-    if hello.payload[1] != digest:
-        send_message(conn, WireMessage("Bye", next(tx), 0.0, ("digest mismatch",)))
-        raise ProtocolError(f"config digest mismatch: ours {digest}, peer {hello.payload[1]}")
-    send_message(conn, WireMessage("Hello", next(tx), 0.0, ("plant", digest)))
-
+    rx, tx = _greet(conn, "plant", cfg, sig)
     n_steps = cfg.n_steps()
     x, y, th = cfg.p0.x, cfg.p0.y, cfg.p0.theta
     pack, table = _packed_rows(len(PLANT_VIEW_COLUMNS))
@@ -339,6 +355,7 @@ def _plant_session(conn: socket.socket, cfg: SimConfig, sig) -> SimTrace:
         for k in range(n_steps + 1):
             t = k * cfg.dt
             phi = smsf.eval_signature(sig, x, y)
+            _require_finite(t, x, y, th, phi)
             send_message(conn, _message("Obs", next(tx), t, (x, y, th)),
                          _message("Sig", next(tx), t, (phi,)))
             v, w = _expect(conn, rx, "Cmd").payload
@@ -346,8 +363,7 @@ def _plant_session(conn: socket.socket, cfg: SimConfig, sig) -> SimTrace:
                 rows.append(pack(t, x, y, th, v, w, phi))
             if k < n_steps:
                 x, y, th = rk4_step(x, y, th, v, w, cfg.dt)
-        _expect(conn, rx, "Bye", "before Bye")
-        send_message(conn, WireMessage("Bye", next(tx), n_steps * cfg.dt, ("complete",)))
+        _part(conn, rx, tx, n_steps * cfg.dt)
         complete = True
     except (OSError, TruncatedFrameError):
         pass  # lost peer: hand back the partial log, flagged incomplete
@@ -364,22 +380,9 @@ def run_controller(cfg: SimConfig, connect=("127.0.0.1", DEFAULT_PROXY_PORT),
 
 
 def _controller_session(sock: socket.socket, cfg: SimConfig, sig) -> SimTrace:
-    digest = _config_digest(cfg, sig)
-    rx = itertools.count()
-    tx = itertools.count()
-    send_message(sock, WireMessage("Hello", next(tx), 0.0, ("controller", digest)))
-    hello = recv_message(sock)
-    if hello is None:
-        raise ProtocolError("peer closed before Hello")
-    _in_seq(hello, rx)
-    if hello.kind == "Bye":
-        raise ProtocolError(f"peer refused session: {hello.payload[0]}")
-    if hello.kind != "Hello":
-        raise ProtocolError(f"expected Hello, got {hello.kind}")
-    if hello.payload[1] != digest:
-        raise ProtocolError(f"config digest mismatch: ours {digest}, peer {hello.payload[1]}")
-
-    refs = _reference_rows(cfg.ref, cfg.dt, cfg.n_steps() + 1)
+    rx, tx = _greet(sock, "controller", cfg, sig)
+    n_steps = cfg.n_steps()
+    refs = _reference_rows(cfg.ref, cfg.dt, n_steps + 1)
     ref, gains = cfg.ref, cfg.gains
     pack, table = _packed_rows(len(CTRL_VIEW_COLUMNS) - 1)
     rows = []
@@ -390,11 +393,11 @@ def _controller_session(sock: socket.socket, cfg: SimConfig, sig) -> SimTrace:
             x, y, th = _expect(sock, rx, "Obs").payload
             (phi_rx,) = _expect(sock, rx, "Sig").payload
             v, w, xe, ye, the, lyap = control(ref, gains, p_ref, x, y, th)
+            _require_finite(t, v, w, xe, ye, the, lyap)
             send_message(sock, _message("Cmd", next(tx), t, (v, w)))
             if k % cfg.log_stride == 0:
                 rows.append(pack(t, x, y, th, v, w, xe, ye, the, lyap, phi_rx))
-        send_message(sock, WireMessage("Bye", next(tx), cfg.duration, ("complete",)))
-        _expect(sock, rx, "Bye", "before Bye")
+        _part(sock, rx, tx, n_steps * cfg.dt)
         complete = True
     except (OSError, TruncatedFrameError):
         pass

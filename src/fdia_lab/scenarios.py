@@ -321,9 +321,9 @@ def run_scenario(name_or_path, out_dir=None) -> dict:
     Returns the summary dict.
     """
     sc = load_scenario(name_or_path)
+    ev = evaluate(sc)
     out = resolve_out_dir(sc.name, out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    ev = evaluate(sc)
     write_trace_csv(out / "trace.csv", ev.attacked)
     write_trace_csv(out / "nominal.csv", ev.nominal)
     save_attack(ev.channel, out / "attack.json")

@@ -77,6 +77,9 @@ class SimConfig:
             raise ValueError(
                 f"reference duration {self.ref.duration} shorter than run duration {self.duration}"
             )
+        if steps % self.log_stride:  # run() logs the final tick only when the stride divides
+            raise ValueError(f"SimConfig.log_stride {self.log_stride} does not divide"
+                             f" the run's {steps} steps")
 
     def n_steps(self) -> int:
         return int(round(self.duration / self.dt))

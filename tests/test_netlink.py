@@ -46,8 +46,9 @@ from fdia_lab.netlink import (
     serve_plant,
     serve_proxy,
 )
-from fdia_lab.simloop import SimConfig, SimTrace, run, write_trace_csv
+from fdia_lab.simloop import RunDiverged, SimConfig, SimTrace, run, write_trace_csv
 from fdia_lab.smsf import PolySignature, default_signature, monitor
+from fdia_lab.tracking import ControllerGains
 
 TIMEOUT = 15.0
 # the protocol's message kinds, in the order the draws below index them, and
@@ -573,8 +574,11 @@ _SESSIONS = {"plant": _plant_session, "controller": _controller_session}
 
 @pytest.mark.parametrize("endpoint", sorted(_SESSIONS))
 def test_a_session_refuses_eof_before_hello(endpoint):
+    # each endpoint sends its own Hello before it reads the peer's
+    wire = _Wire()
     with pytest.raises(ProtocolError, match="peer closed before Hello"):
-        _SESSIONS[endpoint](_Wire(), SimConfig(duration=0.1), default_signature())
+        _SESSIONS[endpoint](wire, SimConfig(duration=0.1), default_signature())
+    assert [decode(w).kind for w in wire.writes] == ["Hello"]
 
 
 @pytest.mark.parametrize("endpoint", sorted(_SESSIONS))
@@ -841,10 +845,23 @@ def test_mismatched_configs_refuse_to_run():
     ports = []
     on_bound, wait = _bound_port(ports)
     plant_box = _spawn(serve_plant, cfg=plant_cfg, port=0, on_bound=on_bound, timeout=TIMEOUT)
-    with pytest.raises(ProtocolError, match="refused"):
+    # both sides compare the digests and refuse the session themselves
+    with pytest.raises(ProtocolError, match="config digest mismatch"):
         run_controller(SimConfig(duration=2.0), connect=("127.0.0.1", wait()), timeout=TIMEOUT)
-    with pytest.raises(ProtocolError, match="digest mismatch"):
+    with pytest.raises(ProtocolError, match="config digest mismatch"):
         _finish(plant_box)
+
+
+def test_a_diverging_controller_raises_run_diverged_and_the_plant_ends_incomplete():
+    # a 1e308 gain on a 10 m start error commands an infinite speed at the first
+    # tick: the controller refuses its own command before it sends it
+    cfg = SimConfig(gains=ControllerGains(kx=1e308), p0=Posture(-10.0, 0.0, 0.0), duration=1.0)
+    on_bound, wait = _bound_port([])
+    plant_box = _spawn(serve_plant, cfg=cfg, port=0, on_bound=on_bound, timeout=TIMEOUT)
+    with pytest.raises(RunDiverged, match=r"^run diverged: non-finite value at t = 0 s$"):
+        run_controller(cfg, connect=("127.0.0.1", wait()), timeout=TIMEOUT)
+    plant_log = _finish(plant_box)
+    assert not plant_log.complete and len(plant_log) == 0
 
 
 def test_out_of_sequence_peer_is_rejected():

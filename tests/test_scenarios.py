@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -38,7 +39,7 @@ from fdia_lab.scenarios import (
     scenario_from_dict,
     validate_scenario,
 )
-from fdia_lab.simloop import SimConfig, run
+from fdia_lab.simloop import SimConfig, SimTrace, run
 from fdia_lab.smsf import eval_signature
 
 ARTIFACTS = ("trace.csv", "nominal.csv", "attack.json", "monitor.csv", "summary.json")
@@ -288,6 +289,17 @@ def test_duration_off_the_step_grid_is_rejected():
         with pytest.raises(ScenarioError, match="whole number of dt"):
             scenario_from_dict(_quick_doc(duration=duration))
     assert scenario_from_dict(_quick_doc(duration=0.02)).sim.n_steps() == 2
+
+
+def test_a_log_stride_that_skips_the_final_tick_is_refused():
+    # 100 steps at stride 3 would log 34 rows ending at t = 0.99 s, and the
+    # summary's final values would describe that tick
+    with pytest.raises(ScenarioError, match="log_stride 3 does not divide the run's 100 steps"):
+        scenario_from_dict(_quick_doc(log_stride=3))
+    with pytest.raises(ValueError, match="does not divide"):
+        SimConfig(duration=1.0, log_stride=3)
+    trace = run(scenario_from_dict(_quick_doc(log_stride=4)).sim)
+    assert len(trace) == 26 and trace.t[-1] == 1.0
 
 
 def test_custom_file_loads_and_validates(tmp_path):
@@ -577,6 +589,18 @@ def test_cli_reports_a_diverging_run_as_an_error(command, overrides, tmp_path, m
     assert not list(tmp_path.glob("runs/*/summary.json"))
 
 
+def test_a_failed_simulate_leaves_no_artifact_directory(tmp_path, monkeypatch, capsys):
+    # the directory is made only after the run succeeds
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("FDIA_LAB_OUT_DIR", raising=False)
+    doc = tmp_path / "far.json"
+    doc.write_text(json.dumps({"seed": 1, "duration": 1.0, "p0": [1e150, 0, 0]}),
+                   encoding="utf-8")
+    assert main(["simulate", "--scenario", str(doc)]) == 2
+    assert capsys.readouterr().err.startswith("error: run diverged")
+    assert not (tmp_path / "runs").exists()
+
+
 @pytest.mark.parametrize("command", ["simulate", "verify", "monitor", "estimate"])
 def test_cli_refuses_a_run_whose_reference_table_passes_sys_maxsize_bytes(command, tmp_path,
                                                                           monkeypatch, capsys):
@@ -636,37 +660,98 @@ def test_cli_networked_pair(tmp_path, capsys):
     assert ctrl_csv.read_text(encoding="utf-8").splitlines()[0].startswith("t,x_obs")
 
 
+@contextlib.contextmanager
+def _processes():
+    """A list to start fdia-lab processes into; each is killed and reaped on exit."""
+    procs = []
+    try:
+        yield procs
+    finally:
+        for proc in procs:
+            proc.kill()
+            proc.communicate()
+
+
+def _cli_process(procs, *argv) -> subprocess.Popen:
+    proc = subprocess.Popen([sys.executable, "-m", "fdia_lab.cli", *argv],
+                            env=dict(os.environ, PYTHONPATH=str(SRC)),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    procs.append(proc)
+    return proc
+
+
+def _serve(procs, *argv) -> int:
+    """Start a listening command as a process; the port its first stdout line names."""
+    line = _cli_process(procs, *argv).stdout.readline()
+    found = re.search(r"127\.0\.0\.1:(\d+)", line)
+    assert found and int(found[1]) != 0, line
+    return int(found[1])
+
+
 def test_cli_servers_print_the_port_they_bound(tmp_path):
     # plant and proxy as processes on port 0: each first stdout line names the
     # port the system picked, and a controller completes a session through both
     doc = tmp_path / "short.json"
     doc.write_text(json.dumps(_quick_doc(duration=0.2)), encoding="utf-8")
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    procs = []
-
-    def start(*argv):
-        proc = subprocess.Popen([sys.executable, "-m", "fdia_lab.cli", *argv], env=env,
-                                stdout=subprocess.PIPE, text=True)
-        procs.append(proc)
-        line = proc.stdout.readline()
-        found = re.search(r"127\.0\.0\.1:(\d+)", line)
-        assert found and int(found[1]) != 0, line
-        return int(found[1])
-
-    try:
-        plant = start("serve-plant", "--scenario", str(doc), "--listen", "127.0.0.1:0")
-        proxy = start("proxy", "--scenario", str(doc), "--listen", "127.0.0.1:0",
-                      "--connect", "127.0.0.1:%d" % plant)
+    with _processes() as procs:
+        plant = _serve(procs, "serve-plant", "--scenario", str(doc), "--listen", "127.0.0.1:0")
+        proxy = _serve(procs, "proxy", "--scenario", str(doc), "--listen", "127.0.0.1:0",
+                       "--connect", "127.0.0.1:%d" % plant)
         view = netlink.run_controller(load_scenario(doc).sim, connect=("127.0.0.1", proxy),
                                       timeout=15.0)
         codes = [proc.wait(15.0) for proc in procs]
-    finally:
-        for proc in procs:
-            proc.kill()
-            proc.wait()
-            proc.stdout.close()
     assert view.complete and len(view) == 11
     assert codes == [0, 0]
+
+
+@pytest.mark.parametrize("proxied", [True, False], ids=["proxied", "direct"])
+def test_a_three_process_session_merges_bitwise_to_the_in_process_run(proxied, tmp_path):
+    # plant, proxy and controller as three processes, as the README runs them;
+    # the view CSVs read back and merged equal run() bit for bit
+    doc = tmp_path / "reflected.json"
+    doc.write_text(json.dumps(_quick_doc(attack={"kind": "Reflection", "beta11": 1.0})),
+                   encoding="utf-8")
+    plant_csv, ctrl_csv = tmp_path / "plant.csv", tmp_path / "ctrl.csv"
+    with _processes() as procs:
+        port = _serve(procs, "serve-plant", "--scenario", str(doc), "--listen", "127.0.0.1:0",
+                      "--out", str(plant_csv))
+        if proxied:
+            port = _serve(procs, "proxy", "--scenario", str(doc), "--listen", "127.0.0.1:0",
+                          "--connect", "127.0.0.1:%d" % port)
+        _cli_process(procs, "serve-controller", "--scenario", str(doc),
+                     "--connect", "127.0.0.1:%d" % port, "--out", str(ctrl_csv))
+        codes = [proc.wait(15.0) for proc in procs]
+    assert codes == [0] * len(procs)
+    views = []
+    for path, columns in ((plant_csv, netlink.PLANT_VIEW_COLUMNS),
+                          (ctrl_csv, netlink.CTRL_VIEW_COLUMNS)):
+        assert path.read_text(encoding="utf-8").split("\n", 1)[0] == ",".join(columns)
+        views.append(SimTrace(np.loadtxt(path, delimiter=",", skiprows=1), columns))
+    sc = load_scenario(doc)
+    expected = run(sc.sim, sc.attack if proxied else None, sc.signature)
+    assert len(expected) == 51
+    assert netlink.merge_views(*views).data.tobytes() == expected.data.tobytes()
+
+
+@pytest.mark.parametrize("overrides", [
+    {"gains": {"kx": 1e300}},
+    {"ref": {"v_ref": 1e300}},
+    {"p0": [1e150, 0.0, 0.0]},
+], ids=["kx", "v_ref", "phi"])
+def test_a_networked_divergence_is_reported_by_the_plant(overrides, tmp_path):
+    # the plant's own state or signature value overflows: it used to end with
+    # its own encoder refusing the Sig frame, a WireFormatError
+    doc = tmp_path / "diverging.json"
+    doc.write_text(json.dumps(_quick_doc(**overrides)), encoding="utf-8")
+    sc = load_scenario(doc)
+    with _processes() as procs:
+        port = _serve(procs, "serve-plant", "--scenario", str(doc), "--listen", "127.0.0.1:0")
+        view = netlink.run_controller(sc.sim, connect=("127.0.0.1", port),
+                                      signature=sc.signature, timeout=15.0)
+        _out, err = procs[0].communicate(timeout=15.0)
+    assert procs[0].returncode == 2
+    assert re.fullmatch(r"error: run diverged: non-finite value at t = \S+ s\n", err), err
+    assert not view.complete and len(view) <= 1
 
 
 def _closed_port() -> socket.socket:
@@ -693,7 +778,7 @@ def test_cli_network_commands_report_os_errors(command, capsys):
 
 
 def test_cli_controller_reports_a_refused_session(tmp_path, capsys):
-    # the plant runs another configuration: it says Bye at the handshake
+    # the plant runs another configuration: each side refuses the other's digest
     doc = tmp_path / "quick.json"
     doc.write_text(json.dumps(_quick_doc()), encoding="utf-8")
     ready = threading.Event()
@@ -712,6 +797,6 @@ def test_cli_controller_reports_a_refused_session(tmp_path, capsys):
     assert main(["serve-controller", "--scenario", str(doc),
                  "--connect", "127.0.0.1:%d" % box["port"]]) == 2
     thread.join(15.0)
-    assert not thread.is_alive() and "digest mismatch" in str(box["plant"])
+    assert not thread.is_alive() and "config digest mismatch" in str(box["plant"])
     err = capsys.readouterr().err
-    assert err.startswith("error: peer refused session") and "Traceback" not in err
+    assert err.startswith("error: config digest mismatch") and "Traceback" not in err

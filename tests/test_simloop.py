@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fdia_lab import _csvfloat
@@ -65,9 +65,10 @@ def test_duration_must_be_whole_steps():
     for bad in (0.015, 0.025, 0.004, 1.005):
         with pytest.raises(ValueError):
             SimConfig(duration=bad)
-    # 30 / 0.01 is 2999.9999999999995 in floating point: still 3000 steps
+    # 30 / 0.01 is 2999.9999999999995 in floating point: still 3000 steps; a
+    # stride of 1 divides every step count
     for good, steps in ((30.0, 3000), (5.0, 500), (1.0, 100), (0.2, 20), (0.01, 1)):
-        assert SimConfig(duration=good).n_steps() == steps
+        assert SimConfig(duration=good, log_stride=1).n_steps() == steps
 
 
 def test_diverging_run_raises():
@@ -129,11 +130,11 @@ def test_sim_config_builds_exactly_when_the_reference_table_is_long_enough(
         ref_duration, dt, steps):
     ref = RefConfig(duration=ref_duration)
     rows = math.ceil(ref_duration / dt - 1e-9) + 1  # what reference_table builds
-    if rows >= steps + 1:
-        assert SimConfig(ref=ref, dt=dt, duration=steps * dt).n_steps() == steps
+    if rows >= steps + 1:  # a stride of 1 divides any step count
+        assert SimConfig(ref=ref, dt=dt, duration=steps * dt, log_stride=1).n_steps() == steps
     else:
         with pytest.raises(ValueError, match="shorter"):
-            SimConfig(ref=ref, dt=dt, duration=steps * dt)
+            SimConfig(ref=ref, dt=dt, duration=steps * dt, log_stride=1)
 
 
 def test_builtin_and_benchmark_configs_still_build():
@@ -192,6 +193,7 @@ _BETA = st.floats(0.25, 4.0) | st.floats(-4.0, -0.25)
 @example((0.0, 0.02, 0.0), build_reflection, 1.0, 0.0, 100, 2)
 @example((0.0, 0.02, 0.0), None, 1.0, 0.0, 1, 1)  # two ticks, one logged row past a step
 def test_run_equals_the_tuple_loop_bitwise(p0, builder, beta11, theta0, steps, stride):
+    assume(steps % stride == 0)  # SimConfig refuses a stride that skips the final tick
     p0 = Posture(*p0)
     attack = None if builder is None else builder(beta11, Posture(p0.x, p0.y, theta0))
     cfg = SimConfig(p0=p0, duration=steps * 0.01, log_stride=stride)
