@@ -17,6 +17,7 @@ serve-plant, then proxy, then serve-controller, each in its own terminal.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -92,6 +93,7 @@ def _int_type(low: int):
     return parse
 
 
+@functools.cache  # built once per process: parse_args leaves the parser unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fdia-lab",

@@ -39,6 +39,7 @@ _NUMERIC_ARITY = {"Obs": 3, "Cmd": 2, "Sig": 1}
 _STRING_ARITY = {"Hello": 2, "Bye": 1}
 _ARITY = {**_NUMERIC_ARITY, **_STRING_ARITY}
 MAX_FRAME = 1 << 20
+_PREFIX = struct.Struct(">I")  # a frame's body length
 _FIELDS = {"kind", "seq", "t", "payload"}
 # one body template per kind, in bytes: %.17g per number (lossless for
 # float64), %s per JSON string (json.dumps writes ASCII)
@@ -110,14 +111,18 @@ def _message(kind: str, seq: int, t: float, payload: tuple) -> WireMessage:
     return msg
 
 
+def _plain(kind, seq, t, payload) -> bool:
+    """Whether a message is the common case, valid with no further check: a
+    numeric kind, an in-range int seq, and t and a payload of the kind's arity
+    all plain finite floats (a sum of floats is finite only if every term is).
+    An overflowing sum says False, and the full checks decide."""
+    return (type(kind) is str and len(payload) == _NUMERIC_ARITY.get(kind)
+            and type(seq) is int and 0 <= seq < 2**64 and type(t) is float and t - t == 0.0
+            and _FLOAT.issuperset(map(type, payload)) and (s := sum(payload)) - s == 0.0)
+
+
 def _check_message(msg: WireMessage) -> None:
-    seq, t, payload = msg.seq, msg.t, msg.payload
-    # the common case, a valid numeric message of plain finite floats (a sum of
-    # floats is finite only if every term is); anything else, an overflowing
-    # sum included, takes the full checks below
-    if (type(seq) is int and 0 <= seq < 2**64 and type(t) is float and t - t == 0.0
-            and type(msg.kind) is str and len(payload) == _NUMERIC_ARITY.get(msg.kind)
-            and _FLOAT.issuperset(map(type, payload)) and (s := sum(payload)) - s == 0.0):
+    if _plain(msg.kind, msg.seq, msg.t, msg.payload):
         return
     if not isinstance(msg.kind, str) or msg.kind not in _ARITY:
         raise UnknownKindError(f"unknown message kind {msg.kind!r}")
@@ -144,19 +149,21 @@ def encode(msg: WireMessage) -> bytes:
     data = _TEMPLATES[msg.kind] % (msg.seq, msg.t, *items)
     if len(data) > MAX_FRAME:
         raise FrameLengthError(f"frame body of {len(data)} bytes exceeds {MAX_FRAME}")
-    return struct.pack(">I", len(data)) + data
+    return _PREFIX.pack(len(data)) + data
 
 
 def decode(frame: bytes) -> WireMessage:
     """Parse one complete frame (prefix included); distinct errors per failure mode."""
-    if len(frame) < 4:
-        raise TruncatedFrameError(f"frame of {len(frame)} bytes is shorter than its prefix")
-    (length,) = struct.unpack(">I", frame[:4])
-    if length > MAX_FRAME:
-        raise FrameLengthError(f"declared length {length} exceeds {MAX_FRAME}")
-    if len(frame) < 4 + length:
-        raise TruncatedFrameError(f"declared {length} bytes, only {len(frame) - 4} present")
-    if len(frame) > 4 + length:
+    try:
+        (length,) = _PREFIX.unpack_from(frame)
+    except struct.error:  # fewer than 4 bytes
+        raise TruncatedFrameError(
+            f"frame of {len(frame)} bytes is shorter than its prefix") from None
+    if len(frame) != 4 + length or length > MAX_FRAME:
+        if length > MAX_FRAME:
+            raise FrameLengthError(f"declared length {length} exceeds {MAX_FRAME}")
+        if len(frame) < 4 + length:
+            raise TruncatedFrameError(f"declared {length} bytes, only {len(frame) - 4} present")
         raise WireFormatError(f"{len(frame) - 4 - length} trailing bytes after the frame")
     try:
         text = frame[4:].decode("utf-8")
@@ -177,7 +184,10 @@ def _message_from(obj) -> WireMessage:
     # JSON objects, arrays and strings parse to exactly dict, list and str
     if type(obj) is not dict or obj.keys() != _FIELDS:
         raise WireFormatError("frame body must carry exactly kind/seq/t/payload")
-    kind, t, payload = obj["kind"], obj["t"], obj["payload"]
+    kind, seq, t, payload = obj["kind"], obj["seq"], obj["t"], obj["payload"]
+    if type(payload) is list and _plain(kind, seq, t, payload):
+        return _message(kind, seq, t, tuple(payload))
+    # otherwise JSON may have read a whole number as an int, or the body is malformed
     if type(kind) is not str or kind not in _ARITY:
         raise UnknownKindError(f"unknown message kind {kind!r}")
     if type(payload) is not list:
@@ -189,7 +199,7 @@ def _message_from(obj) -> WireMessage:
     if kind in _NUMERIC_ARITY:
         payload = [v if type(v) is float else _number(v, f"{kind} payload", WireFormatError)
                    for v in payload]
-    msg = _message(kind, obj["seq"], t, tuple(payload))
+    msg = _message(kind, seq, t, tuple(payload))
     _check_message(msg)
     return msg
 
@@ -212,7 +222,7 @@ def _frame_end(buf: bytearray) -> int:
     """Length, prefix included, of the whole frame at the front of buf; 0 until it is."""
     if len(buf) < 4:
         return 0
-    length = int.from_bytes(buf[:4], "big")
+    (length,) = _PREFIX.unpack_from(buf)
     if length > MAX_FRAME:
         raise FrameLengthError(f"declared length {length} exceeds {MAX_FRAME}")
     return 4 + length if len(buf) >= 4 + length else 0
@@ -402,8 +412,14 @@ def _controller_session(sock: socket.socket, cfg: SimConfig, sig) -> SimTrace:
     except (OSError, TruncatedFrameError):
         pass
     arr = table(rows)
-    phi_ctrl = smsf.eval_signature(sig, arr[:, 1], arr[:, 2])
-    return SimTrace(np.column_stack([arr, phi_ctrl]), CTRL_VIEW_COLUMNS, complete)
+    # Phi at the observed positions, which the attack may have moved far enough
+    # to overflow it; the view is then refused whole, as run() refuses its table
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi_ctrl = smsf.eval_signature(sig, arr[:, 1], arr[:, 2])
+    view = np.column_stack([arr, phi_ctrl])
+    if not np.isfinite(view).all():
+        raise RunDiverged("run diverged: the controller view holds non-finite values")
+    return SimTrace(view, CTRL_VIEW_COLUMNS, complete)
 
 
 def _transform_factory(attack: AffineAttack | None, sig_scale: float, sig_offset: float):

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from conftest import JSON_SCALARS, JSONISH
 from fdia_lab.adversary import STUDY_NOISE_STD, fit_signature, spiral_samples, spoof
+from fdia_lab.cli import main
 from fdia_lab.fdia import build_reflection
 from fdia_lab.kinematics import Posture
 from fdia_lab.netlink import (
@@ -46,6 +47,7 @@ from fdia_lab.netlink import (
     serve_plant,
     serve_proxy,
 )
+from fdia_lab.scenarios import load_scenario
 from fdia_lab.simloop import RunDiverged, SimConfig, SimTrace, run, write_trace_csv
 from fdia_lab.smsf import PolySignature, default_signature, monitor
 from fdia_lab.tracking import ControllerGains
@@ -437,6 +439,30 @@ class _Wire:
 
     def shutdown(self, _how):
         self.shut = True
+
+
+@st.composite
+def _canonical_frames(draw):
+    """Frames as encode writes them, of every kind, over exactly held numbers."""
+    kind = draw(st.sampled_from(_KINDS))
+    items = _EXACT_NUMBERS if kind in ("Obs", "Cmd", "Sig") else st.text(max_size=8)
+    payload = draw(st.lists(items, min_size=_ARITY[kind], max_size=_ARITY[kind]))
+    seq = draw(st.integers(min_value=0, max_value=2**64 - 1))
+    return encode(WireMessage(kind, seq, draw(_EXACT_NUMBERS), payload))
+
+
+@settings(max_examples=500, deadline=None)
+@given(_canonical_frames() | _perturbed_bodies().map(_frame), st.data())
+def test_recv_message_equals_json_loads_whole_or_split(frame, data):
+    # sessions read through recv_message: its outcome must be decode's oracle,
+    # whether one read delivers the frame or two reads split it at any byte
+    cut = data.draw(st.integers(min_value=1, max_value=len(frame) - 1))
+    expected = _outcome(_decode_through_json_loads, frame)
+    for chunks in ([frame], [frame[:cut], frame[cut:]]):
+        wire = _Wire(chunks)
+        assert _outcome(recv_message, wire) == expected
+        if not isinstance(expected, type):  # a message: the whole frame was consumed
+            assert recv_message(wire) is None
 
 
 _OBS = WireMessage("Obs", 0, 0.5, (0.1, -0.2, 1.5))
@@ -862,6 +888,37 @@ def test_a_diverging_controller_raises_run_diverged_and_the_plant_ends_incomplet
         run_controller(cfg, connect=("127.0.0.1", wait()), timeout=TIMEOUT)
     plant_log = _finish(plant_box)
     assert not plant_log.complete and len(plant_log) == 0
+
+
+def test_a_controller_view_whose_phi_ctrl_overflows_is_refused_as_diverged(tmp_path, capsys):
+    # the proxy shows the controller positions 100 times the plant's; every
+    # received and computed value stays finite, but Phi at the observed
+    # positions overflows, where it used to leave inf in phi_ctrl
+    doc = tmp_path / "far.json"
+    doc.write_text(json.dumps({"seed": 1, "duration": 0.1, "ref": {"v_ref": 1e80},
+                               "attack": {"kind": "Scaling", "beta11": 0.01}}),
+                   encoding="utf-8")
+    sc = load_scenario(doc)
+    with pytest.raises(RunDiverged):
+        run(sc.sim, sc.attack, sc.signature)
+    ports = []
+    plant_bound, plant_wait = _bound_port(ports)
+    plant_box = _spawn(serve_plant, cfg=sc.sim, signature=sc.signature, port=0,
+                       on_bound=plant_bound, timeout=TIMEOUT)
+    proxy_bound, proxy_wait = _bound_port(ports)
+    proxy_box = _spawn(serve_proxy, attack=sc.attack, listen=("127.0.0.1", 0),
+                       upstream=("127.0.0.1", plant_wait()), on_bound=proxy_bound,
+                       timeout=TIMEOUT)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["serve-controller", "--scenario", str(doc),
+                     "--connect", "127.0.0.1:%d" % proxy_wait()])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: run diverged: the controller view holds non-finite values\n")
+    _finish(proxy_box)
+    plant_log = _finish(plant_box)  # the plant's own view is whole and finite
+    assert plant_log.complete and np.isfinite(plant_log.data).all()
 
 
 def test_out_of_sequence_peer_is_rejected():

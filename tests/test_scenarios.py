@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import io
 import json
 import math
 import os
@@ -10,6 +11,7 @@ import re
 import socket
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 import tracemalloc
@@ -22,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import JSON_SCALARS, JSONISH
-from fdia_lab import fdia, netlink
+from fdia_lab import cli, fdia, netlink
 from fdia_lab.cli import main
 from fdia_lab.fdia import (
     KIND_IDENTITY,
@@ -587,6 +589,61 @@ def test_cli_reports_a_diverging_run_as_an_error(command, overrides, tmp_path, m
         assert main([command, "--scenario", str(doc)]) == 2
     assert capsys.readouterr().err.startswith("error: run diverged")
     assert not list(tmp_path.glob("runs/*/summary.json"))
+
+
+# p0, gains and ref values up to 1e300 in magnitude: uniform over the range,
+# and over every decade of either sign
+_DECADES = st.builds(lambda mantissa, exponent: mantissa * 10.0**exponent,
+                     st.floats(min_value=1.0, max_value=10.0), st.integers(-300, 299))
+_HUGE = st.floats(min_value=-1e300, max_value=1e300) | _DECADES | _DECADES.map(lambda v: -v)
+_SHORT_DOCS = st.fixed_dictionaries(
+    {"seed": st.just(1), "duration": st.sampled_from([0.01, 0.02, 0.05, 0.1, 0.2])},
+    optional={
+        "p0": st.lists(_HUGE, min_size=3, max_size=3),
+        "log_stride": st.integers(min_value=1, max_value=25),
+        "ref": st.dictionaries(st.sampled_from(["v_ref", "omega_amp", "omega_period"]), _HUGE),
+        "gains": st.dictionaries(st.sampled_from(["kx", "ky", "ktheta"]), _HUGE),
+        "attack": st.fixed_dictionaries({"kind": st.sampled_from(["Reflection", "Scaling"]),
+                                         "beta11": _HUGE}),
+    },
+)
+
+
+def _strict_json(text: str):
+    def refuse(token):
+        raise ValueError(f"{token} is not strict JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_SHORT_DOCS)
+def test_simulate_writes_finite_artifacts_or_reports_an_error(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "doc.json", Path(tmp) / "out"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["simulate", "--scenario", str(path), "--out-dir", str(out)])
+        if code == 2:
+            assert err.getvalue().startswith("error: "), err.getvalue()
+            return
+        assert code == 0
+        for name in ("trace.csv", "nominal.csv", "monitor.csv"):
+            table = np.loadtxt(out / name, delimiter=",", skiprows=1, ndmin=2)
+            assert np.isfinite(table).all(), name
+        for name in ("summary.json", "attack.json"):
+            _strict_json((out / name).read_text(encoding="utf-8"))
+
+
+def test_the_parser_is_built_once_and_each_call_parses_its_own_arguments(monkeypatch):
+    seen = []
+    monkeypatch.setitem(cli._COMMANDS, "verify", lambda args: seen.append(args) or 0)
+    assert main(["verify", "--tol", "0.5"]) == 0
+    assert main(["verify"]) == 0
+    first, second = seen
+    assert (first.scenario, first.tol) == ("scenario1", 0.5)
+    assert (second.scenario, second.tol) == ("scenario1", 1e-9)
+    assert cli._build_parser() is cli._build_parser()
 
 
 def test_a_failed_simulate_leaves_no_artifact_directory(tmp_path, monkeypatch, capsys):
