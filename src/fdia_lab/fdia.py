@@ -28,7 +28,7 @@ KIND_CUSTOM = "Custom"
 _KINDS = (KIND_REFLECTION, KIND_SCALING, KIND_IDENTITY, KIND_CUSTOM)
 
 _SHAPES = {"s_x": (3, 3), "d_x": (3,), "s_u": (2, 2), "d_u": (2,)}
-_OPTIONAL_KEYS = {"kind", "beta11"}
+_DOC_KEYS = {*_SHAPES, "kind", "beta11"}  # an attack document's keys
 
 
 class AttackError(ValueError):
@@ -67,12 +67,30 @@ class AffineAttack:
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "_state_map", tuple(floats[:12]))
         object.__setattr__(self, "_command_map", tuple(floats[12:]))
-        if abs(np.linalg.det(self.s_x)) <= 1e-12:
+        if not _invertible(self._state_map):
             raise AttackError("AffineAttack.s_x must be invertible")
         if self.kind not in _KINDS:
             raise AttackError(f"unknown attack kind {_shown(self.kind)}")
         if not math.isfinite(self.beta11):
             raise AttackError("AffineAttack.beta11 must be finite")
+
+
+def _invertible(m: tuple) -> bool:
+    """Whether the 3x3 row-major matrix at the front of m is invertible.
+
+    Each row is scaled to max-norm 1 before the determinant is taken in plain
+    floats, so the verdict does not depend on the rows' scale and no product
+    can overflow: a zero row is singular, and otherwise the scaled
+    determinant must exceed 1e-12 in magnitude.
+    """
+    rows = []
+    for row in (m[0:3], m[3:6], m[6:9]):
+        top = max(map(abs, row))
+        if top == 0.0:
+            return False
+        rows.append([v / top for v in row])
+    (a, b, c), (d, e, f), (g, h, i) = rows
+    return abs(a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)) > 1e-12
 
 
 def identity_attack() -> AffineAttack:
@@ -102,7 +120,8 @@ def build_reflection(beta11: float, p0: Posture) -> AffineAttack:
         ]
     )
     arr = p0.as_array()
-    d_x = arr - s_x @ arr
+    with np.errstate(over="ignore", invalid="ignore"):  # AffineAttack refuses a non-finite d_x
+        d_x = arr - s_x @ arr
     s_u = np.array([[beta11, 0.0], [0.0, -1.0]])
     return AffineAttack(s_x, d_x, s_u, np.zeros(2), kind=KIND_REFLECTION, beta11=beta11)
 
@@ -117,7 +136,8 @@ def build_scaling(beta11: float, p0: Posture) -> AffineAttack:
         raise ValueError(f"beta11 must be nonzero and finite, got {beta11}")
     s_x = np.diag([1.0 / beta11, 1.0 / beta11, 1.0])
     arr = p0.as_array()
-    d_x = arr - s_x @ arr
+    with np.errstate(over="ignore", invalid="ignore"):  # AffineAttack refuses a non-finite d_x
+        d_x = arr - s_x @ arr
     s_u = np.diag([beta11, 1.0])
     return AffineAttack(s_x, d_x, s_u, np.zeros(2), kind=KIND_SCALING, beta11=beta11)
 
@@ -218,14 +238,15 @@ def attack_to_dict(a: AffineAttack) -> dict:
 
 
 def _shown(v) -> str:
-    """repr(v) for an error message, short of an int too long for the
-    interpreter's digit limit, alone or inside a container."""
+    """repr(v) for an error message, cut to 80 characters, short of an int
+    too long for the interpreter's digit limit, alone or inside a container."""
     if isinstance(v, int) and v.bit_length() > 1024:
         return f"an int of {v.bit_length()} bits"
     try:
-        return repr(v)
+        text = repr(v)
     except (ValueError, RecursionError):
         return f"a {type(v).__name__} too large to show"
+    return text if len(text) <= 80 else text[:77] + "..."
 
 
 def _number(value, where: str, error=AttackError) -> float:
@@ -256,17 +277,35 @@ def _integer(value, where: str, error) -> int:
     return int(value)
 
 
+def _fields(d, allowed: set, where: str, error):
+    """d, a JSON object whose keys are all in allowed; the one rule for every
+    object read from outside. Anything else raises error."""
+    if not isinstance(d, dict):
+        raise error(f"{where} must be an object, got {_shown(d)}")
+    extra = d.keys() - allowed
+    if extra:
+        raise error(f"unknown {where} keys: {sorted(map(str, extra))}")
+    return d
+
+
+def _read_json(path, what: str, error):
+    """The document in the JSON file at path; bad UTF-8 or JSON raises error."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return json.loads(raw.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        # bad UTF-8 or JSON, an integer past the digit limit, or deep nesting
+        raise error(f"{what} file {path} is not valid JSON: {exc}") from exc
+
+
 def attack_from_dict(d: dict) -> AffineAttack:
     """Parse an attack document; anything malformed raises AttackError.
 
     s_x, d_x, s_u and d_u are required lists of 9, 3, 4 and 2 JSON numbers
     (row-major); kind and beta11 are optional. Nothing is coerced.
     """
-    if not isinstance(d, dict):
-        raise AttackError(f"attack document must be an object, got {type(d).__name__}")
-    extra = set(d) - set(_SHAPES) - _OPTIONAL_KEYS
-    if extra:
-        raise AttackError(f"unknown attack keys: {sorted(map(str, extra))}")
+    _fields(d, _DOC_KEYS, "attack", AttackError)
     maps = {}
     for name, shape in _SHAPES.items():
         if name not in d:
@@ -290,11 +329,4 @@ def save_attack(a: AffineAttack, path) -> None:
 
 def load_attack(path) -> AffineAttack:
     """Read an attack file; bad UTF-8, JSON or content raises AttackError."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    try:
-        doc = json.loads(raw.decode("utf-8"))
-    except (ValueError, RecursionError) as exc:
-        # bad UTF-8 or JSON, an integer past the digit limit, or deep nesting
-        raise AttackError(f"attack file {path} is not valid JSON: {exc}") from exc
-    return attack_from_dict(doc)
+    return attack_from_dict(_read_json(path, "attack", AttackError))

@@ -115,35 +115,37 @@ def _plain(kind, seq, t, payload) -> bool:
     """Whether a message is the common case, valid with no further check: a
     numeric kind, an in-range int seq, and t and a payload of the kind's arity
     all plain finite floats (a sum of floats is finite only if every term is).
-    An overflowing sum says False, and the full checks decide."""
+    An overflowing sum says False, and _checked decides."""
     return (type(kind) is str and len(payload) == _NUMERIC_ARITY.get(kind)
             and type(seq) is int and 0 <= seq < 2**64 and type(t) is float and t - t == 0.0
             and _FLOAT.issuperset(map(type, payload)) and (s := sum(payload)) - s == 0.0)
 
 
-def _check_message(msg: WireMessage) -> None:
-    if _plain(msg.kind, msg.seq, msg.t, msg.payload):
-        return
-    if not isinstance(msg.kind, str) or msg.kind not in _ARITY:
-        raise UnknownKindError(f"unknown message kind {msg.kind!r}")
-    if not isinstance(msg.seq, int) or isinstance(msg.seq, bool) or not 0 <= msg.seq < 2**64:
-        raise WireFormatError(f"seq must be an int in [0, 2**64), got {_shown(msg.seq)}")
-    _number(msg.t, "t", WireFormatError)
-    if msg.kind in _NUMERIC_ARITY:
-        arity = _NUMERIC_ARITY[msg.kind]
-        if len(msg.payload) != arity:
-            raise WireFormatError(f"{msg.kind} payload must have {arity} numbers")
-        for v in msg.payload:
-            _number(v, f"{msg.kind} payload", WireFormatError)
-    else:
-        arity = _STRING_ARITY[msg.kind]
-        if len(msg.payload) != arity or not all(isinstance(v, str) for v in msg.payload):
-            raise WireFormatError(f"{msg.kind} payload must be {arity} strings")
+def _checked(kind, seq, t, payload) -> WireMessage:
+    """The message of these fields, each number an exactly held int read as
+    its float; a kind outside the protocol raises UnknownKindError, and any
+    other malformed field WireFormatError. encode and decode both call it
+    when _plain says False."""
+    if not isinstance(kind, str) or kind not in _ARITY:
+        raise UnknownKindError(f"unknown message kind {_shown(kind)}")
+    if not isinstance(seq, int) or isinstance(seq, bool) or not 0 <= seq < 2**64:
+        raise WireFormatError(f"seq must be an int in [0, 2**64), got {_shown(seq)}")
+    if not isinstance(payload, (list, tuple)):
+        raise WireFormatError("payload must be a list")
+    arity = _ARITY[kind]
+    if kind in _NUMERIC_ARITY:
+        if len(payload) != arity:
+            raise WireFormatError(f"{kind} payload must have {arity} numbers")
+        payload = tuple([_number(v, f"{kind} payload", WireFormatError) for v in payload])
+    elif len(payload) != arity or not all(isinstance(v, str) for v in payload):
+        raise WireFormatError(f"{kind} payload must be {arity} strings")
+    return _message(kind, seq, _number(t, "t", WireFormatError), tuple(payload))
 
 
 def encode(msg: WireMessage) -> bytes:
     """Length-prefixed frame; floats written as %.17g (lossless for float64)."""
-    _check_message(msg)
+    if not _plain(msg.kind, msg.seq, msg.t, msg.payload):
+        msg = _checked(msg.kind, msg.seq, msg.t, msg.payload)
     items = (msg.payload if msg.kind in _NUMERIC_ARITY
              else [json.dumps(v).encode("ascii") for v in msg.payload])
     data = _TEMPLATES[msg.kind] % (msg.seq, msg.t, *items)
@@ -173,48 +175,22 @@ def decode(frame: bytes) -> WireMessage:
             end = -1
         if end != len(text):  # whitespace or text around the value, or none: as json.loads
             obj = json.loads(text)
-        return _message_from(obj)
-    except (ValueError, OverflowError, RecursionError) as exc:
-        # bad UTF-8 or JSON, an integer past the digit limit or past float64's
-        # range, or nesting deeper than the parser's recursion limit
+    except (ValueError, RecursionError) as exc:
+        # bad UTF-8 or JSON, an integer past the digit limit, or nesting
+        # deeper than the parser's recursion limit
         raise WireFormatError(f"invalid frame body: {exc}") from exc
-
-
-def _message_from(obj) -> WireMessage:
     # JSON objects, arrays and strings parse to exactly dict, list and str
     if type(obj) is not dict or obj.keys() != _FIELDS:
         raise WireFormatError("frame body must carry exactly kind/seq/t/payload")
     kind, seq, t, payload = obj["kind"], obj["seq"], obj["t"], obj["payload"]
     if type(payload) is list and _plain(kind, seq, t, payload):
         return _message(kind, seq, t, tuple(payload))
-    # otherwise JSON may have read a whole number as an int, or the body is malformed
-    if type(kind) is not str or kind not in _ARITY:
-        raise UnknownKindError(f"unknown message kind {kind!r}")
-    if type(payload) is not list:
-        raise WireFormatError("payload must be a list")
-    # JSON reads a whole number such as 2 or -0 as an int: each one becomes the
-    # float that holds it exactly, or the frame is refused
-    if type(t) is not float:
-        t = _number(t, "t", WireFormatError)
-    if kind in _NUMERIC_ARITY:
-        payload = [v if type(v) is float else _number(v, f"{kind} payload", WireFormatError)
-                   for v in payload]
-    msg = _message(kind, seq, t, tuple(payload))
-    _check_message(msg)
-    return msg
+    # JSON reads a whole number such as 2 or -0 as an int, or the body is malformed
+    return _checked(kind, seq, t, payload)
 
 
-class _Inbox(bytearray):
-    """A connection's bytes read past the last frame returned.
-
-    ready is the length of the whole frame at the front once _frame_buffered
-    has found one, so recv_message cuts it without scanning again.
-    """
-
-    ready = 0
-
-
-# one _Inbox per connection; an entry lives as long as its socket object
+# the bytes each connection has read past the last frame returned, in a
+# bytearray that lives as long as its socket object
 _inboxes: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
@@ -230,9 +206,7 @@ def _frame_end(buf: bytearray) -> int:
 
 def _frame_buffered(sock: socket.socket) -> bool:
     """Whether a whole frame already waits in the buffer recv_message keeps for sock."""
-    buf = _inboxes[sock]
-    buf.ready = _frame_end(buf)
-    return bool(buf.ready)
+    return _frame_end(_inboxes[sock]) > 0
 
 
 def recv_message(sock: socket.socket) -> WireMessage | None:
@@ -245,8 +219,8 @@ def recv_message(sock: socket.socket) -> WireMessage | None:
     """
     buf = _inboxes.get(sock)
     if buf is None:
-        buf = _inboxes[sock] = _Inbox()
-    end = buf.ready or _frame_end(buf)
+        buf = _inboxes[sock] = bytearray()
+    end = _frame_end(buf)
     while not end:
         chunk = sock.recv(_READ_SIZE)
         if not chunk:
@@ -255,7 +229,6 @@ def recv_message(sock: socket.socket) -> WireMessage | None:
             raise TruncatedFrameError(f"connection closed {len(buf)} bytes into a frame")
         buf += chunk
         end = _frame_end(buf)
-    buf.ready = 0
     frame = bytes(buf[:end])
     del buf[:end]
     return decode(frame)

@@ -30,8 +30,10 @@ from .fdia import (
     KIND_SCALING,
     AffineAttack,
     _closure_residual,
-    _integer as _json_integer,
-    _number as _json_number,
+    _fields,
+    _integer,
+    _number,
+    _read_json,
     _shown,
     build_reflection,
     build_scaling,
@@ -161,33 +163,13 @@ def validate_scenario(sc: Scenario) -> AffineAttack | None:
     return attack
 
 
-def _require_keys(d: dict, allowed: set, where: str) -> None:
-    extra = set(d) - allowed
-    if extra:
-        raise ScenarioError(f"unknown {where} keys: {sorted(map(str, extra))}")
-
-
 def _section(d: dict, key: str, allowed: set) -> dict:
     """An optional sub-object of the document over the allowed keys."""
-    sec = d.get(key, {})
-    if not isinstance(sec, dict):
-        raise ScenarioError(f"{key} must be an object, got {_shown(sec)}")
-    _require_keys(sec, allowed, key)
-    return sec
-
-
-def _number(value, where: str) -> float:
-    """A JSON number (not a bool or a string) that float64 holds exactly, as a float."""
-    return _json_number(value, where, ScenarioError)
-
-
-def _integer(value, where: str) -> int:
-    """An integral JSON number (2 or 2.0, never 2.5 or true), as an exact int."""
-    return _json_integer(value, where, ScenarioError)
+    return _fields(d.get(key, {}), allowed, key, ScenarioError)
 
 
 def _numbers(sec: dict, where: str) -> dict:
-    return {k: _number(v, f"{where}.{k}") for k, v in sec.items()}
+    return {k: _number(v, f"{where}.{k}", ScenarioError) for k, v in sec.items()}
 
 
 def scenario_from_dict(d: dict, fallback_name: str = "custom") -> Scenario:
@@ -196,9 +178,7 @@ def scenario_from_dict(d: dict, fallback_name: str = "custom") -> Scenario:
     Numbers must be JSON numbers that float64 holds exactly, integer settings
     must be integral and sections must be objects; nothing is coerced.
     """
-    if not isinstance(d, dict):
-        raise ScenarioError(f"scenario document must be an object, got {type(d).__name__}")
-    _require_keys(d, _TOP_KEYS, "scenario")
+    _fields(d, _TOP_KEYS, "scenario", ScenarioError)
     if "seed" not in d:
         raise ScenarioError("scenario document must declare a seed")
     name = d.get("name", fallback_name)
@@ -207,16 +187,16 @@ def scenario_from_dict(d: dict, fallback_name: str = "custom") -> Scenario:
     p0_raw = d.get("p0", [0.0, 0.02, 0.0])
     if not (isinstance(p0_raw, (list, tuple)) and len(p0_raw) == 3):
         raise ScenarioError(f"p0 must be a list of three numbers, got {_shown(p0_raw)}")
-    p0 = Posture(*(_number(v, "p0") for v in p0_raw))
+    p0 = Posture(*(_number(v, "p0", ScenarioError) for v in p0_raw))
 
-    duration = _number(d.get("duration", 30.0), "duration")
+    duration = _number(d.get("duration", 30.0), "duration", ScenarioError)
     ref_raw = _numbers(_section(d, "ref", _REF_KEYS), "ref")
     gains_raw = _numbers(_section(d, "gains", _GAIN_KEYS), "gains")
     det_raw = _section(d, "detection", _DET_KEYS)
-    det_kwargs = {k: (_integer if k == "window" else _number)(v, f"detection.{k}")
+    det_kwargs = {k: (_integer if k == "window" else _number)(v, f"detection.{k}", ScenarioError)
                   for k, v in det_raw.items()}
-    dt = _number(d.get("dt", 0.01), "dt")
-    log_stride = _integer(d.get("log_stride", 2), "log_stride")
+    dt = _number(d.get("dt", 0.01), "dt", ScenarioError)
+    log_stride = _integer(d.get("log_stride", 2), "log_stride", ScenarioError)
     try:
         sim = SimConfig(ref=RefConfig(duration=duration, **ref_raw),
                         gains=ControllerGains(**gains_raw), p0=p0,
@@ -235,10 +215,9 @@ def scenario_from_dict(d: dict, fallback_name: str = "custom") -> Scenario:
     if attack_raw is None:
         attack = None
     else:
-        if not isinstance(attack_raw, dict) or "kind" not in attack_raw:
-            raise ScenarioError(f"attack must be null or an object with a kind, got {_shown(attack_raw)}")
-        _require_keys(attack_raw, _ATTACK_KEYS, "attack")
-        beta11 = _number(attack_raw.get("beta11", 1.0), "attack.beta11")
+        if "kind" not in _fields(attack_raw, _ATTACK_KEYS, "attack", ScenarioError):
+            raise ScenarioError("attack must be null or declare a kind")
+        beta11 = _number(attack_raw.get("beta11", 1.0), "attack.beta11", ScenarioError)
         attack = _declared_attack(attack_raw["kind"], beta11, p0)
 
     return Scenario(name, sim, attack, signature, detection, seed)
@@ -255,12 +234,8 @@ def load_scenario(name_or_path) -> Scenario:
             raise ScenarioError(
                 f"unknown scenario {name!r}: not one of {builtin_names()} and not a file"
             )
-        try:
-            doc = json.loads(path.read_bytes().decode("utf-8"))
-        except (ValueError, RecursionError) as exc:
-            # bad UTF-8 or JSON, an integer past the digit limit, or deep nesting
-            raise ScenarioError(f"scenario file {path} is not valid JSON: {exc}") from exc
-        sc = scenario_from_dict(doc, fallback_name=path.stem)
+        sc = scenario_from_dict(_read_json(path, "scenario", ScenarioError),
+                                fallback_name=path.stem)
     validate_scenario(sc)
     return sc
 

@@ -18,7 +18,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .fdia import _integer, _number, attack_state
+from .fdia import _fields, _integer, _number, attack_state
 
 _SIGNATURE_KEYS = {"terms", "max_degree"}
 _TERM_KEY = re.compile(r"(0|[1-9][0-9]*),(0|[1-9][0-9]*)")  # canonical exponents only
@@ -302,12 +302,7 @@ def signature_from_dict(d) -> PolySignature:
     maps canonical "i,j" exponent keys to JSON numbers that float64 holds
     exactly, and max_degree is an integral number. Nothing is coerced.
     """
-    if not isinstance(d, dict):
-        raise ValueError(f"signature must be an object, got {type(d).__name__}")
-    extra = set(d) - _SIGNATURE_KEYS
-    if extra:
-        raise ValueError(f"unknown signature keys: {sorted(map(str, extra))}")
-    raw = d.get("terms")
+    raw = _fields(d, _SIGNATURE_KEYS, "signature", ValueError).get("terms")
     if not isinstance(raw, dict):
         raise ValueError(f"signature terms must be an object, got {type(raw).__name__}")
     terms = {}

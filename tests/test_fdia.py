@@ -90,6 +90,19 @@ def test_attack_requires_invertible_state_map():
         AffineAttack(singular, np.zeros(3), np.eye(2), np.zeros(2))
 
 
+def test_invertibility_does_not_depend_on_the_rows_scale():
+    # a large beta11 shrinks two rows of s_x, not its rank: the attack builds
+    # and its document loads back
+    for a in (build_scaling(1e7, P0), build_reflection(-1e9, P0_TILTED)):
+        assert attack_to_dict(attack_from_dict(attack_to_dict(a))) == attack_to_dict(a)
+    # and a map of rank 2 stays singular however its rows are scaled
+    for scale in (1e-300, 1.0, 1e300):
+        for rank2 in (scale * np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 0.0, 1.0]]),
+                      np.diag([scale, scale, 0.0])):
+            with pytest.raises(AttackError, match="invertible"):
+                AffineAttack(rank2, np.zeros(3), np.eye(2), np.zeros(2))
+
+
 @pytest.mark.parametrize("name, size", [("s_x", 9), ("d_x", 3), ("s_u", 4), ("d_u", 2)])
 def test_attack_rejects_a_wrongly_sized_map(name, size):
     maps = {"s_x": np.eye(3), "d_x": np.zeros(3), "s_u": np.eye(2), "d_u": np.zeros(2)}

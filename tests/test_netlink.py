@@ -33,7 +33,6 @@ from fdia_lab.netlink import (
     UnknownKindError,
     WireFormatError,
     WireMessage,
-    _check_message,
     _config_digest,
     _controller_session,
     _plant_session,
@@ -311,31 +310,35 @@ def test_template_body_equals_the_per_value_body(kind, seq, t, data):
 
 
 def _decode_through_json_loads(frame: bytes) -> WireMessage:
-    """decode of a frame with a valid prefix, as it ran before the scanner fast
-    path: json.loads, then the field checks one by one. An int token becomes
-    the float that holds it exactly; any other int is left for the checks to
-    refuse."""
+    """decode of a frame with a valid prefix, written apart from the codec:
+    json.loads, then each field checked here. A number must be a finite float
+    or an int that float64 holds exactly, which becomes that float."""
 
-    def exact(v):
-        return float(v) if type(v) is int and float(v) == v else v
+    def number(v):
+        if type(v) is float and math.isfinite(v):
+            return v
+        if type(v) is int and abs(v) < 2**1024 and float(v) == v:
+            return float(v)
+        raise WireFormatError(f"not exactly a finite float64: {type(v).__name__}")
 
     try:
         obj = json.loads(frame[4:].decode("utf-8"))
-        if not isinstance(obj, dict) or obj.keys() != {"kind", "seq", "t", "payload"}:
-            raise WireFormatError("frame body must carry exactly kind/seq/t/payload")
-        kind = obj["kind"]
-        if not isinstance(kind, str) or kind not in _KINDS:
-            raise UnknownKindError(f"unknown message kind {kind!r}")
-        payload = obj["payload"]
-        if not isinstance(payload, list):
-            raise WireFormatError("payload must be a list")
-        if kind in ("Obs", "Cmd", "Sig"):
-            payload = [exact(v) for v in payload]
-        msg = WireMessage(kind, obj["seq"], exact(obj["t"]), tuple(payload))
-        _check_message(msg)
-        return msg
-    except (ValueError, OverflowError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise WireFormatError(f"invalid frame body: {exc}") from exc
+    if type(obj) is not dict or sorted(obj) != ["kind", "payload", "seq", "t"]:
+        raise WireFormatError("frame body must carry exactly kind/seq/t/payload")
+    kind, seq, payload = obj["kind"], obj["seq"], obj["payload"]
+    if type(kind) is not str or kind not in _ARITY:
+        raise UnknownKindError(f"unknown message kind {kind!r}")
+    if type(seq) is not int or not 0 <= seq < 2**64:
+        raise WireFormatError("seq out of range")
+    if type(payload) is not list or len(payload) != _ARITY[kind]:
+        raise WireFormatError("payload of the wrong shape")
+    if kind in ("Obs", "Cmd", "Sig"):
+        payload = [number(v) for v in payload]
+    elif not all(type(v) is str for v in payload):
+        raise WireFormatError("a string payload holds a non-string")
+    return WireMessage(kind, seq, number(obj["t"]), tuple(payload))
 
 
 def _outcome(fn, frame: bytes):

@@ -30,6 +30,8 @@ from fdia_lab.fdia import (
     KIND_IDENTITY,
     KIND_REFLECTION,
     KIND_SCALING,
+    AttackError,
+    attack_from_dict,
     load_attack,
 )
 from fdia_lab.scenarios import (
@@ -42,7 +44,7 @@ from fdia_lab.scenarios import (
     validate_scenario,
 )
 from fdia_lab.simloop import SimConfig, SimTrace, run
-from fdia_lab.smsf import eval_signature
+from fdia_lab.smsf import eval_signature, signature_from_dict
 
 ARTIFACTS = ("trace.csv", "nominal.csv", "attack.json", "monitor.csv", "summary.json")
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -175,6 +177,30 @@ def test_document_validation_errors():
     for overrides in _MALFORMED_VALUES:
         with pytest.raises(ScenarioError):
             scenario_from_dict(_quick_doc(**overrides))
+
+
+@pytest.mark.parametrize("read, error, where, known", [
+    (scenario_from_dict, ScenarioError, "scenario", {"seed": 1}),
+    *[(lambda sec, key=key: scenario_from_dict(_quick_doc(**{key: sec})), ScenarioError, key, {})
+      for key in ("ref", "gains", "detection")],
+    (lambda sec: scenario_from_dict(_quick_doc(attack=sec)), ScenarioError, "attack",
+     {"kind": "Reflection"}),
+    (lambda sec: scenario_from_dict(_quick_doc(signature=sec)), ScenarioError, "signature",
+     {"terms": {}}),
+    (attack_from_dict, AttackError, "attack", {}),
+    (signature_from_dict, ValueError, "signature", {"terms": {}}),
+], ids=["scenario", "ref", "gains", "detection", "scenario attack", "scenario signature",
+        "attack file", "signature"])
+def test_every_reader_refuses_a_non_object_and_an_unknown_key(read, error, where, known):
+    # one object rule for every document, each reader raising its own class;
+    # a long value is cut short in the message
+    for value in ([1], "secret", 3.0, 10**5000, [0] * 10_000):
+        with pytest.raises(error, match=f"{where} must be an object, got ") as exc:
+            read(value)
+        assert exc.type is error and len(str(exc.value)) < 200
+    with pytest.raises(error, match=f"unknown {where} keys: \\['bogus'\\]") as exc:
+        read({**known, "bogus": 1})
+    assert exc.type is error
 
 
 def test_integral_settings_may_be_written_as_floats():
