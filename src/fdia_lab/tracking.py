@@ -71,14 +71,20 @@ def _table_steps(cfg: RefConfig, dt: float) -> int:
 
     Raises ValueError when the table's rows would pass sys.maxsize bytes, which
     no bytearray can index; the ratio is compared before it is rounded, so an
-    overflowing one never reaches ceil.
+    overflowing one never reaches ceil. Raises ValueError too when the sine's
+    phase overflows by the last row, as it does for a subnormal omega_period:
+    the phase grows with k, so a finite last phase keeps every row's finite.
     """
     ratio = cfg.duration / dt - 1e-9
     # ceil(ratio) + 1 <= _MAX_ROWS exactly when ratio <= _MAX_ROWS - 1
     if not ratio <= _MAX_ROWS - 1:
         raise ValueError(f"reference duration {cfg.duration} at dt={dt} needs a table"
                          f" of more than sys.maxsize bytes")
-    return math.ceil(ratio)
+    n = math.ceil(ratio)
+    if not math.isfinite(_TWO_PI * (n * dt) / cfg.omega_period):
+        raise ValueError(f"RefConfig.omega_period {cfg.omega_period} is too small for a"
+                         f" reference of {cfg.duration} s: its phase overflows")
+    return n
 
 
 @lru_cache(maxsize=REFERENCE_CACHE_SIZE)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from fdia_lab.kinematics import Posture, rk4_step
-from fdia_lab.scenarios import load_scenario
+from fdia_lab.scenarios import ScenarioError, load_scenario, scenario_from_dict
 from fdia_lab.simloop import run
 from fdia_lab.tracking import (
     REFERENCE_CACHE_SIZE,
@@ -54,6 +54,15 @@ def test_ref_config_validation():
         RefConfig(omega_period=0.0)
     with pytest.raises(ValueError):
         RefConfig(duration=-1.0)
+
+
+def test_a_period_whose_phase_overflows_is_refused_before_the_table_is_built():
+    # 2*pi*t/omega_period is inf for a subnormal period, and sin(inf) raises
+    ref = RefConfig(omega_period=2.2250738585e-313, duration=0.02)
+    with pytest.raises(ValueError, match="phase overflows"):
+        reference_table(ref, 0.01)
+    with pytest.raises(ScenarioError, match="phase overflows"):
+        scenario_from_dict({"seed": 1, "duration": 0.02, "ref": {"omega_period": 2.2250738585e-313}})
 
 
 def test_feedforward_profile():
