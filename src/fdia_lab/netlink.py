@@ -16,6 +16,7 @@ command map, and optionally Sig through a scalar affine channel.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import hashlib
 import itertools
@@ -25,7 +26,7 @@ import socket
 import struct
 import threading
 import weakref
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 
 import numpy as np
 
@@ -88,27 +89,14 @@ class ProtocolError(NetlinkError):
     """Session-level violation: seq gap, wrong kind, digest mismatch."""
 
 
-@dataclass(frozen=True)
-class WireMessage:
-    kind: str
-    seq: int
-    t: float
-    payload: tuple
+class WireMessage(collections.namedtuple("WireMessage", "kind seq t payload")):
+    """One message: its kind, its seq in its direction, the tick's time t and
+    the payload, which is always held as a tuple."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "payload", tuple(self.payload))
+    __slots__ = ()
 
-
-def _message(kind: str, seq: int, t: float, payload: tuple) -> WireMessage:
-    """WireMessage(kind, seq, t, payload) for a payload that is already a tuple,
-    without the frozen dataclass's __init__ and __post_init__."""
-    msg = object.__new__(WireMessage)
-    fields = msg.__dict__
-    fields["kind"] = kind
-    fields["seq"] = seq
-    fields["t"] = t
-    fields["payload"] = payload
-    return msg
+    def __new__(cls, kind: str, seq: int, t: float, payload):
+        return tuple.__new__(cls, (kind, seq, t, tuple(payload)))
 
 
 def _plain(kind, seq, t, payload) -> bool:
@@ -136,19 +124,19 @@ def _checked(kind, seq, t, payload) -> WireMessage:
     if kind in _NUMERIC_ARITY:
         if len(payload) != arity:
             raise WireFormatError(f"{kind} payload must have {arity} numbers")
-        payload = tuple([_number(v, f"{kind} payload", WireFormatError) for v in payload])
+        payload = [_number(v, f"{kind} payload", WireFormatError) for v in payload]
     elif len(payload) != arity or not all(isinstance(v, str) for v in payload):
         raise WireFormatError(f"{kind} payload must be {arity} strings")
-    return _message(kind, seq, _number(t, "t", WireFormatError), tuple(payload))
+    return WireMessage(kind, seq, _number(t, "t", WireFormatError), payload)
 
 
 def encode(msg: WireMessage) -> bytes:
     """Length-prefixed frame; floats written as %.17g (lossless for float64)."""
-    if not _plain(msg.kind, msg.seq, msg.t, msg.payload):
-        msg = _checked(msg.kind, msg.seq, msg.t, msg.payload)
-    items = (msg.payload if msg.kind in _NUMERIC_ARITY
-             else [json.dumps(v).encode("ascii") for v in msg.payload])
-    data = _TEMPLATES[msg.kind] % (msg.seq, msg.t, *items)
+    if not _plain(*msg):
+        msg = _checked(*msg)
+    kind, seq, t, payload = msg
+    items = payload if kind in _NUMERIC_ARITY else [json.dumps(v).encode("ascii") for v in payload]
+    data = _TEMPLATES[kind] % (seq, t, *items)
     if len(data) > MAX_FRAME:
         raise FrameLengthError(f"frame body of {len(data)} bytes exceeds {MAX_FRAME}")
     return _PREFIX.pack(len(data)) + data
@@ -184,7 +172,7 @@ def decode(frame: bytes) -> WireMessage:
         raise WireFormatError("frame body must carry exactly kind/seq/t/payload")
     kind, seq, t, payload = obj["kind"], obj["seq"], obj["t"], obj["payload"]
     if type(payload) is list and _plain(kind, seq, t, payload):
-        return _message(kind, seq, t, tuple(payload))
+        return WireMessage(kind, seq, t, payload)
     # JSON reads a whole number such as 2 or -0 as an int, or the body is malformed
     return _checked(kind, seq, t, payload)
 
@@ -339,13 +327,16 @@ def _plant_session(conn: socket.socket, cfg: SimConfig, sig) -> SimTrace:
             t = k * cfg.dt
             phi = smsf.eval_signature(sig, x, y)
             _require_finite(t, x, y, th, phi)
-            send_message(conn, _message("Obs", next(tx), t, (x, y, th)),
-                         _message("Sig", next(tx), t, (phi,)))
+            send_message(conn, WireMessage("Obs", next(tx), t, (x, y, th)),
+                         WireMessage("Sig", next(tx), t, (phi,)))
             v, w = _expect(conn, rx, "Cmd").payload
             if k % cfg.log_stride == 0:
                 rows.append(pack(t, x, y, th, v, w, phi))
             if k < n_steps:
-                x, y, th = rk4_step(x, y, th, v, w, cfg.dt)
+                try:
+                    x, y, th = rk4_step(x, y, th, v, w, cfg.dt)
+                except ValueError as exc:  # math.cos or math.sin of a heading overflowed mid-step
+                    raise RunDiverged(f"run diverged: non-finite heading at t = {t:g} s") from exc
         _part(conn, rx, tx, n_steps * cfg.dt)
         complete = True
     except (OSError, TruncatedFrameError):
@@ -377,7 +368,7 @@ def _controller_session(sock: socket.socket, cfg: SimConfig, sig) -> SimTrace:
             (phi_rx,) = _expect(sock, rx, "Sig").payload
             v, w, xe, ye, the, lyap = control(ref, gains, p_ref, x, y, th)
             _require_finite(t, v, w, xe, ye, the, lyap)
-            send_message(sock, _message("Cmd", next(tx), t, (v, w)))
+            send_message(sock, WireMessage("Cmd", next(tx), t, (v, w)))
             if k % cfg.log_stride == 0:
                 rows.append(pack(t, x, y, th, v, w, xe, ye, the, lyap, phi_rx))
         _part(sock, rx, tx, n_steps * cfg.dt)
@@ -398,11 +389,11 @@ def _controller_session(sock: socket.socket, cfg: SimConfig, sig) -> SimTrace:
 def _transform_factory(attack: AffineAttack | None, sig_scale: float, sig_offset: float):
     def transform(msg: WireMessage) -> WireMessage:
         if msg.kind == "Obs" and attack is not None:
-            return _message("Obs", msg.seq, msg.t, attack_state(attack, *msg.payload))
+            return WireMessage("Obs", msg.seq, msg.t, attack_state(attack, *msg.payload))
         if msg.kind == "Cmd" and attack is not None:
-            return _message("Cmd", msg.seq, msg.t, attack_command(attack, *msg.payload))
+            return WireMessage("Cmd", msg.seq, msg.t, attack_command(attack, *msg.payload))
         if msg.kind == "Sig" and not (sig_scale == 1.0 and sig_offset == 0.0):
-            return _message("Sig", msg.seq, msg.t, (sig_scale * msg.payload[0] + sig_offset,))
+            return WireMessage("Sig", msg.seq, msg.t, (sig_scale * msg.payload[0] + sig_offset,))
         return msg
 
     return transform

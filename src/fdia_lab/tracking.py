@@ -94,17 +94,23 @@ def reference_table(cfg: RefConfig, dt: float = 0.01) -> np.ndarray:
     The posture is integrated from the origin by holding the feedforward
     omega_r(k*dt) over each step, matching the plant's own discretization;
     omega_r is the same expression the step used. Cached per (cfg, dt),
-    keeping the REFERENCE_CACHE_SIZE most recently used tables.
+    keeping the REFERENCE_CACHE_SIZE most recently used tables. A heading
+    that overflows raises simloop.RunDiverged, naming the row's time.
     """
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     n = _table_steps(cfg, dt)
     rows = bytearray(_ROW.size * (n + 1))
     x = y = th = 0.0
-    for k in range(n):
-        w = _omega_ref(cfg, k * dt)
-        _ROW.pack_into(rows, _ROW.size * k, x, y, th, w)
-        x, y, th = rk4_step(x, y, th, cfg.v_ref, w, dt)
+    try:
+        for k in range(n):
+            w = _omega_ref(cfg, k * dt)
+            _ROW.pack_into(rows, _ROW.size * k, x, y, th, w)
+            x, y, th = rk4_step(x, y, th, cfg.v_ref, w, dt)
+    except ValueError as exc:  # math.cos or math.sin of the overflowed heading
+        from .simloop import RunDiverged  # simloop imports this module
+        raise RunDiverged(f"run diverged: non-finite reference heading at"
+                          f" t = {(k + 1) * dt:g} s") from exc
     _ROW.pack_into(rows, _ROW.size * n, x, y, th, _omega_ref(cfg, n * dt))
     table = np.frombuffer(rows).reshape(n + 1, 4)
     table.setflags(write=False)

@@ -132,6 +132,17 @@ def test_encode_rejects_malformed_messages():
         decode(_frame(b'{"kind":"Sig","seq":%d,"t":0,"payload":[1.0]}' % 2**64))
 
 
+def test_an_oversized_body_is_refused_before_anything_is_written():
+    # every other field is valid: only the frame's length is at fault
+    msg = WireMessage("Hello", 0, 0.0, ("r" * MAX_FRAME, "0123456789abcdef"))
+    with pytest.raises(FrameLengthError, match=r"exceeds 1048576$"):
+        encode(msg)
+    wire = _Wire()
+    with pytest.raises(FrameLengthError):
+        send_message(wire, _OBS, msg)
+    assert wire.writes == []
+
+
 def test_decode_error_taxonomy():
     good = encode(WireMessage("Sig", 0, 0.0, (1.0,)))
     with pytest.raises(TruncatedFrameError):
@@ -652,6 +663,18 @@ def test_a_controller_stream_cut_mid_frame_gives_a_partial_view():
     for col in CTRL_VIEW_COLUMNS:
         np.testing.assert_array_equal(getattr(view, col), getattr(honest, col)[:3])
     assert [decode(w).kind for w in wire.writes] == ["Hello", "Cmd", "Cmd", "Cmd"]
+
+
+def test_a_plant_whose_heading_overflows_mid_step_raises_run_diverged():
+    # the heading is finite when the plant checks it before sending, and
+    # theta + dt*omega/2 overflows inside the step that follows
+    cfg, sig = SimConfig(p0=Posture(0.0, 0.02, 1.797e308), duration=0.1), default_signature()
+    script = [WireMessage("Hello", 0, 0.0, ("controller", _config_digest(cfg, sig))),
+              WireMessage("Cmd", 1, 0.0, (0.0, 1e308))]
+    wire = _Wire([encode(msg) for msg in script])
+    with pytest.raises(RunDiverged, match=r"^run diverged: non-finite heading at t = 0 s$"):
+        _plant_session(wire, cfg, sig)
+    assert len(wire.writes) == 2  # Hello, then the one tick's Obs+Sig
 
 
 def test_config_digest_is_stable_and_sensitive():

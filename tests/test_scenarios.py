@@ -16,11 +16,12 @@ import threading
 import time
 import tracemalloc
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import JSON_SCALARS, JSONISH
@@ -30,10 +31,13 @@ from fdia_lab.fdia import (
     KIND_IDENTITY,
     KIND_REFLECTION,
     KIND_SCALING,
+    AffineAttack,
     AttackError,
     attack_from_dict,
+    build_reflection,
     load_attack,
 )
+from fdia_lab.kinematics import Posture
 from fdia_lab.scenarios import (
     ScenarioError,
     builtin_names,
@@ -355,6 +359,21 @@ def test_invalid_signature_fails_at_load(tmp_path):
         load_scenario(path)
 
 
+def test_validate_scenario_refuses_an_attack_that_breaks_either_condition():
+    # the builders meet both conditions by construction, so only a Scenario
+    # built around another attack reaches these refusals
+    sc = scenario_from_dict(_quick_doc(p0=[0.0, 0.02, 0.0]))
+    elsewhere = replace(sc, attack=build_reflection(1.0, Posture(0.0, 0.5, 0.0)))
+    with pytest.raises(ScenarioError,
+                       match=r"^scenario 'quick': initial-state consistency residual 9\.600e-01 > "):
+        validate_scenario(elsewhere)
+    loose = replace(sc, attack=AffineAttack(np.eye(3), np.zeros(3), np.diag([2.0, 2.0]),
+                                            np.zeros(2)))
+    with pytest.raises(ScenarioError,
+                       match=r"^scenario 'quick': kinematic closure residual 1\.000e\+00 > "):
+        validate_scenario(loose)
+
+
 def test_a_sparse_high_degree_signature_costs_only_its_chain(tmp_path):
     # a document may ask for x^100000: the powers take about 2*log2(k)
     # products each, never a table of every power up to the highest exponent
@@ -643,6 +662,8 @@ def _strict_json(text: str):
 
 @settings(max_examples=300, deadline=None)
 @given(_SHORT_DOCS)
+# a reference heading that overflows, past the draws' duration and magnitude
+@example({"seed": 1, "duration": 5, "ref": {"omega_amp": 1e308, "omega_period": 40}})
 def test_simulate_writes_finite_artifacts_or_reports_an_error(doc):
     with tempfile.TemporaryDirectory() as tmp:
         path, out = Path(tmp) / "doc.json", Path(tmp) / "out"

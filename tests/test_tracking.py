@@ -1,14 +1,16 @@
 """Reference generation and the controller tick: error, control law, Lyapunov value."""
 
+import json
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from fdia_lab.cli import main
 from fdia_lab.kinematics import Posture, rk4_step
 from fdia_lab.scenarios import ScenarioError, load_scenario, scenario_from_dict
-from fdia_lab.simloop import run
+from fdia_lab.simloop import RunDiverged, run
 from fdia_lab.tracking import (
     REFERENCE_CACHE_SIZE,
     ControllerGains,
@@ -63,6 +65,25 @@ def test_a_period_whose_phase_overflows_is_refused_before_the_table_is_built():
         reference_table(ref, 0.01)
     with pytest.raises(ScenarioError, match="phase overflows"):
         scenario_from_dict({"seed": 1, "duration": 0.02, "ref": {"omega_period": 2.2250738585e-313}})
+
+
+def test_a_reference_heading_that_overflows_ends_the_run_as_diverged(tmp_path, capsys):
+    # omega_amp 1e308 held over a 40 s period drives the reference heading past
+    # float64's range about 4.9 s in; the 4 s default period keeps it finite
+    doc = {"seed": 1, "duration": 5, "ref": {"omega_amp": 1e308, "omega_period": 40}}
+    sc = scenario_from_dict(doc)
+    with pytest.raises(RunDiverged,
+                       match=r"^run diverged: non-finite reference heading at t = 4\.91 s$"):
+        reference_table(sc.sim.ref, sc.sim.dt)
+    with pytest.raises(RunDiverged, match="non-finite reference heading"):
+        run(sc.sim, sc.attack, sc.signature)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["simulate", "--scenario", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "error: run diverged: non-finite reference heading at t = 4.91 s\n")
+    default_period = replace(sc.sim.ref, omega_period=4.0)
+    assert np.isfinite(reference_table(default_period, sc.sim.dt)).all()
 
 
 def test_feedforward_profile():
