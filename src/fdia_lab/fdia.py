@@ -59,10 +59,11 @@ class AffineAttack:
             arr, size = np.array(getattr(self, name), dtype=float), math.prod(shape)
             if arr.size != size:
                 raise AttackError(f"AffineAttack.{name} must hold {size} numbers, got {arr.size}")
-            floats += arr.ravel().tolist()
-            arr = arr.reshape(shape)
-            if not np.all(np.isfinite(arr)):
+            values = arr.ravel().tolist()
+            if not all(map(math.isfinite, values)):
                 raise AttackError(f"AffineAttack.{name} must be finite")
+            floats += values
+            arr = arr.reshape(shape)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "_state_map", tuple(floats[:12]))
@@ -112,18 +113,9 @@ def build_reflection(beta11: float, p0: Posture) -> AffineAttack:
         raise ValueError(f"beta11 must be nonzero and finite, got {beta11}")
     c2 = math.cos(2.0 * p0.theta)
     s2 = math.sin(2.0 * p0.theta)
-    s_x = np.array(
-        [
-            [c2 / beta11, s2 / beta11, 0.0],
-            [s2 / beta11, -c2 / beta11, 0.0],
-            [0.0, 0.0, -1.0],
-        ]
-    )
-    arr = p0.as_array()
-    with np.errstate(over="ignore", invalid="ignore"):  # AffineAttack refuses a non-finite d_x
-        d_x = arr - s_x @ arr
-    s_u = np.array([[beta11, 0.0], [0.0, -1.0]])
-    return AffineAttack(s_x, d_x, s_u, np.zeros(2), kind=KIND_REFLECTION, beta11=beta11)
+    s_x = ((c2 / beta11, s2 / beta11, 0.0), (s2 / beta11, -c2 / beta11, 0.0), (0.0, 0.0, -1.0))
+    return AffineAttack(s_x, _hiding_offset(s_x, p0), ((beta11, 0.0), (0.0, -1.0)), (0.0, 0.0),
+                        kind=KIND_REFLECTION, beta11=beta11)
 
 
 def build_scaling(beta11: float, p0: Posture) -> AffineAttack:
@@ -134,12 +126,20 @@ def build_scaling(beta11: float, p0: Posture) -> AffineAttack:
     """
     if not (math.isfinite(beta11) and beta11 != 0.0):
         raise ValueError(f"beta11 must be nonzero and finite, got {beta11}")
-    s_x = np.diag([1.0 / beta11, 1.0 / beta11, 1.0])
-    arr = p0.as_array()
-    with np.errstate(over="ignore", invalid="ignore"):  # AffineAttack refuses a non-finite d_x
-        d_x = arr - s_x @ arr
-    s_u = np.diag([beta11, 1.0])
-    return AffineAttack(s_x, d_x, s_u, np.zeros(2), kind=KIND_SCALING, beta11=beta11)
+    s_x = ((1.0 / beta11, 0.0, 0.0), (0.0, 1.0 / beta11, 0.0), (0.0, 0.0, 1.0))
+    return AffineAttack(s_x, _hiding_offset(s_x, p0), ((beta11, 0.0), (0.0, 1.0)), (0.0, 0.0),
+                        kind=KIND_SCALING, beta11=beta11)
+
+
+def _hiding_offset(rows, p0: Posture) -> tuple:
+    """d_x = (I - s_x) p0 for the rows of s_x, each row summed left to right in plain floats
+    as attack_state sums it, so no BLAS kernel decides its bits. AffineAttack refuses an
+    overflow's inf or nan."""
+    (s00, s01, s02), (s10, s11, s12), (s20, s21, s22) = rows
+    x, y, theta = p0.x, p0.y, p0.theta
+    return (x - (s00 * x + s01 * y + s02 * theta),
+            y - (s10 * x + s11 * y + s12 * theta),
+            theta - (s20 * x + s21 * y + s22 * theta))
 
 
 def attack_state(a: AffineAttack, x: float, y: float, theta: float) -> tuple:
@@ -164,9 +164,11 @@ def attack_command(a: AffineAttack, v: float, omega: float) -> tuple:
 
 
 def check_condition1(a: AffineAttack, p0: Posture) -> float:
-    """Max-norm residual of the initial-state hiding condition d_x = (I - s_x) p0."""
-    arr = p0.as_array()
-    return float(np.max(np.abs((arr - a.s_x @ arr) - a.d_x)))
+    """Max-norm residual of the initial-state hiding condition d_x = (I - s_x) p0, summed as
+    the builders sum it (a built attack scores 0.0 at its pose); inf, not nan, on overflow."""
+    m = a._state_map  # s_x row-major, then d_x
+    gaps = [abs(want - d) for want, d in zip(_hiding_offset((m[0:3], m[3:6], m[6:9]), p0), m[9:])]
+    return math.inf if any(map(math.isnan, gaps)) else max(gaps)
 
 
 def check_condition2(a: AffineAttack, n_samples: int = 1000, seed: int = 0) -> float:
@@ -176,6 +178,9 @@ def check_condition2(a: AffineAttack, n_samples: int = 1000, seed: int = 0) -> f
     max || s_x J(theta)(s_u q + d_u) - J(theta~) q ||_inf with
     theta~ = s_x[2,2]*theta + d_x[2]. Undetectable attacks score at float
     noise; any inadmissible s_u or nonzero d_u scores well above 1e-3.
+    An s22 just off +-1 is not seen: on this range s22 = 1 + 1e-12 moves
+    theta~ by under 1e-11 and scores about 6e-12. _closure_residual, which
+    validate_scenario applies, refuses every s22 outside {-1, 0, 1}.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")

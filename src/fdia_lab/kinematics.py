@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 
 @dataclass(frozen=True)
 class Posture:
@@ -26,9 +24,6 @@ class Posture:
         for name in ("x", "y", "theta"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"Posture.{name} must be finite")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.theta], dtype=float)
 
 
 def rk4_step(x: float, y: float, theta: float, v: float, omega: float, dt: float):

@@ -60,19 +60,13 @@ class PolySignature:
         return PolySignature, (dict(self.terms), self.max_degree)
 
 
+_DEFAULT_SIGNATURE = PolySignature({(4, 0): 1.0, (0, 4): 1.0, (2, 0): 1.0, (0, 2): 25.0,
+                                    (2, 1): -100.0, (1, 2): -10.0, (2, 2): 2501.0})
+
+
 def default_signature() -> PolySignature:
-    """Expanded form of x^4 + y^4 + (x - 50xy)^2 + (xy - 5y)^2."""
-    return PolySignature(
-        {
-            (4, 0): 1.0,
-            (0, 4): 1.0,
-            (2, 0): 1.0,
-            (0, 2): 25.0,
-            (2, 1): -100.0,
-            (1, 2): -10.0,
-            (2, 2): 2501.0,
-        }
-    )
+    """Expanded form of x^4 + y^4 + (x - 50xy)^2 + (xy - 5y)^2; one shared, frozen instance."""
+    return _DEFAULT_SIGNATURE
 
 
 def _powers(pw: dict, k: int):

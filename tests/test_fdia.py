@@ -119,7 +119,7 @@ def test_attack_state_examples():
     s1 = build_reflection(1.0, P0)
     mapped = attack_state(s1, P0.x, P0.y, P0.theta)
     assert all(isinstance(c, float) for c in mapped)
-    assert np.max(np.abs(np.subtract(mapped, P0.as_array()))) <= 1e-15
+    assert np.max(np.abs(np.subtract(mapped, (P0.x, P0.y, P0.theta)))) <= 1e-15
 
     s2 = build_scaling(0.5, P0)
     mapped = attack_state(s2, 0.1, 0.02, 0.5)
@@ -453,3 +453,87 @@ def test_any_attack_document_loads_or_raises_attack_error(doc):
     except AttackError:
         return
     assert a.s_x.shape == (3, 3) and np.all(np.isfinite(a.s_x))
+
+
+# the maps as numpy formulas: the oracle for every map but d_x, whose matmul
+# may fuse its products
+def _numpy_reflection(beta11, p0):
+    c2, s2 = math.cos(2.0 * p0.theta), math.sin(2.0 * p0.theta)
+    s_x = np.array([[c2 / beta11, s2 / beta11, 0.0],
+                    [s2 / beta11, -c2 / beta11, 0.0],
+                    [0.0, 0.0, -1.0]])
+    return s_x, np.array([[beta11, 0.0], [0.0, -1.0]]), np.zeros(2)
+
+
+def _numpy_scaling(beta11, p0):
+    return np.diag([1.0 / beta11, 1.0 / beta11, 1.0]), np.diag([beta11, 1.0]), np.zeros(2)
+
+
+_ORACLES = {build_reflection: _numpy_reflection, build_scaling: _numpy_scaling}
+
+
+def _matmul_offset(s_x, p0):
+    arr = np.array([p0.x, p0.y, p0.theta])
+    return arr - s_x @ arr
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(list(_ORACLES)), _BETA, _POSTURE)
+def test_builders_write_the_numpy_maps_and_a_left_to_right_offset_bitwise(build, beta, p0):
+    a = build(beta, p0)
+    s_x, s_u, d_u = _ORACLES[build](beta, p0)
+    assert a.s_x.tobytes() == s_x.tobytes()
+    assert a.s_u.tobytes() == s_u.tobytes()
+    assert a.d_u.tobytes() == d_u.tobytes()
+    p = (p0.x, p0.y, p0.theta)
+    summed = [pk - (s0 * p[0] + s1 * p[1] + s2 * p[2]) for (s0, s1, s2), pk in zip(s_x.tolist(), p)]
+    assert a.d_x.tobytes() == np.array(summed).tobytes()
+    # every built attack meets the hiding condition exactly at its own pose
+    assert check_condition1(a, p0) == 0.0
+
+
+def _sweep_like_attacks():
+    """The built-in attacks and a sweep's: x0 = 0, theta0 in [-pi/4, pi/4],
+    |log beta11| in [log 1.5, log 2.5] on either side of 1."""
+    yield build_reflection, 1.0, P0
+    yield build_scaling, 0.5, P0
+    yield build_reflection, 1.0, P0_TILTED
+    rng = np.random.default_rng(27)
+    for _ in range(200):
+        p0 = Posture(0.0, float(rng.choice([0.02, rng.uniform(-1.0, 1.0)])),
+                     float(rng.uniform(-math.pi / 4.0, math.pi / 4.0)))
+        beta = float(np.exp(rng.uniform(math.log(1.5), math.log(2.5)) * rng.choice([-1.0, 1.0])))
+        yield build_reflection if rng.random() < 0.5 else build_scaling, beta, p0
+
+
+def test_the_offset_equals_the_matmul_where_each_row_has_one_nonzero_product():
+    # with x0 = 0 each row of s_x p0 has one nonzero product, so no kernel can
+    # fuse two of them: the built-in and sweep attacks keep their bytes
+    for build, beta, p0 in _sweep_like_attacks():
+        a = build(beta, p0)
+        assert a.d_x.tobytes() == _matmul_offset(_ORACLES[build](beta, p0)[0], p0).tobytes()
+        assert check_condition1(a, p0) == 0.0
+    assert check_condition1(identity_attack(), P0) == 0.0
+
+
+def test_a_map_whose_entries_sum_past_float64s_range_still_loads():
+    a = AffineAttack(np.diag([1e308, 1e308, 1.0]), np.zeros(3), np.eye(2), np.zeros(2))
+    assert a.s_x[0, 0] == a.s_x[1, 1] == 1e308
+
+
+@pytest.mark.parametrize("name", ["s_x", "d_x", "s_u", "d_u"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_entry_raises_naming_its_map(name, bad):
+    maps = {"s_x": np.eye(3), "d_x": np.zeros(3), "s_u": np.eye(2), "d_u": np.zeros(2)}
+    for k in range(maps[name].size):
+        broken = maps[name].copy().ravel()
+        broken[k] = bad
+        with pytest.raises(AttackError, match=f"AffineAttack.{name} must be finite"):
+            AffineAttack(**{**maps, name: broken.reshape(maps[name].shape)})
+
+
+def test_condition1_scores_an_offset_that_overflows_at_the_pose_as_inf():
+    a = build_reflection(1e-160, Posture(0.0, 0.02, math.pi / 8))
+    far = Posture(1e150, -1e150, math.pi / 8)  # the two products overflow to inf and -inf
+    assert check_condition1(a, far) == math.inf
+

@@ -14,13 +14,13 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import JSON_SCALARS, JSONISH
 from fdia_lab.adversary import STUDY_NOISE_STD, fit_signature, spiral_samples, spoof
 from fdia_lab.cli import main
-from fdia_lab.fdia import build_reflection
+from fdia_lab.fdia import AttackError, build_reflection, build_scaling
 from fdia_lab.kinematics import Posture
 from fdia_lab.netlink import (
     CTRL_VIEW_COLUMNS,
@@ -47,9 +47,16 @@ from fdia_lab.netlink import (
     serve_proxy,
 )
 from fdia_lab.scenarios import load_scenario
-from fdia_lab.simloop import RunDiverged, SimConfig, SimTrace, run, write_trace_csv
+from fdia_lab.simloop import (
+    TRACE_COLUMNS,
+    RunDiverged,
+    SimConfig,
+    SimTrace,
+    run,
+    write_trace_csv,
+)
 from fdia_lab.smsf import PolySignature, default_signature, monitor
-from fdia_lab.tracking import ControllerGains
+from fdia_lab.tracking import ControllerGains, RefConfig
 
 TIMEOUT = 15.0
 # the protocol's message kinds, in the order the draws below index them, and
@@ -818,21 +825,35 @@ def test_networked_identity_run_matches_in_process():
     np.testing.assert_array_equal(merged.data, run(cfg).data)
 
 
-def _proxied_session(cfg, **proxy_kwargs):
-    """One plant/proxy/controller session over loopback; the plant and controller logs."""
+def _session(cfg, signature=None, proxy=None):
+    """One session over loopback, direct or through serve_proxy(**proxy).
+
+    Returns the plant and controller logs. An endpoint's error is raised once
+    every helper thread has ended.
+    """
     ports = []
     plant_bound, plant_wait = _bound_port(ports)
-    plant_box = _spawn(serve_plant, cfg=cfg, port=0, on_bound=plant_bound, timeout=TIMEOUT)
-    plant_port = plant_wait()
-    proxy_bound, proxy_wait = _bound_port(ports)
-    proxy_box = _spawn(
-        serve_proxy, listen=("127.0.0.1", 0), upstream=("127.0.0.1", plant_port),
-        on_bound=proxy_bound, timeout=TIMEOUT, **proxy_kwargs,
-    )
-    ctrl_log = run_controller(cfg, connect=("127.0.0.1", proxy_wait()), timeout=TIMEOUT)
-    plant_log = _finish(plant_box)
-    _finish(proxy_box)
+    plant_box = _spawn(serve_plant, cfg=cfg, signature=signature, port=0, on_bound=plant_bound,
+                       timeout=TIMEOUT)
+    port, proxy_box = plant_wait(), None
+    if proxy is not None:
+        proxy_bound, proxy_wait = _bound_port(ports)
+        proxy_box = _spawn(serve_proxy, listen=("127.0.0.1", 0), upstream=("127.0.0.1", port),
+                           on_bound=proxy_bound, timeout=TIMEOUT, **proxy)
+        port = proxy_wait()
+    try:
+        ctrl_log = run_controller(cfg, connect=("127.0.0.1", port), signature=signature,
+                                  timeout=TIMEOUT)
+    finally:
+        if proxy_box is not None:
+            _finish(proxy_box)
+        plant_log = _finish(plant_box)
     return plant_log, ctrl_log
+
+
+def _proxied_session(cfg, **proxy_kwargs):
+    """One plant/proxy/controller session over loopback; the plant and controller logs."""
+    return _session(cfg, proxy=proxy_kwargs)
 
 
 def test_networked_attack_through_proxy_matches_in_process():
@@ -976,3 +997,82 @@ def test_lost_peer_yields_partial_log():
     assert not plant_log.complete
     assert 1 <= len(plant_log.t) <= 2
     np.testing.assert_array_equal(plant_log.v_rx, np.zeros(len(plant_log.t)))
+
+
+# ---------------------------------------------------------------------------
+# the networked invariant over drawn configurations
+
+_GAIN = st.floats(1e-3, 1e4)
+_UNIT = st.floats(-1.0, 1.0)
+_MONOMIALS = [(i, j) for i in range(5) for j in range(5 - i)]
+_SIGNATURES = st.dictionaries(st.sampled_from(_MONOMIALS), st.floats(-100.0, 100.0),
+                              min_size=1).map(PolySignature)
+# no attack, or a family and a beta11 in [-3, 3] other than 0
+_DECLARED = st.none() | st.tuples(st.sampled_from([build_reflection, build_scaling]),
+                                  st.floats(-3.0, 3.0).filter(bool))
+# the proxy's Sig channel (sig_scale, sig_offset)
+_SIG_CHANNELS = st.just((1.0, 0.0)) | st.tuples(st.floats(-10.0, 10.0), _UNIT)
+
+
+@st.composite
+def _session_configs(draw):
+    """1-40 steps with a log_stride that divides them, any start pose near the
+    origin, and gains and a reference over wide ranges."""
+    stride = draw(st.integers(1, 4))
+    duration = stride * draw(st.integers(1, 40 // stride)) * 0.01
+    ref = RefConfig(v_ref=draw(st.floats(1e-3, 10.0)), omega_amp=draw(st.floats(-10.0, 10.0)),
+                    omega_period=draw(st.floats(1e-2, 1e3)), duration=duration)
+    return SimConfig(ref=ref, gains=ControllerGains(draw(_GAIN), draw(_GAIN), draw(_GAIN)),
+                     p0=Posture(draw(_UNIT), draw(_UNIT), draw(st.floats(-7.0, 7.0))),
+                     log_stride=stride, duration=duration)
+
+
+def _unsigned_zeros(values: np.ndarray) -> bytes:
+    """The bytes of values + 0.0: -0.0 becomes 0.0 and every other value keeps its bits.
+
+    The wire writes -0.0 as -0, which JSON reads as the int 0 (the codec
+    tests above pin that), so a session loses the sign of a zero and nothing
+    else.
+    """
+    return (values + 0.0).tobytes()
+
+
+def _assert_session_equals_run(cfg, sig, attack=None, proxy=None, channel=(1.0, 0.0)):
+    """The session's merged view is run()'s table bitwise but for the sign of
+    zero, with run()'s phi_plant passed through the Sig channel (s, d) as the
+    controller receives it. A configuration that diverges in process must not
+    complete over the wire either."""
+    try:
+        want = run(cfg, attack, sig)
+    except RunDiverged:
+        try:
+            plant_log, ctrl_log = _session(cfg, sig, proxy)
+        except RunDiverged:
+            return
+        assert not (plant_log.complete and ctrl_log.complete)
+        return
+    plant_log, ctrl_log = _session(cfg, sig, proxy)
+    assert plant_log.complete and ctrl_log.complete
+    s, d = channel
+    expected = want.data.copy()
+    expected[:, TRACE_COLUMNS.index("phi_plant")] = received = s * want.phi_plant + d
+    assert _unsigned_zeros(ctrl_log.phi_plant) == _unsigned_zeros(received)
+    assert _unsigned_zeros(merge_views(plant_log, ctrl_log).data) == _unsigned_zeros(expected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_session_configs(), _SIGNATURES, _DECLARED, _SIG_CHANNELS)
+# a 1e308 gain sends the plant 1e306 m in one step, where Phi overflows; and
+# a beta11 whose 1/beta11 overflows, which no builder accepts
+@example(SimConfig(gains=ControllerGains(kx=1e308), p0=Posture(-1.0, 0.0, 0.0), duration=0.04),
+         default_signature(), (build_scaling, 0.5), (1.0, 0.0))
+@example(SimConfig(duration=0.04), default_signature(), (build_reflection, 5e-324), (1.0, 0.0))
+def test_drawn_sessions_direct_and_proxied_equal_run(cfg, sig, declared, channel):
+    _assert_session_equals_run(cfg, sig)
+    try:
+        attack = None if declared is None else declared[0](declared[1], cfg.p0)
+    except AttackError:  # a beta11 so near 0 that s_x or d_x overflows
+        return
+    s, d = channel
+    _assert_session_equals_run(cfg, sig, attack,
+                               {"attack": attack, "sig_scale": s, "sig_offset": d}, channel)

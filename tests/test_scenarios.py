@@ -374,6 +374,33 @@ def test_validate_scenario_refuses_an_attack_that_breaks_either_condition():
         validate_scenario(loose)
 
 
+@pytest.mark.parametrize("kind, beta11, p0, cause", [
+    # 1/beta11 = 1e160 times a 1e150 position overflows d_x to -inf ...
+    ("Scaling", 1e-160, [1e150, 0.02, 0.0], "AffineAttack.d_x must be finite"),
+    # ... or, with products of either sign, to inf - inf = nan
+    ("Reflection", 1e-160, [1e150, -1e150, math.pi / 8], "AffineAttack.d_x must be finite"),
+    # no product of s_x = 1e-300 entries overflows; 2*theta0 does
+    ("Reflection", 1e300, [0.0, 0.02, 1e308], "math domain error"),
+])
+def test_an_extreme_beta11_that_cannot_be_built_is_a_scenario_error(kind, beta11, p0, cause):
+    doc = _quick_doc(p0=p0, attack={"kind": kind, "beta11": beta11})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ScenarioError, match=f"^invalid attack declaration: {cause}$"):
+            scenario_from_dict(doc)
+
+
+def test_a_heading_gain_just_off_one_passes_the_sampled_check_but_not_validation():
+    # check_condition2 draws theta only in [-2*pi, 2*pi], where s22 = 1 + 1e-12
+    # moves theta~ by under 1e-11; the exact closure residual is inf
+    sc = scenario_from_dict(_quick_doc())
+    near = AffineAttack(np.diag([1.0, 1.0, 1.0 + 1e-12]), np.zeros(3), np.eye(2), np.zeros(2))
+    assert fdia.check_condition2(near) <= 1e-10
+    with pytest.raises(ScenarioError,
+                       match=r"^scenario 'quick': kinematic closure residual inf > "):
+        validate_scenario(replace(sc, attack=near))
+
+
 def test_a_sparse_high_degree_signature_costs_only_its_chain(tmp_path):
     # a document may ask for x^100000: the powers take about 2*log2(k)
     # products each, never a table of every power up to the highest exponent

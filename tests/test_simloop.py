@@ -666,17 +666,21 @@ block = np.concatenate([bits, scaled]).reshape(-1, 12)
 """
 
 
-def _run_python(script: str, *args, avx512: bool) -> None:
+def _run_python(script: str, *args, avx512: bool, coretype: str | None = None) -> None:
     """Run script in a fresh interpreter on this checkout's package.
 
     avx512=False turns numpy's AVX-512 dispatch off, as on a CPU without
-    AVX-512.
+    AVX-512. coretype sets OPENBLAS_CORETYPE, the kernel family a
+    DYNAMIC_ARCH OpenBLAS loads; None leaves OpenBLAS to pick by CPU model.
     """
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     if avx512:
         env.pop("NPY_DISABLE_CPU_FEATURES", None)
     else:
         env["NPY_DISABLE_CPU_FEATURES"] = "AVX512_SPR AVX512_ICL X86_V4"
+    env.pop("OPENBLAS_CORETYPE", None)
+    if coretype is not None:
+        env["OPENBLAS_CORETYPE"] = coretype
     proc = subprocess.run([sys.executable, "-c", script, *map(str, args)],
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
@@ -704,6 +708,37 @@ def test_write_csv_bytes_do_not_depend_on_numpy_simd_dispatch(tmp_path):
     assert (tmp_path / "default.csv").read_bytes() == expected
     assert (tmp_path / "off.csv").read_bytes() == expected
 
+
+# a reflection about an off-axis start pose: two nonzero products in a row of
+# s_x p0, which an FMA kernel rounds once and a non-FMA one twice
+_OFF_AXIS_RUN = """
+import json, sys
+from pathlib import Path
+from fdia_lab.cli import main
+out = Path(sys.argv[1])
+out.mkdir()
+doc = out / "off_axis.json"
+doc.write_text(json.dumps({"seed": 5, "duration": 5.0, "p0": [-0.524, 0.088, -0.39],
+                           "attack": {"kind": "Reflection", "beta11": 1.41}}))
+sys.exit(main(["simulate", "--scenario", str(doc), "--out-dir", str(out / "run")]))
+"""
+
+
+def test_simulate_bytes_do_not_depend_on_the_openblas_kernel(tmp_path):
+    """An off-axis attack's artifacts are the same under OpenBLAS's default and Sandybridge kernels.
+
+    The builders write d_x = (I - s_x) p0 as plain float sums, so no BLAS
+    kernel, with or without FMA, decides its bits. On a CPU whose default
+    kernel is Sandybridge's both runs take the same kernel and the test
+    passes trivially.
+    """
+    _run_python(_OFF_AXIS_RUN, tmp_path / "default", avx512=True)
+    _run_python(_OFF_AXIS_RUN, tmp_path / "sandybridge", avx512=True, coretype="Sandybridge")
+    files = sorted(p.name for p in (tmp_path / "default" / "run").iterdir())
+    assert files == ["attack.json", "monitor.csv", "nominal.csv", "summary.json", "trace.csv"]
+    differ = [name for name in files if (tmp_path / "default" / "run" / name).read_bytes()
+              != (tmp_path / "sandybridge" / "run" / name).read_bytes()]
+    assert not differ, f"{len(differ)} files differ: {differ}"
 
 # the built-in scenarios and a 10 s reflection: numpy's AVX-512 and baseline
 # power kernels give other x^3 and x^4 bits on some of their positions
