@@ -26,6 +26,7 @@ _EPS, _TINY = float(np.finfo(float).eps), float(np.finfo(float).tiny)
 _GRID_AXIS = np.linspace(-1.0, 1.0, 201)  # validate_smsf's grid: [-1, 1] at 0.01
 _GRID_AXIS.setflags(write=False)
 _HALF_WIDTH, _GRID_N = 0.1, 101  # resilience_check's grid: half width [m], points per axis
+_RESILIENCE_NRMSE = 0.05  # resilience_check calls a fit at or below this NRMSE vulnerable
 
 
 @dataclass(frozen=True)
@@ -195,14 +196,14 @@ class ResilienceResult:
     fit: AffineFit
 
 
-def resilience_check(sig: PolySignature, attack, trace, tol: float = 0.05) -> ResilienceResult:
+def resilience_check(sig: PolySignature, attack, trace) -> ResilienceResult:
     """Resilience of sig against an affine attack near a run's anchor posture.
 
     Fits Phi(observed) = s_phi*Phi(actual) + d_phi, the best scalar channel
     the attacker could splice into the plant-side stream, over a 101 x 101
     grid of actual positions covering the square of half width 0.1 m
     centered on the run's starting position (heading held at its starting
-    value). The signature is vulnerable when the fit's NRMSE is at most tol.
+    value). The signature is vulnerable when the fit's NRMSE is at most 0.05.
 
     The neighborhood scale matters: every anchored affine state map looks
     affine in Phi far from its anchor, so the verdict is only informative at
@@ -220,7 +221,7 @@ def resilience_check(sig: PolySignature, attack, trace, tol: float = 0.05) -> Re
     x, y = gx.ravel(), gy.ravel()
     x_obs, y_obs, _ = attack_state(attack, x, y, theta0)
     fit = _affine_fit(eval_signature(sig, x, y), eval_signature(sig, x_obs, y_obs))
-    return ResilienceResult(fit.nrmse > tol, fit)
+    return ResilienceResult(fit.nrmse > _RESILIENCE_NRMSE, fit)
 
 
 @dataclass(frozen=True)

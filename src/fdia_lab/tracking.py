@@ -88,7 +88,7 @@ def _table_steps(cfg: RefConfig, dt: float) -> int:
 
 
 @lru_cache(maxsize=REFERENCE_CACHE_SIZE)
-def reference_table(cfg: RefConfig, dt: float = 0.01) -> np.ndarray:
+def reference_table(cfg: RefConfig, dt: float) -> np.ndarray:
     """Reference rows (xr, yr, thr, omega_r) on the grid k*dt for k = 0..ceil(duration/dt).
 
     The posture is integrated from the origin by holding the feedforward

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from fdia_lab.fdia import AffineAttack
 from fdia_lab.scenarios import Scenario, load_scenario
 from fdia_lab.simloop import SimTrace, run
-from fdia_lab.vulncheck import ScalarFamily, _family_function
+from fdia_lab.vulncheck import _FUNCTIONS, ScalarFamily
 
 # JSON-ish values for the untrusted-input properties (scenario and attack
 # documents, wire frames): every JSON scalar, integers far outside float64,
@@ -35,7 +35,7 @@ def attack_residual(fam: ScalarFamily, alpha: float, beta: float, grid) -> float
         raise ValueError("empty evaluation grid")
     if not (math.isfinite(alpha) and math.isfinite(beta) and np.isfinite(x).all()):
         raise ValueError(f"alpha {alpha!r}, beta {beta!r} and the grid must be finite")
-    g = _family_function(fam)
+    g = _FUNCTIONS[fam.tag]
     return float(np.max(np.abs(alpha * g(beta * x) - g(x))))
 
 

@@ -86,3 +86,60 @@ def test_the_public_surface_is_the_listed_names():
         found[path.stem] = sorted(n for n in _defined_names(tree) if not n.startswith("_"))
     assert found == {module: sorted(names.split()) for module, names in PUBLIC.items()}
     assert sum(map(len, found.values())) == 101
+
+
+# every defaulted parameter of the public functions and every defaulted field
+# of the public classes, as function.parameter or Class.field by module: a new
+# knob must be added here, and a default no caller relies on should go instead
+DEFAULTED = {
+    "adversary": "SampleSet.source spiral_samples.sig spiral_samples.noise_std"
+                 " spiral_samples.seed trajectory_samples.noise_std trajectory_samples.seed"
+                 " estimation_study.truth estimation_study.ns estimation_study.noise_std"
+                 " estimation_study.seed",
+    "cli": "main.argv",
+    "fdia": "AffineAttack.kind AffineAttack.beta11 check_condition2.seed",
+    "kinematics": "",
+    "netlink": "serve_plant.signature serve_plant.host serve_plant.port serve_plant.on_bound"
+               " serve_plant.timeout run_controller.connect run_controller.signature"
+               " run_controller.timeout serve_proxy.attack serve_proxy.listen"
+               " serve_proxy.upstream serve_proxy.sig_scale serve_proxy.sig_offset"
+               " serve_proxy.on_bound serve_proxy.timeout",
+    "scenarios": "scenario_from_dict.fallback_name resolve_out_dir.out_dir evaluate.tol"
+                 " run_scenario.out_dir",
+    "simloop": "SimConfig.ref SimConfig.gains SimConfig.p0 SimConfig.dt SimConfig.log_stride"
+               " SimConfig.duration SimTrace.columns SimTrace.complete run.attack"
+               " run.signature undetectability_report.tol",
+    "smsf": "PolySignature.max_degree DetectionConfig.epsilon DetectionConfig.window"
+            " monitor.cfg",
+    "tracking": "ControllerGains.kx ControllerGains.ky ControllerGains.ktheta RefConfig.v_ref"
+                " RefConfig.omega_amp RefConfig.omega_period RefConfig.duration",
+    "vulncheck": "VulnVerdict.candidates VulnVerdict.residual classify.tol verdict_table.tol",
+}
+
+
+def _defaulted_names(tree: ast.Module) -> list:
+    """function.parameter for each defaulted parameter of a public top-level function,
+    Class.field for each annotated field with a default in a public top-level class."""
+    names = []
+    for node in tree.body:
+        if getattr(node, "name", "_").startswith("_"):
+            continue
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            defaulted = positional[len(positional) - len(args.defaults):]
+            names += [f"{node.name}.{a.arg}" for a in defaulted]
+            names += [f"{node.name}.{a.arg}" for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                      if d is not None]
+        elif isinstance(node, ast.ClassDef):
+            names += [f"{node.name}.{s.target.id}" for s in node.body
+                      if isinstance(s, ast.AnnAssign) and s.value is not None]
+    return names
+
+
+def test_the_defaulted_parameters_and_fields_are_the_listed_ones():
+    found = {}
+    for path in sorted((SRC / "fdia_lab").glob("*.py")):
+        if not path.stem.startswith("_"):
+            found[path.stem] = sorted(_defaulted_names(ast.parse(path.read_text(encoding="utf-8"))))
+    assert found == {module: sorted(names.split()) for module, names in DEFAULTED.items()}
