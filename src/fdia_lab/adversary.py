@@ -105,29 +105,32 @@ def nrmse(estimate: PolySignature, truth: PolySignature, eval_xy) -> float:
     return float(np.sqrt(np.mean((est - tru) ** 2)) / rng)
 
 
-def spiral_samples(n: int, sig: PolySignature | None = None, noise_std: float = 0.0,
+def _intercepted(x: np.ndarray, y: np.ndarray, noise_std: float, seed: int):
+    """x and y as intercepted: with noise_std > 0, seeded Gaussian noise drawn for x, then y."""
+    if noise_std > 0.0:
+        rng = np.random.default_rng(seed)
+        x = x + rng.normal(0.0, noise_std, len(x))
+        y = y + rng.normal(0.0, noise_std, len(y))
+    return x, y
+
+
+def spiral_samples(n: int, sig: PolySignature = default_signature(), noise_std: float = 0.0,
                    seed: int = 0) -> SampleSet:
     """Fictitious Archimedean spiral probe: r = 0.39*s, angle = 2*pi*4*s.
 
     s runs uniformly over [0, 1] in n samples, so the probe always covers the
-    full spiral and only the density grows with n. Phi comes from sig (the
-    default signature when None) at the true spiral points; noise perturbs
-    the recorded positions only.
+    full spiral and only the density grows with n. Phi comes from sig at the
+    true spiral points; noise perturbs the recorded positions only.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    sig = sig if sig is not None else default_signature()
     s = np.linspace(0.0, 1.0, n)
     angle = 2.0 * np.pi * _SPIRAL_TURNS * s
     r = _SPIRAL_RADIUS * s
     x = r * np.cos(angle)
     y = r * np.sin(angle)
     phi = np.atleast_1d(eval_signature(sig, x, y)).astype(float)
-    if noise_std > 0.0:
-        rng = np.random.default_rng(seed)
-        x = x + rng.normal(0.0, noise_std, n)
-        y = y + rng.normal(0.0, noise_std, n)
-    return SampleSet(x, y, phi, source="spiral")
+    return SampleSet(*_intercepted(x, y, noise_std, seed), phi, source="spiral")
 
 
 def trajectory_samples(trace, n: int, noise_std: float = 0.0, seed: int = 0) -> SampleSet:
@@ -136,14 +139,8 @@ def trajectory_samples(trace, n: int, noise_std: float = 0.0, seed: int = 0) -> 
         raise ValueError(f"n must be >= 1, got {n}")
     if n > len(trace.t):
         raise ValueError(f"trace has only {len(trace.t)} logged samples, requested {n}")
-    x = np.array(trace.x[:n])
-    y = np.array(trace.y[:n])
-    phi = np.array(trace.phi_plant[:n])
-    if noise_std > 0.0:
-        rng = np.random.default_rng(seed)
-        x = x + rng.normal(0.0, noise_std, n)
-        y = y + rng.normal(0.0, noise_std, n)
-    return SampleSet(x, y, phi, source="trajectory")
+    x, y = _intercepted(np.array(trace.x[:n]), np.array(trace.y[:n]), noise_std, seed)
+    return SampleSet(x, y, np.array(trace.phi_plant[:n]), source="trajectory")
 
 
 def holdout_grid(trace) -> np.ndarray:
@@ -178,7 +175,7 @@ class StudyRow:
     nrmse: float
 
 
-def estimation_study(trace, truth: PolySignature | None = None, ns=(150, 500, 1000),
+def estimation_study(trace, truth: PolySignature = default_signature(), ns=(150, 500, 1000),
                      noise_std: float = STUDY_NOISE_STD, seed: int = 0):
     """Coverage study: fit quality versus sample count and eavesdropping source.
 
@@ -186,7 +183,6 @@ def estimation_study(trace, truth: PolySignature | None = None, ns=(150, 500, 10
     the spiral probe of truth, then scores both on the same held-out grid
     over the run's operating region. Returns StudyRow entries (source, n, nrmse).
     """
-    truth = truth if truth is not None else default_signature()
     grid = holdout_grid(trace)
     rows = []
     for source in ("trajectory", "spiral"):

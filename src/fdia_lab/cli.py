@@ -206,7 +206,7 @@ def _cmd_monitor(args) -> int:
     else:
         print("NOT DETECTED over the run")
     if args.out:
-        write_monitor_csv(args.out, result, cfg.epsilon)
+        write_monitor_csv(args.out, result)
         print(f"wrote {args.out}")
     return 0
 

@@ -1,9 +1,9 @@
 """Lock-step TCP wire protocol: plant server, controller client, attack proxy.
 
 Frames are a 4-byte big-endian length prefix followed by a UTF-8 JSON object
-{"kind", "seq", "t", "payload"} with floats serialized to 17 significant
-digits, which round-trips float64 exactly: a networked run with an identity
-proxy reproduces the in-process simulation bit for bit.
+{"kind", "seq", "t", "payload"} with floats written as their repr, which
+JSON reads back as the same float64, sign of zero included: a networked run
+with an identity proxy reproduces the in-process simulation bit for bit.
 
 Each endpoint opens a session by sending its Hello (role, config digest) at
 once and reading the peer's, and refuses a digest unlike its own; after the
@@ -42,11 +42,11 @@ _ARITY = {**_NUMERIC_ARITY, **_STRING_ARITY}
 MAX_FRAME = 1 << 20
 _PREFIX = struct.Struct(">I")  # a frame's body length
 _FIELDS = {"kind", "seq", "t", "payload"}
-# one body template per kind, in bytes: %.17g per number (lossless for
-# float64), %s per JSON string (json.dumps writes ASCII)
+# one body template per kind, in bytes: %r per float (its shortest round-trip
+# repr, always a JSON float), %s per JSON string (json.dumps writes ASCII)
 _TEMPLATES = {
-    kind: ('{"kind":"%s","seq":%%d,"t":%%.17g,"payload":[%s]}' % (
-        kind, ",".join(["%.17g" if kind in _NUMERIC_ARITY else "%s"] * n))).encode("ascii")
+    kind: ('{"kind":"%s","seq":%%d,"t":%%r,"payload":[%s]}' % (
+        kind, ",".join(["%r" if kind in _NUMERIC_ARITY else "%s"] * n))).encode("ascii")
     for kind, n in _ARITY.items()
 }
 _READ_SIZE = 1 << 12  # bytes asked of each recv; a longer frame takes several
@@ -131,7 +131,7 @@ def _checked(kind, seq, t, payload) -> WireMessage:
 
 
 def encode(msg: WireMessage) -> bytes:
-    """Length-prefixed frame; floats written as %.17g (lossless for float64)."""
+    """Length-prefixed frame; floats written as their repr (lossless for float64)."""
     if not _plain(*msg):
         msg = _checked(*msg)
     kind, seq, t, payload = msg
@@ -144,17 +144,11 @@ def encode(msg: WireMessage) -> bytes:
 
 def decode(frame: bytes) -> WireMessage:
     """Parse one complete frame (prefix included); distinct errors per failure mode."""
-    try:
-        (length,) = _PREFIX.unpack_from(frame)
-    except struct.error:  # fewer than 4 bytes
-        raise TruncatedFrameError(
-            f"frame of {len(frame)} bytes is shorter than its prefix") from None
-    if len(frame) != 4 + length or length > MAX_FRAME:
-        if length > MAX_FRAME:
-            raise FrameLengthError(f"declared length {length} exceeds {MAX_FRAME}")
-        if len(frame) < 4 + length:
-            raise TruncatedFrameError(f"declared {length} bytes, only {len(frame) - 4} present")
-        raise WireFormatError(f"{len(frame) - 4 - length} trailing bytes after the frame")
+    length = _frame_end(frame)
+    if not length:
+        raise TruncatedFrameError(f"frame of {len(frame)} bytes is shorter than it declares")
+    if length != len(frame):
+        raise WireFormatError(f"{len(frame) - length} trailing bytes after the frame")
     try:
         text = frame[4:].decode("utf-8")
         try:
@@ -173,7 +167,7 @@ def decode(frame: bytes) -> WireMessage:
     kind, seq, t, payload = obj["kind"], obj["seq"], obj["t"], obj["payload"]
     if type(payload) is list and _plain(kind, seq, t, payload):
         return WireMessage(kind, seq, t, payload)
-    # JSON reads a whole number such as 2 or -0 as an int, or the body is malformed
+    # a peer wrote a whole number such as 2, which JSON reads as an int, or the body is malformed
     return _checked(kind, seq, t, payload)
 
 
@@ -182,7 +176,7 @@ def decode(frame: bytes) -> WireMessage:
 _inboxes: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _frame_end(buf: bytearray) -> int:
+def _frame_end(buf: bytes | bytearray) -> int:
     """Length, prefix included, of the whole frame at the front of buf; 0 until it is."""
     if len(buf) < 4:
         return 0
@@ -283,16 +277,15 @@ def _part(sock: socket.socket, rx, tx, t: float) -> None:
     _expect(sock, rx, "Bye")
 
 
-def serve_plant(cfg: SimConfig, signature: smsf.PolySignature | None = None,
+def serve_plant(cfg: SimConfig, signature: smsf.PolySignature = smsf.default_signature(),
                 host: str = "127.0.0.1", port: int = DEFAULT_PLANT_PORT,
                 on_bound=None, timeout: float = 30.0) -> SimTrace:
     """Serve one lock-step session as the plant; returns its view (PLANT_VIEW_COLUMNS).
 
     Connection loss mid-run returns the partial log with complete=False.
     """
-    sig = signature if signature is not None else smsf.default_signature()
     with _accept_one((host, port), on_bound, timeout) as conn:
-        return _plant_session(conn, cfg, sig)
+        return _plant_session(conn, cfg, signature)
 
 
 def _lock_step(sock: socket.socket, timeout: float) -> socket.socket:
@@ -345,12 +338,11 @@ def _plant_session(conn: socket.socket, cfg: SimConfig, sig) -> SimTrace:
 
 
 def run_controller(cfg: SimConfig, connect=("127.0.0.1", DEFAULT_PROXY_PORT),
-                   signature: smsf.PolySignature | None = None,
+                   signature: smsf.PolySignature = smsf.default_signature(),
                    timeout: float = 30.0) -> SimTrace:
     """Drive one lock-step session as the controller; returns its view (CTRL_VIEW_COLUMNS)."""
-    sig = signature if signature is not None else smsf.default_signature()
     with _lock_step(socket.create_connection(connect, timeout=timeout), timeout) as sock:
-        return _controller_session(sock, cfg, sig)
+        return _controller_session(sock, cfg, signature)
 
 
 def _controller_session(sock: socket.socket, cfg: SimConfig, sig) -> SimTrace:

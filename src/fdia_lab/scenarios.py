@@ -55,7 +55,6 @@ from .smsf import (
     DetectionConfig,
     MonitorResult,
     PolySignature,
-    _exceeds,
     default_signature,
     monitor,
     signature_from_dict,
@@ -184,19 +183,21 @@ def scenario_from_dict(d: dict, fallback_name: str = "custom") -> Scenario:
     name = d.get("name", fallback_name)
     seed = d["seed"]
 
-    p0_raw = d.get("p0", [0.0, 0.02, 0.0])
-    if not (isinstance(p0_raw, (list, tuple)) and len(p0_raw) == 3):
-        raise ScenarioError(f"p0 must be a list of three numbers, got {_shown(p0_raw)}")
-    p0 = Posture(*(_number(v, "p0", ScenarioError) for v in p0_raw))
+    p0 = SimConfig.p0
+    if "p0" in d:
+        p0_raw = d["p0"]
+        if not (isinstance(p0_raw, (list, tuple)) and len(p0_raw) == 3):
+            raise ScenarioError(f"p0 must be a list of three numbers, got {_shown(p0_raw)}")
+        p0 = Posture(*(_number(v, "p0", ScenarioError) for v in p0_raw))
 
-    duration = _number(d.get("duration", 30.0), "duration", ScenarioError)
+    duration = _number(d.get("duration", SimConfig.duration), "duration", ScenarioError)
     ref_raw = _numbers(_section(d, "ref", _REF_KEYS), "ref")
     gains_raw = _numbers(_section(d, "gains", _GAIN_KEYS), "gains")
     det_raw = _section(d, "detection", _DET_KEYS)
     det_kwargs = {k: (_integer if k == "window" else _number)(v, f"detection.{k}", ScenarioError)
                   for k, v in det_raw.items()}
-    dt = _number(d.get("dt", 0.01), "dt", ScenarioError)
-    log_stride = _integer(d.get("log_stride", 2), "log_stride", ScenarioError)
+    dt = _number(d.get("dt", SimConfig.dt), "dt", ScenarioError)
+    log_stride = _integer(d.get("log_stride", SimConfig.log_stride), "log_stride", ScenarioError)
     try:
         sim = SimConfig(ref=RefConfig(duration=duration, **ref_raw),
                         gains=ControllerGains(**gains_raw), p0=p0,
@@ -277,10 +278,10 @@ def evaluate(sc: Scenario, tol: float = _UNDETECTABLE_TOL) -> Evaluation:
     return Evaluation(channel, attacked, nominal, report, mon)
 
 
-def write_monitor_csv(path, result: MonitorResult, epsilon: float) -> None:
-    """The monitor.csv schema: t, residual, and 1 where monitor counts an exceedance."""
+def write_monitor_csv(path, result: MonitorResult) -> None:
+    """The monitor.csv schema: t, residual, and 1 where monitor counted an exceedance."""
     write_csv(path, ("t", "residual", "exceeds"),
-              np.column_stack([result.t, result.residual, _exceeds(result.residual, epsilon)]))
+              np.column_stack([result.t, result.residual, result.exceeds]))
 
 
 def run_scenario(name_or_path, out_dir=None) -> dict:
@@ -302,7 +303,7 @@ def run_scenario(name_or_path, out_dir=None) -> dict:
     write_trace_csv(out / "trace.csv", ev.attacked)
     write_trace_csv(out / "nominal.csv", ev.nominal)
     save_attack(ev.channel, out / "attack.json")
-    write_monitor_csv(out / "monitor.csv", ev.monitor, sc.detection.epsilon)
+    write_monitor_csv(out / "monitor.csv", ev.monitor)
 
     summary = {
         "schema": 1,

@@ -19,7 +19,7 @@ import numpy as np
 from . import smsf
 from .fdia import AffineAttack, attack_command, attack_state
 from .kinematics import Posture, rk4_step
-from .tracking import ControllerGains, RefConfig, _reference_rows, _table_steps, control
+from .tracking import ControllerGains, RefConfig, RunDiverged, _reference_rows, _table_steps, control
 
 TRACE_COLUMNS = (
     "t",
@@ -42,10 +42,6 @@ TRACE_COLUMNS = (
 )
 _ACTUAL = slice(TRACE_COLUMNS.index("x"), TRACE_COLUMNS.index("theta") + 1)
 _OBSERVED = slice(TRACE_COLUMNS.index("x_obs"), TRACE_COLUMNS.index("theta_obs") + 1)
-
-
-class RunDiverged(ValueError):
-    """A closed-loop run reached a non-finite state, command or signature value."""
 
 
 @dataclass(frozen=True)
@@ -176,7 +172,7 @@ def write_trace_csv(path, table: SimTrace) -> None:
 
 
 def run(cfg: SimConfig, attack: AffineAttack | None = None,
-        signature: smsf.PolySignature | None = None) -> SimTrace:
+        signature: smsf.PolySignature = smsf.default_signature()) -> SimTrace:
     """Execute one closed-loop run and return its trace.
 
     Per tick: observe (through the attack's state map if present), apply the
@@ -188,7 +184,6 @@ def run(cfg: SimConfig, attack: AffineAttack | None = None,
     configs yield bit-identical traces; a run that diverges to a non-finite
     state, command or signature value raises RunDiverged.
     """
-    sig = signature if signature is not None else smsf.default_signature()
     n_steps = cfg.n_steps()
     ref, gains, dt, stride = cfg.ref, cfg.gains, cfg.dt, cfg.log_stride
     x, y, th = cfg.p0.x, cfg.p0.y, cfg.p0.theta
@@ -212,7 +207,7 @@ def run(cfg: SimConfig, attack: AffineAttack | None = None,
     # (phi_plant, phi_ctrl) at the actual (x, y) and the observed (x_obs, y_obs);
     # an overflow there is caught with the rest of the table below
     with np.errstate(over="ignore", invalid="ignore"):
-        data[:, -2:] = smsf.eval_signature(sig, data[:, [1, 4]], data[:, [2, 5]])
+        data[:, -2:] = smsf.eval_signature(signature, data[:, [1, 4]], data[:, [2, 5]])
     if not np.isfinite(data).all():
         raise RunDiverged("run diverged: the trace holds non-finite values")
     return SimTrace(data)

@@ -242,6 +242,7 @@ class DetectionConfig:
 class MonitorResult:
     t: np.ndarray
     residual: np.ndarray
+    exceeds: np.ndarray  # per sample: residual above epsilon, or not finite
     flag: bool
     first_exceed_t: float | None
     detect_t: float | None
@@ -257,12 +258,7 @@ def _windowed_detect(t: np.ndarray, exceed: np.ndarray, window: int):
     return None
 
 
-def _exceeds(residual: np.ndarray, epsilon: float) -> np.ndarray:
-    """The one exceedance rule: residual above epsilon, or NaN (which compares false)."""
-    return ~(residual <= epsilon)
-
-
-def monitor(trace, sig: PolySignature, cfg: DetectionConfig | None = None) -> MonitorResult:
+def monitor(trace, sig: PolySignature, cfg: DetectionConfig = DetectionConfig()) -> MonitorResult:
     """The one SMSF residual r(t) = |phi_plant(t) - Phi(x_obs(t), y_obs(t))| over a trace.
 
     phi_plant is the signature stream as the controller received it, and sig
@@ -273,13 +269,13 @@ def monitor(trace, sig: PolySignature, cfg: DetectionConfig | None = None) -> Mo
     whose phi_plant column differs. A residual that is not finite counts as
     an exceedance, so a NaN stream is flagged, not passed.
     """
-    cfg = cfg if cfg is not None else DetectionConfig()
     t = trace.t  # one column lookup
     residual = np.abs(trace.phi_plant - eval_signature(sig, trace.x_obs, trace.y_obs))
-    exceed = _exceeds(residual, cfg.epsilon)
+    exceed = ~(residual <= cfg.epsilon)  # NaN compares false, so it exceeds
     detect_t = _windowed_detect(t, exceed, cfg.window)
     first_exceed_t = float(t[np.argmax(exceed)]) if bool(exceed.any()) else None
-    return MonitorResult(np.array(t), residual, detect_t is not None, first_exceed_t, detect_t)
+    return MonitorResult(np.array(t), residual, exceed, detect_t is not None, first_exceed_t,
+                         detect_t)
 
 
 def signature_to_dict(sig: PolySignature) -> dict:

@@ -26,6 +26,10 @@ _ROW = struct.Struct("4d")  # one reference_table row as native float64s
 _MAX_ROWS = sys.maxsize // _ROW.size  # a bytearray indexes at most sys.maxsize bytes
 
 
+class RunDiverged(ValueError):
+    """A closed-loop run reached a non-finite state, command or signature value."""
+
+
 @dataclass(frozen=True)
 class ControllerGains:
     """Kanayama gains (kx, ky, ktheta), all strictly positive."""
@@ -95,7 +99,7 @@ def reference_table(cfg: RefConfig, dt: float) -> np.ndarray:
     omega_r(k*dt) over each step, matching the plant's own discretization;
     omega_r is the same expression the step used. Cached per (cfg, dt),
     keeping the REFERENCE_CACHE_SIZE most recently used tables. A heading
-    that overflows raises simloop.RunDiverged, naming the row's time.
+    that overflows raises RunDiverged, naming the row's time.
     """
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -108,7 +112,6 @@ def reference_table(cfg: RefConfig, dt: float) -> np.ndarray:
             _ROW.pack_into(rows, _ROW.size * k, x, y, th, w)
             x, y, th = rk4_step(x, y, th, cfg.v_ref, w, dt)
     except ValueError as exc:  # math.cos or math.sin of the overflowed heading
-        from .simloop import RunDiverged  # simloop imports this module
         raise RunDiverged(f"run diverged: non-finite reference heading at"
                           f" t = {(k + 1) * dt:g} s") from exc
     _ROW.pack_into(rows, _ROW.size * n, x, y, th, _omega_ref(cfg, n * dt))

@@ -87,16 +87,16 @@ def test_floats_survive_the_wire_exactly():
     for v in values:
         back = decode(encode(WireMessage("Sig", 0, v, (v,))))
         assert back.t == v and back.payload[0] == v
-    # %.17g prints -0.0 as "-0", which JSON reads back as the integer zero:
-    # the value survives, the sign bit of zero does not.
-    assert decode(encode(WireMessage("Sig", 0, 0.0, (-0.0,)))).payload[0] == 0.0
+    # repr writes -0.0 as "-0.0", which JSON reads back as the float -0.0
+    back = decode(encode(WireMessage("Sig", 0, -0.0, (-0.0,))))
+    assert math.copysign(1.0, back.t) == math.copysign(1.0, back.payload[0]) == -1.0
 
 
 def test_decode_coerces_integer_literals_to_float():
     frame = encode(WireMessage("Obs", 3, 1.0, (1.0, 2.0, 3.0)))
     back = decode(frame)
     assert all(isinstance(v, float) for v in back.payload)
-    # t too, of every kind: %.17g writes 0.0 as the int token 0
+    # t too, of every kind, including a peer's int token such as 0
     assert type(decode(encode(WireMessage("Obs", 0, 0.0, (1.0, 2.0, 3.0)))).t) is float
     assert type(decode(encode(WireMessage("Bye", 0, 30.0, ("complete",)))).t) is float
     back = decode(_frame(b'{"kind":"Sig","seq":0,"t":9007199254740992,'
@@ -269,44 +269,63 @@ def test_random_messages_round_trip():
         assert decode(encode(msg)) == msg
 
 
-# Frames recorded from the per-value encoder (one format(float(v), ".17g") per
-# number), which the one-template encoder replaced: the wire bytes must not move.
+# Frames recorded from the per-value encoder (one repr(float(v)) per number),
+# the oracle the one-template encoder is held to: the wire bytes must not move.
 _GOLDEN_FRAMES = [
     (WireMessage("Obs", 0, 0.0, (0.1, -0.2, 1.5)),
-     b'\x00\x00\x00U{"kind":"Obs","seq":0,"t":0,'
-     b'"payload":[0.10000000000000001,-0.20000000000000001,1.5]}'),
+     b'\x00\x00\x007{"kind":"Obs","seq":0,"t":0.0,"payload":[0.1,-0.2,1.5]}'),
     (WireMessage("Obs", 7, 3, (-0.0, 5e-324, 1.7976931348623157e308)),
-     b'\x00\x00\x00[{"kind":"Obs","seq":7,"t":3,'
-     b'"payload":[-0,4.9406564584124654e-324,1.7976931348623157e+308]}'),
+     b'\x00\x00\x00N{"kind":"Obs","seq":7,"t":3.0,'
+     b'"payload":[-0.0,5e-324,1.7976931348623157e+308]}'),
     (WireMessage("Cmd", 2**64 - 1, 0.30000000000000004, (2, -1e-300)),
-     b'\x00\x00\x00W{"kind":"Cmd","seq":18446744073709551615,"t":0.30000000000000004,'
-     b'"payload":[2,-1e-300]}'),
+     b'\x00\x00\x00Y{"kind":"Cmd","seq":18446744073709551615,"t":0.30000000000000004,'
+     b'"payload":[2.0,-1e-300]}'),
     (WireMessage("Sig", 12, 29.99, (2419.0,)),
-     b'\x00\x00\x00?{"kind":"Sig","seq":12,"t":29.989999999999998,"payload":[2419]}'),
+     b'\x00\x00\x004{"kind":"Sig","seq":12,"t":29.99,"payload":[2419.0]}'),
     (WireMessage("Hello", 0, 0.0, ("controller", "0123456789abcdef")),
-     b'\x00\x00\x00J{"kind":"Hello","seq":0,"t":0,'
+     b'\x00\x00\x00L{"kind":"Hello","seq":0,"t":0.0,'
      b'"payload":["controller","0123456789abcdef"]}'),
     (WireMessage("Bye", 3001, 30, ('say "bye"\né',)),
-     b'\x00\x00\x00B{"kind":"Bye","seq":3001,"t":30,"payload":["say \\"bye\\"\\n\\u00e9"]}'),
+     b'\x00\x00\x00D{"kind":"Bye","seq":3001,"t":30.0,"payload":["say \\"bye\\"\\n\\u00e9"]}'),
 ]
 
+# The same messages as the earlier per-value encoder framed them, one
+# format(float(v), ".17g") per number, which a peer of that version still
+# sends: whole numbers as int tokens, -0.0 as -0 and 17 significant digits.
+_PERCENT_G_FRAMES = [(msg, frame) for (msg, _), frame in zip(_GOLDEN_FRAMES, [
+    b'\x00\x00\x00U{"kind":"Obs","seq":0,"t":0,'
+    b'"payload":[0.10000000000000001,-0.20000000000000001,1.5]}',
+    b'\x00\x00\x00[{"kind":"Obs","seq":7,"t":3,'
+    b'"payload":[-0,4.9406564584124654e-324,1.7976931348623157e+308]}',
+    b'\x00\x00\x00W{"kind":"Cmd","seq":18446744073709551615,"t":0.30000000000000004,'
+    b'"payload":[2,-1e-300]}',
+    b'\x00\x00\x00?{"kind":"Sig","seq":12,"t":29.989999999999998,"payload":[2419]}',
+    b'\x00\x00\x00J{"kind":"Hello","seq":0,"t":0,'
+    b'"payload":["controller","0123456789abcdef"]}',
+    b'\x00\x00\x00B{"kind":"Bye","seq":3001,"t":30,"payload":["say \\"bye\\"\\n\\u00e9"]}',
+])]
 
-@pytest.mark.parametrize("msg, frame", _GOLDEN_FRAMES, ids=lambda v: getattr(v, "kind", None))
-def test_wire_bytes_are_the_recorded_ones(msg, frame):
+
+@pytest.mark.parametrize("msg, old_frame", _PERCENT_G_FRAMES,
+                         ids=lambda v: getattr(v, "kind", None))
+def test_wire_bytes_are_the_recorded_ones(msg, old_frame):
+    frame = dict(_GOLDEN_FRAMES)[msg]
     assert encode(msg) == frame
     back = decode(frame)
     assert back.payload == tuple(float(v) if msg.kind in ("Obs", "Cmd", "Sig") else v
                                  for v in msg.payload)
+    # the old frame reads as the same message, but for the sign of a zero
+    assert decode(old_frame) == back
 
 
 def _per_value_body(msg: WireMessage) -> bytes:
     """The frame body as the per-value encoder wrote it."""
     if msg.kind in ("Obs", "Cmd", "Sig"):
-        items = ",".join(format(float(v), ".17g") for v in msg.payload)
+        items = ",".join(repr(float(v)) for v in msg.payload)
     else:
         items = ",".join(json.dumps(v) for v in msg.payload)
     return ('{"kind":"%s","seq":%d,"t":%s,"payload":[%s]}' % (
-        msg.kind, msg.seq, format(float(msg.t), ".17g"), items)).encode("utf-8")
+        msg.kind, msg.seq, repr(float(msg.t)), items)).encode("utf-8")
 
 
 # numbers float64 holds exactly: finite floats, ints up to 2**53, powers of two
@@ -825,7 +844,7 @@ def test_networked_identity_run_matches_in_process():
     np.testing.assert_array_equal(merged.data, run(cfg).data)
 
 
-def _session(cfg, signature=None, proxy=None):
+def _session(cfg, signature=default_signature(), proxy=None):
     """One session over loopback, direct or through serve_proxy(**proxy).
 
     Returns the plant and controller logs. An endpoint's error is raised once
@@ -1027,20 +1046,10 @@ def _session_configs(draw):
                      log_stride=stride, duration=duration)
 
 
-def _unsigned_zeros(values: np.ndarray) -> bytes:
-    """The bytes of values + 0.0: -0.0 becomes 0.0 and every other value keeps its bits.
-
-    The wire writes -0.0 as -0, which JSON reads as the int 0 (the codec
-    tests above pin that), so a session loses the sign of a zero and nothing
-    else.
-    """
-    return (values + 0.0).tobytes()
-
-
 def _assert_session_equals_run(cfg, sig, attack=None, proxy=None, channel=(1.0, 0.0)):
-    """The session's merged view is run()'s table bitwise but for the sign of
-    zero, with run()'s phi_plant passed through the Sig channel (s, d) as the
-    controller receives it. A configuration that diverges in process must not
+    """The session's merged view is run()'s table byte for byte, with run()'s
+    phi_plant passed through the Sig channel (s, d) as the controller
+    receives it. A configuration that diverges in process must not
     complete over the wire either."""
     try:
         want = run(cfg, attack, sig)
@@ -1056,8 +1065,8 @@ def _assert_session_equals_run(cfg, sig, attack=None, proxy=None, channel=(1.0, 
     s, d = channel
     expected = want.data.copy()
     expected[:, TRACE_COLUMNS.index("phi_plant")] = received = s * want.phi_plant + d
-    assert _unsigned_zeros(ctrl_log.phi_plant) == _unsigned_zeros(received)
-    assert _unsigned_zeros(merge_views(plant_log, ctrl_log).data) == _unsigned_zeros(expected)
+    assert ctrl_log.phi_plant.tobytes() == received.tobytes()
+    assert merge_views(plant_log, ctrl_log).data.tobytes() == expected.tobytes()
 
 
 @settings(max_examples=200, deadline=None)
@@ -1076,3 +1085,10 @@ def test_drawn_sessions_direct_and_proxied_equal_run(cfg, sig, declared, channel
     s, d = channel
     _assert_session_equals_run(cfg, sig, attack,
                                {"attack": attack, "sig_scale": s, "sig_offset": d}, channel)
+
+
+def test_sessions_from_a_negative_zero_pose_equal_run():
+    # the wire keeps the sign of a zero, so x_obs[0] stays -0.0
+    cfg = SimConfig(p0=Posture(-0.0, 0.0, 0.0), duration=0.04)
+    _assert_session_equals_run(cfg, default_signature())
+    _assert_session_equals_run(cfg, default_signature(), proxy={})

@@ -52,12 +52,13 @@ PUBLIC = {
     "scenarios": "ScenarioError Scenario builtin_names validate_scenario scenario_from_dict"
                  " load_scenario resolve_out_dir Evaluation evaluate write_monitor_csv"
                  " run_scenario",
-    "simloop": "TRACE_COLUMNS RunDiverged SimConfig SimTrace write_csv write_trace_csv run"
+    "simloop": "TRACE_COLUMNS SimConfig SimTrace write_csv write_trace_csv run"
                " UndetectabilityReport undetectability_report",
     "smsf": "PolySignature default_signature eval_signature validate_smsf AffineFit"
             " ResilienceResult resilience_check DetectionConfig MonitorResult monitor"
             " signature_to_dict signature_from_dict",
-    "tracking": "REFERENCE_CACHE_SIZE ControllerGains RefConfig reference_table control",
+    "tracking": "REFERENCE_CACHE_SIZE RunDiverged ControllerGains RefConfig reference_table"
+                " control",
     "vulncheck": "TAG_LINEAR TAG_COSINE TAG_SINE TAG_QUADRATIC TAG_EXPONENTIAL CLASS_CONTINUOUS"
                  " CLASS_DISCRETE CLASS_TRIVIAL ScalarFamily default_grid VulnVerdict classify"
                  " verdict_table",
@@ -86,6 +87,18 @@ def test_the_public_surface_is_the_listed_names():
         found[path.stem] = sorted(n for n in _defined_names(tree) if not n.startswith("_"))
     assert found == {module: sorted(names.split()) for module, names in PUBLIC.items()}
     assert sum(map(len, found.values())) == 101
+
+
+def test_the_only_function_level_import_is_the_csv_kernels():
+    # a module imports what it needs at its top; simloop.write_csv alone defers
+    # _csvfloat, which compiles its tables, to the first array write
+    found = []
+    for path in sorted((SRC / "fdia_lab").glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += [(path.stem, func.name, ast.unparse(node)) for node in ast.walk(func)
+                          if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert found == [("simloop", "write_csv", "from ._csvfloat import write_array")]
 
 
 # every defaulted parameter of the public functions and every defaulted field

@@ -207,6 +207,10 @@ def test_every_reader_refuses_a_non_object_and_an_unknown_key(read, error, where
     assert exc.type is error
 
 
+def test_a_document_of_only_a_seed_runs_simconfigs_defaults():
+    assert scenario_from_dict({"seed": 0}).sim == SimConfig()
+
+
 def test_integral_settings_may_be_written_as_floats():
     sc = scenario_from_dict(_quick_doc(log_stride=4.0, detection={"window": 3.0}))
     assert (sc.sim.log_stride, sc.detection.window) == (4, 3)

@@ -503,9 +503,36 @@ def test_monitor_fails_closed_on_a_non_finite_residual(scenario_runs, tmp_path):
     assert result.first_exceed_t == nominal.t[100]
     assert result.detect_t == nominal.t[109]
     # monitor.csv marks the same samples as the detector counted
-    write_monitor_csv(tmp_path / "monitor.csv", result, DetectionConfig().epsilon)
+    write_monitor_csv(tmp_path / "monitor.csv", result)
     exceeds = np.loadtxt(tmp_path / "monitor.csv", delimiter=",", skiprows=1)[:, 2]
     np.testing.assert_array_equal(exceeds, np.arange(len(data)) >= 100)
+
+
+# residual values around an epsilon of 1e-6: exact ties, either side of it, and non-finite ones
+_RESIDUALS = st.sampled_from([0.0, 1e-6, -1e-6, 1e-6 * (1 + 2**-52), 1.0, float("nan"),
+                              float("inf"), -float("inf")])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_RESIDUALS, min_size=1, max_size=30), st.integers(1, 5))
+def test_monitor_csv_writes_the_monitors_own_exceedances(tmp_path_factory, phis, window):
+    # at (0, 0) the default signature is 0, so each residual is |phi|
+    t = np.arange(len(phis)) * 0.02
+    trace = SimTrace(np.column_stack([t, phis, np.zeros((len(phis), 2))]),
+                     ("t", "phi_plant", "x_obs", "y_obs"))
+    result = monitor(trace, default_signature(), DetectionConfig(1e-6, window))
+    expected = [not abs(v) <= 1e-6 for v in phis]
+    np.testing.assert_array_equal(result.exceeds, expected)
+    path = tmp_path_factory.getbasetemp() / "drawn_monitor.csv"
+    write_monitor_csv(path, result)
+    written = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)[:, 2]
+    np.testing.assert_array_equal(written, expected)
+    # both times are read off that vector
+    hits = [i for i, e in enumerate(expected) if e]
+    assert result.first_exceed_t == (t[hits[0]] if hits else None)
+    runs = [i for i in range(window - 1, len(phis)) if all(expected[i - window + 1:i + 1])]
+    assert result.detect_t == (t[runs[0]] if runs else None)
+    assert result.flag == bool(runs)
 
 
 def test_monitor_is_silent_on_nominal_run(scenario_runs):
