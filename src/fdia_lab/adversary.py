@@ -62,9 +62,8 @@ class SampleSet:
 
 
 def _design_matrix(x: np.ndarray, y: np.ndarray, basis) -> np.ndarray:
-    px, py = {0: 1.0, 1: x}, {0: 1.0, 1: y}
-    return np.column_stack(np.broadcast_arrays(*[_powers(px, i) * _powers(py, j)
-                                                 for (i, j) in basis]))
+    px, py = _powers(x, [i for i, _j in basis]), _powers(y, [j for _i, j in basis])
+    return np.column_stack(np.broadcast_arrays(*[px[i] * py[j] for (i, j) in basis]))
 
 
 def fit_signature(samples: SampleSet) -> PolySignature:

@@ -77,22 +77,48 @@ class AffineAttack:
             raise AttackError("AffineAttack.beta11 must be finite")
 
 
-def _invertible(m: tuple) -> bool:
-    """Whether the 3x3 row-major matrix at the front of m is invertible.
-
-    Each row is scaled to max-norm 1 before the determinant is taken in plain
-    floats, so the verdict does not depend on the rows' scale and no product
-    can overflow: a zero row is singular, and otherwise the scaled
-    determinant must exceed 1e-12 in magnitude.
-    """
-    rows = []
+def _scaled_rows(m: tuple):
+    """The 3x3 row-major matrix at the front of m as (its rows' max-norms, its
+    rows scaled to max-norm 1, the scaled rows' determinant), in plain floats;
+    None when a row is zero. No product of scaled entries can overflow."""
+    tops, rows = [], []
     for row in (m[0:3], m[3:6], m[6:9]):
         top = max(map(abs, row))
         if top == 0.0:
-            return False
+            return None
+        tops.append(top)
         rows.append([v / top for v in row])
     (a, b, c), (d, e, f), (g, h, i) = rows
-    return abs(a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)) > 1e-12
+    return tops, rows, a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
+def _invertible(m: tuple) -> bool:
+    """Whether the 3x3 row-major matrix at the front of m is invertible: no
+    zero row, and the determinant of its scaled rows exceeds 1e-12 in
+    magnitude, a verdict that does not depend on the rows' scale."""
+    scaled = _scaled_rows(m)
+    return scaled is not None and abs(scaled[2]) > 1e-12
+
+
+def _inverse_state(a: AffineAttack, x, y, theta) -> tuple:
+    """The actual posture s_x^-1 (p - d_x) behind the observable p = (x, y, theta).
+
+    With s_x = D R, D its rows' max-norms, s_x^-1 = R^-1 D^-1, and each entry
+    is a cofactor of R over det R, then over a max-norm. Floats or arrays
+    alike, each row summed left to right as attack_state sums it, so no BLAS
+    or LAPACK kernel decides the bits.
+    """
+    m = a._state_map
+    tops, ((r00, r01, r02), (r10, r11, r12), (r20, r21, r22)), det = _scaled_rows(m)
+    cof = ((r11 * r22 - r12 * r21, r02 * r21 - r01 * r22, r01 * r12 - r02 * r11),
+           (r12 * r20 - r10 * r22, r00 * r22 - r02 * r20, r02 * r10 - r00 * r12),
+           (r10 * r21 - r11 * r20, r01 * r20 - r00 * r21, r00 * r11 - r01 * r10))
+    (n00, n01, n02), (n10, n11, n12), (n20, n21, n22) = (
+        [c / det / top for c, top in zip(row, tops)] for row in cof)
+    u0, u1, u2 = x - m[9], y - m[10], theta - m[11]
+    return (n00 * u0 + n01 * u1 + n02 * u2,
+            n10 * u0 + n11 * u1 + n12 * u2,
+            n20 * u0 + n21 * u1 + n22 * u2)
 
 
 def identity_attack() -> AffineAttack:

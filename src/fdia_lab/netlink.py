@@ -51,9 +51,10 @@ _TEMPLATES = {
 }
 _READ_SIZE = 1 << 12  # bytes asked of each recv; a longer frame takes several
 _FLOAT = frozenset({float})
-# the scanner json.loads runs after skipping leading whitespace; alone it
-# leaves trailing text unread instead of refusing it
-_scan = json.JSONDecoder().raw_decode
+# json's C scanner, the one json.loads runs after skipping leading whitespace:
+# it reads one value from an index, raises StopIteration when none starts
+# there, and leaves trailing text unread instead of refusing it
+_scan = json.JSONDecoder().scan_once
 
 DEFAULT_PLANT_PORT = 7701
 DEFAULT_PROXY_PORT = 7702
@@ -132,9 +133,9 @@ def _checked(kind, seq, t, payload) -> WireMessage:
 
 def encode(msg: WireMessage) -> bytes:
     """Length-prefixed frame; floats written as their repr (lossless for float64)."""
-    if not _plain(*msg):
-        msg = _checked(*msg)
     kind, seq, t, payload = msg
+    if not _plain(kind, seq, t, payload):
+        kind, seq, t, payload = _checked(kind, seq, t, payload)
     items = payload if kind in _NUMERIC_ARITY else [json.dumps(v).encode("ascii") for v in payload]
     data = _TEMPLATES[kind] % (seq, t, *items)
     if len(data) > MAX_FRAME:
@@ -152,8 +153,8 @@ def decode(frame: bytes) -> WireMessage:
     try:
         text = frame[4:].decode("utf-8")
         try:
-            obj, end = _scan(text)
-        except (ValueError, RecursionError):
+            obj, end = _scan(text, 0)
+        except (ValueError, RecursionError, StopIteration):
             end = -1
         if end != len(text):  # whitespace or text around the value, or none: as json.loads
             obj = json.loads(text)
@@ -186,9 +187,12 @@ def _frame_end(buf: bytes | bytearray) -> int:
     return 4 + length if len(buf) >= 4 + length else 0
 
 
-def _frame_buffered(sock: socket.socket) -> bool:
-    """Whether a whole frame already waits in the buffer recv_message keeps for sock."""
-    return _frame_end(_inboxes[sock]) > 0
+def _inbox(sock: socket.socket) -> bytearray:
+    """The buffer recv_message keeps for sock, made on first use."""
+    buf = _inboxes.get(sock)
+    if buf is None:
+        buf = _inboxes[sock] = bytearray()
+    return buf
 
 
 def recv_message(sock: socket.socket) -> WireMessage | None:
@@ -199,9 +203,7 @@ def recv_message(sock: socket.socket) -> WireMessage | None:
     An oversized prefix raises FrameLengthError as soon as it arrives, and
     EOF mid-frame raises TruncatedFrameError.
     """
-    buf = _inboxes.get(sock)
-    if buf is None:
-        buf = _inboxes[sock] = bytearray()
+    buf = _inbox(sock)
     end = _frame_end(buf)
     while not end:
         chunk = sock.recv(_READ_SIZE)
@@ -244,7 +246,9 @@ def _require_finite(t: float, *values: float) -> None:
     An endpoint checks its own values before it sends them, where its encoder
     would refuse them as if they made a malformed frame.
     """
-    if not all(map(math.isfinite, values)):
+    # a finite sum means every value is finite; one that overflowed says nothing,
+    # so then each value is checked
+    if not (s := sum(values)) - s == 0.0 and not all(map(math.isfinite, values)):
         raise RunDiverged(f"run diverged: non-finite value at t = {t:g} s")
 
 
@@ -397,11 +401,11 @@ def _pump(src: socket.socket, dst: socket.socket, transform) -> None:
     What one read delivered goes out in one write. On a bad frame the
     messages before it are still forwarded.
     """
-    batch = []
+    batch, inbox = [], _inbox(src)
     try:
         while (msg := recv_message(src)) is not None:
             batch.append(transform(msg))
-            if not _frame_buffered(src):
+            if not _frame_end(inbox):  # no whole frame waits: what one read delivered is done
                 out, batch = batch, []
                 send_message(dst, *out)
     except NetlinkError:

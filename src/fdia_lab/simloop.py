@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import smsf
-from .fdia import AffineAttack, attack_command, attack_state
+from .fdia import AffineAttack, _inverse_state, attack_command, attack_state
 from .kinematics import Posture, rk4_step
 from .tracking import ControllerGains, RefConfig, RunDiverged, _reference_rows, _table_steps, control
 
@@ -240,6 +240,6 @@ def undetectability_report(attacked: SimTrace, nominal: SimTrace,
         raise ValueError("time grids differ between the two traces")
     nom = nominal.data[:, _ACTUAL]
     sup_obs = float(np.max(np.abs(attacked.data[:, _OBSERVED] - nom)))
-    mapped = np.linalg.solve(attack.s_x, (nom - attack.d_x).T).T
+    mapped = np.column_stack(_inverse_state(attack, *nom.T))
     sup_act = float(np.max(np.abs(attacked.data[:, _ACTUAL] - mapped)))
     return UndetectabilityReport(sup_obs, sup_act, sup_obs <= tol, tol)

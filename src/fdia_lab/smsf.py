@@ -10,6 +10,7 @@ neighborhood of the attack's anchor posture.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from collections.abc import Mapping
@@ -27,6 +28,51 @@ _GRID_AXIS = np.linspace(-1.0, 1.0, 201)  # validate_smsf's grid: [-1, 1] at 0.0
 _GRID_AXIS.setflags(write=False)
 _HALF_WIDTH, _GRID_N = 0.1, 101  # resilience_check's grid: half width [m], points per axis
 _RESILIENCE_NRMSE = 0.05  # resilience_check calls a fit at or below this NRMSE vulnerable
+
+
+def _chain(ks) -> list:
+    """Every exponent above 1 that the powers v^k, k in ks, take along the
+    fixed chain v^m = v^(m//2) * v^(m - m//2), so v^3 = v * v^2: each such k
+    and, in turn, the halves of each, about 2*log2(k) in all per k. Ascending,
+    so each power comes after its halves; walked with a stack, so no exponent
+    can exhaust the recursion limit.
+    """
+    need, todo = set(), list(ks)
+    while todo:
+        m = todo.pop()
+        if m > 1 and m not in need:
+            need.add(m)
+            todo += (m // 2, m - m // 2)
+    return sorted(need)
+
+
+def _powers(v, ks) -> dict:
+    """{k: v^k} over 0, 1, the exponents ks and their chain intermediates, for
+    v a float or an array.
+
+    Every power is a fixed chain of IEEE products, so its bits depend only on
+    v and k, for a float or an array, under any numpy SIMD dispatch. Power 0
+    is the float 1.0, which broadcasts.
+    """
+    pw = {0: 1.0, 1: v}
+    for m in _chain(ks):
+        pw[m] = pw[m // 2] * pw[m - m // 2]
+    return pw
+
+
+@functools.lru_cache(maxsize=64)
+def _products(keys: tuple) -> tuple:
+    """The chain products that evaluate the monomials x^i y^j, (i, j) in keys,
+    over one list of values [1.0, x, y, ...]: each power the keys use, as the
+    (lo, hi) slots it multiplies into the next slot, then each key's (x slot,
+    y slot). Cached by keys, since a fitted signature's are always the same."""
+    steps, slots = [], ({0: 0, 1: 1}, {0: 0, 1: 2})
+    for axis, slot in enumerate(slots):
+        for m in _chain({key[axis] for key in keys}):
+            slot[m] = 3 + len(steps)
+            steps.append((slot[m // 2], slot[m - m // 2]))
+    xs, ys = slots
+    return tuple(steps), tuple([(xs[i], ys[j]) for i, j in keys])
 
 
 @dataclass(frozen=True)
@@ -56,6 +102,11 @@ class PolySignature:
             canon[(i, j)] = coeff
         # fixed iteration order keeps evaluation bitwise reproducible
         object.__setattr__(self, "terms", MappingProxyType(dict(sorted(canon.items()))))
+        # the plan eval_signature runs: its products, then each term as
+        # (coeff, x slot, y slot), in sorted order
+        steps, slots = _products(tuple(self.terms))
+        terms = tuple([(c, i, j) for c, (i, j) in zip(self.terms.values(), slots)])
+        object.__setattr__(self, "_plan", (steps, terms))
 
     def __reduce__(self):
         return PolySignature, (dict(self.terms), self.max_degree)
@@ -70,46 +121,25 @@ def default_signature() -> PolySignature:
     return _DEFAULT_SIGNATURE
 
 
-def _powers(pw: dict, k: int):
-    """v^k from pw, a table of powers of v that starts as {0: 1.0, 1: v}.
-
-    Fills in k along the fixed chain v^k = v^(k//2) * v^(k - k//2), so
-    v^3 = v * v^2: only k and its about 2*log2(k) intermediates, walked with
-    a stack so no exponent can exhaust the recursion limit. Every power is a
-    fixed chain of IEEE products, so its bits depend only on v and k, for a
-    float or an array, under any numpy SIMD dispatch. Power 0 is the float
-    1.0, which broadcasts.
-    """
-    if k in pw:
-        return pw[k]
-    todo = [k]
-    while todo:
-        m = todo.pop()
-        if m not in pw:
-            lo, hi = m // 2, m - m // 2
-            if lo in pw and hi in pw:
-                pw[m] = pw[lo] * pw[hi]
-            else:
-                todo += (m, lo, hi)
-    return pw[k]
-
-
 def eval_signature(sig: PolySignature, x, y):
     """Evaluate Phi at scalar or array positions (broadcasting).
 
-    Scalar x and y (Python ints or floats, numpy floats) run the same
-    products on plain floats and return a Python float, bitwise equal to
-    the array path.
+    One body for both: the signature's plan multiplies out the chain powers
+    its terms use, then sums the terms in sorted order. Scalar x and y
+    (Python ints or floats, numpy floats) run the same products on plain
+    floats and return a Python float, bitwise equal to the array path.
     """
     if isinstance(x, (int, float)) and isinstance(y, (int, float)):
-        x, y, acc = float(x), float(y), 0.0
+        pw, acc = [1.0, float(x), float(y)], 0.0
     else:
         x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-        acc = np.zeros(np.broadcast_shapes(x.shape, y.shape))
-    px, py = {0: 1.0, 1: x}, {0: 1.0, 1: y}
-    for (i, j), coeff in sig.terms.items():
-        acc += coeff * _powers(px, i) * _powers(py, j)
-    return acc if getattr(acc, "ndim", 0) else float(acc)
+        pw, acc = [1.0, x, y], np.zeros(np.broadcast_shapes(x.shape, y.shape))
+    steps, terms = sig._plan
+    for lo, hi in steps:
+        pw.append(pw[lo] * pw[hi])
+    for coeff, i, j in terms:
+        acc += coeff * pw[i] * pw[j]
+    return acc if isinstance(acc, np.ndarray) and acc.ndim else float(acc)
 
 
 def validate_smsf(sig: PolySignature) -> bool:
@@ -139,10 +169,11 @@ def validate_smsf(sig: PolySignature) -> bool:
     if sig.terms.get((0, 0), 0.0) != 0.0:
         raise ValueError("signature has a constant term: Phi(0,0) != 0")
     axis = _GRID_AXIS
-    py, coeffs, mass = {0: 1.0, 1: axis}, {}, np.zeros_like(axis)
+    coeffs, mass = {}, np.zeros_like(axis)
     with np.errstate(over="ignore", invalid="ignore"):
+        py = _powers(axis, [j for _i, j in sig.terms])
         for (i, j), coeff in sig.terms.items():
-            cy = coeff * _powers(py, j)
+            cy = coeff * py[j]
             coeffs[i] = coeffs.get(i, 0.0) + cy
             mass = mass + np.abs(cy)
         low = sum(a if i == 0 else -np.abs(a) if i % 2 else np.minimum(a, 0.0)

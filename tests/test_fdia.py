@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import JSON_SCALARS, JSONISH
@@ -15,6 +15,7 @@ from fdia_lab.fdia import (
     KIND_CUSTOM,
     AttackError,
     _closure_residual,
+    _inverse_state,
     attack_command,
     attack_from_dict,
     attack_state,
@@ -186,6 +187,34 @@ def test_array_maps_equal_the_scalar_maps_bitwise():
         command = np.column_stack(attack_command(a, v, omega))
         scalar = np.array([attack_command(a, *q) for q in zip(v.tolist(), omega.tolist())])
         assert command.tobytes() == scalar.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([build_reflection, build_scaling, None]),
+       st.floats(0.25, 4.0) | st.floats(-4.0, -0.25), st.floats(-math.pi, math.pi),
+       st.integers(0, 2**32 - 1))
+def test_the_inverse_state_is_lapack_solves_to_rounding(builder, beta11, theta0, seed):
+    # _inverse_state replaces np.linalg.solve in undetectability_report; two
+    # backward-stable solves of s_x u = p - d_x differ by a few units of
+    # cond(s_x) * eps of the solution's scale, and so does the round trip
+    rng = np.random.default_rng(seed)
+    if builder is None:
+        s_x = rng.uniform(-2, 2, (3, 3))
+        assume(abs(np.linalg.det(s_x)) > 0.1)
+        a = AffineAttack(s_x, rng.uniform(-1, 1, 3), np.eye(2), np.zeros(2))
+    else:
+        a = builder(beta11, Posture(*rng.uniform(-1, 1, 2), theta0))
+    p = rng.uniform(-3, 3, (200, 3))
+    solved = np.linalg.solve(a.s_x, (p - a.d_x).T).T
+    mapped = np.column_stack(_inverse_state(a, *p.T))
+    bound = 16.0 * np.linalg.cond(a.s_x) * np.finfo(float).eps
+    scale = np.abs(solved).max(axis=1, keepdims=True)
+    assert (np.abs(mapped - solved) <= bound * scale).all()
+    back = np.column_stack(attack_state(a, *mapped.T))
+    assert (np.abs(back - p) <= bound * np.abs(p).max(axis=1, keepdims=True)).all()
+    # each element gets the scalar call's bits
+    scalar = np.array([_inverse_state(a, *row) for row in p.tolist()])
+    assert scalar.tobytes() == mapped.tobytes()
 
 
 def test_attack_is_immutable():

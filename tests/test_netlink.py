@@ -6,6 +6,7 @@ import copy
 import gc
 import json
 import math
+import re
 import socket
 import struct
 import sys
@@ -37,6 +38,7 @@ from fdia_lab.netlink import (
     _controller_session,
     _plant_session,
     _pump,
+    _require_finite,
     decode,
     encode,
     merge_views,
@@ -942,6 +944,30 @@ def test_mismatched_configs_refuse_to_run():
         run_controller(SimConfig(duration=2.0), connect=("127.0.0.1", wait()), timeout=TIMEOUT)
     with pytest.raises(ProtocolError, match="config digest mismatch"):
         _finish(plant_box)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_FINITE, st.lists(_FINITE, min_size=1, max_size=7))
+@example(0.5, [1e308, 1e308])
+@example(0.5, [-1.7976931348623157e308, -1.7976931348623157e308, 5e-324])
+@example(0.5, [1.7976931348623157e308, 1.7976931348623157e308, -1.7976931348623157e308])
+def test_an_endpoint_sends_every_finite_value_even_when_their_sum_overflows(t, values):
+    _require_finite(t, *values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_FINITE, st.lists(_FINITE, max_size=6), st.integers(0, 6),
+       st.sampled_from([math.nan, math.inf, -math.inf]))
+@example(2.0, [1e308, 1e308], 2, math.nan)
+@example(2.0, [math.inf], 0, -math.inf)
+def test_an_endpoint_refuses_any_non_finite_value_naming_t(t, values, slot, bad):
+    values.insert(slot % (len(values) + 1), bad)
+    message = f"^run diverged: non-finite value at t = {re.escape(f'{t:g}')} s$"
+    with pytest.raises(RunDiverged, match=message):
+        _require_finite(t, *values)
 
 
 def test_a_diverging_controller_raises_run_diverged_and_the_plant_ends_incomplete():

@@ -15,7 +15,14 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fdia_lab import _csvfloat
-from fdia_lab.fdia import attack_command, attack_state, build_reflection, build_scaling
+from fdia_lab.fdia import (
+    _inverse_state,
+    attack_command,
+    attack_state,
+    build_reflection,
+    build_scaling,
+    identity_attack,
+)
 from fdia_lab.kinematics import Posture, rk4_step
 from fdia_lab.netlink import CTRL_VIEW_COLUMNS, PLANT_VIEW_COLUMNS
 from fdia_lab.scenarios import builtin_names, load_scenario
@@ -342,12 +349,23 @@ def test_undetectability_report_rejects_a_view(scenario_runs):
         undetectability_report(attacked, view, bundle.attack)
 
 
-def _stacked_report(attacked, nominal, attack):
-    """undetectability_report's two sups as computed from stacked column copies."""
+def _inverted(attack, nom):
+    """The nominal postures (one per row) mapped back by _inverse_state."""
+    return np.stack(_inverse_state(attack, *nom.T), axis=1)
+
+
+def _solved(attack, nom):
+    """LAPACK's inverse image of the nominal postures, the oracle for _inverse_state."""
+    return np.linalg.solve(attack.s_x, (nom - attack.d_x).T).T
+
+
+def _stacked_report(attacked, nominal, attack, inverse=_inverted):
+    """undetectability_report's two sups as computed from stacked column copies,
+    the nominal posture mapped back by inverse(attack, nom)."""
     obs = np.stack([attacked.x_obs, attacked.y_obs, attacked.theta_obs], axis=1)
     nom = np.stack([nominal.x, nominal.y, nominal.theta], axis=1)
     act = np.stack([attacked.x, attacked.y, attacked.theta], axis=1)
-    mapped = np.linalg.solve(attack.s_x, (nom - attack.d_x).T).T
+    mapped = inverse(attack, nom)
     return float(np.max(np.abs(obs - nom))), float(np.max(np.abs(act - mapped)))
 
 
@@ -364,9 +382,25 @@ def test_undetectability_report_equals_the_stacked_columns_bitwise(scenario_runs
         assert _bits(report.sup_obs_dev, report.sup_actual_dev) == _bits(*want)
 
 
+def test_the_builtin_reports_are_the_ones_lapack_solve_gave(scenario_runs):
+    # summary.json's sup_actual_dev: the plain-float inverse gives the bits
+    # that np.linalg.solve gave on the four builtins, so their artifacts stay
+    nominal = scenario_runs["nominal"].nominal
+    for name in ("nominal", "scenario1", "scenario2", "scenario3"):
+        bundle = scenario_runs[name]
+        attack = bundle.attack or identity_attack()
+        attacked = bundle.attacked or nominal
+        report = undetectability_report(attacked, nominal, attack)
+        want = _stacked_report(attacked, nominal, attack, _solved)
+        assert _bits(report.sup_obs_dev, report.sup_actual_dev) == _bits(*want), name
+
+
 @settings(max_examples=25, deadline=None)
 @given(_P0, st.sampled_from([build_reflection, build_scaling]), _BETA,
        st.floats(-math.pi, math.pi), st.floats(-0.05, 0.05))
+# a draw whose sup_actual_dev np.linalg.solve puts 2 ulp away from _inverse_state's
+@example((0.3999365133868543, 0.21785608481447594, -2.152619843227927), build_reflection,
+         -3.1170630152471013, -2.1763203584700053, 0.04493484620529023)
 def test_undetectability_report_on_drawn_attacks_equals_the_stacked_columns(
         p0, builder, beta11, theta0, anchor_shift):
     # anchored at p0 the attack hides; shifted, it does not, and both sups move

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import copy
+import json
 import pickle
 import warnings
 
@@ -211,6 +212,57 @@ def test_every_power_is_the_written_chain(monkeypatch):
     assert len(grids) <= 1
     for rows, grid in grids:
         np.testing.assert_array_equal(grid.view(np.int64), chain_grid[rows].view(np.int64))
+
+
+def _plan_powers(sig):
+    """The (axis, exponent) of each power the plan multiplies out, in
+    order, and of each term's two slots; axis 0 is x and 1 is y."""
+    steps, terms = sig._plan
+    slots = [None, (0, 1), (1, 1)]  # slot 0 holds 1.0, every axis's power 0
+    for lo, hi in steps:
+        (axis, a), (other, b) = slots[lo], slots[hi]
+        assert axis == other
+        slots.append((axis, a + b))
+    used = [(slots[i] or (0, 0), slots[j] or (1, 0)) for _coeff, i, j in terms]
+    return slots[3:], used
+
+
+def _chain_exponents(k):
+    """The exponents above 1 that _chain_power(v, k) multiplies out."""
+    return set() if k < 2 else {k} | _chain_exponents(k // 2) | _chain_exponents(k - k // 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_signatures())
+@example(PolySignature(_CHAIN_TERMS, max_degree=1001))
+@example(PolySignature({(2, 0): 1.0, (1, 1): -3.0, (0, 2): 25.0}, max_degree=8))
+def test_the_plan_computes_the_powers_the_terms_use_once_each(sig):
+    # the plan multiplies out each power _powers fills for these terms once,
+    # no other (max_degree allows more), and each term reads its own two
+    xs, ys = [i for i, _j in sig.terms], [j for _i, j in sig.terms]
+    filled = ({(0, k) for k in smsf._powers(1.5, xs) if k > 1}
+              | {(1, k) for k in smsf._powers(-0.5, ys) if k > 1})
+    chain = ({(0, m) for k in xs for m in _chain_exponents(k)}
+             | {(1, m) for k in ys for m in _chain_exponents(k)})
+    computed, used = _plan_powers(sig)
+    assert len(computed) == len(set(computed)) and set(computed) == filled == chain
+    assert used == [((0, i), (1, j)) for i, j in sig.terms]
+    assert [coeff for coeff, _i, _j in sig._plan[1]] == list(sig.terms.values())
+
+
+@pytest.mark.parametrize("make_sig", [default_signature,
+                                      lambda: PolySignature(_CHAIN_TERMS, max_degree=1001),
+                                      _fitted_estimate], ids=["default", "chain", "estimate"])
+def test_the_plan_survives_pickle_copy_and_the_document_form(make_sig):
+    sig = make_sig()
+    clones = [pickle.loads(pickle.dumps(sig)), copy.copy(sig), copy.deepcopy(sig),
+              signature_from_dict(json.loads(json.dumps(signature_to_dict(sig))))]
+    rng = np.random.default_rng(3)
+    points = rng.uniform(-1.002, 1.002, (50, 2)).tolist()
+    want = [eval_signature(sig, x, y) for x, y in points]
+    for clone in clones:
+        assert clone == sig and clone._plan == sig._plan
+        assert [eval_signature(clone, x, y) for x, y in points] == want
 
 
 def _record_grid_rows(monkeypatch):
