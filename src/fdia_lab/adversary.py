@@ -45,7 +45,6 @@ class SampleSet:
     x: np.ndarray
     y: np.ndarray
     phi: np.ndarray
-    source: str = "grid"
 
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=float).ravel()
@@ -129,7 +128,7 @@ def spiral_samples(n: int, sig: PolySignature = default_signature(), noise_std: 
     x = r * np.cos(angle)
     y = r * np.sin(angle)
     phi = np.atleast_1d(eval_signature(sig, x, y)).astype(float)
-    return SampleSet(*_intercepted(x, y, noise_std, seed), phi, source="spiral")
+    return SampleSet(*_intercepted(x, y, noise_std, seed), phi)
 
 
 def trajectory_samples(trace, n: int, noise_std: float = 0.0, seed: int = 0) -> SampleSet:
@@ -139,7 +138,7 @@ def trajectory_samples(trace, n: int, noise_std: float = 0.0, seed: int = 0) -> 
     if n > len(trace.t):
         raise ValueError(f"trace has only {len(trace.t)} logged samples, requested {n}")
     x, y = _intercepted(np.array(trace.x[:n]), np.array(trace.y[:n]), noise_std, seed)
-    return SampleSet(x, y, np.array(trace.phi_plant[:n]), source="trajectory")
+    return SampleSet(x, y, np.array(trace.phi_plant[:n]))
 
 
 def holdout_grid(trace) -> np.ndarray:

@@ -25,7 +25,6 @@ KIND_REFLECTION = "Reflection"
 KIND_SCALING = "Scaling"
 KIND_IDENTITY = "Identity"
 KIND_CUSTOM = "Custom"
-_KINDS = (KIND_REFLECTION, KIND_SCALING, KIND_IDENTITY, KIND_CUSTOM)
 
 _SHAPES = {"s_x": (3, 3), "d_x": (3,), "s_u": (2, 2), "d_u": (2,)}
 _DOC_KEYS = {*_SHAPES, "kind", "beta11"}  # an attack document's keys
@@ -44,15 +43,14 @@ class AffineAttack:
     row-major tuples of Python floats, _state_map (s_x then d_x, 12 floats)
     and _command_map (s_u then d_u, 6 floats), which attack_state and
     attack_command unpack in one step. s_x must be invertible so the actual
-    trajectory can be recovered from the observed one.
+    trajectory can be recovered from the observed one. kind and beta11 are
+    read off the maps, never stored beside them.
     """
 
     s_x: np.ndarray
     d_x: np.ndarray
     s_u: np.ndarray
     d_u: np.ndarray
-    kind: str = KIND_CUSTOM
-    beta11: float = 1.0
 
     def __post_init__(self):
         floats = []  # s_x, d_x, s_u, d_u, each row-major
@@ -71,10 +69,57 @@ class AffineAttack:
         object.__setattr__(self, "_command_map", tuple(floats[12:]))
         if not _invertible(self._state_map):
             raise AttackError("AffineAttack.s_x must be invertible")
-        if self.kind not in _KINDS:
-            raise AttackError(f"unknown attack kind {_shown(self.kind)}")
-        if not math.isfinite(self.beta11):
-            raise AttackError("AffineAttack.beta11 must be finite")
+
+    @property
+    def beta11(self) -> float:
+        """The speed gain s_u[0][0]."""
+        return self._command_map[0]
+
+    @property
+    def kind(self) -> str:
+        """Reflection or Scaling when s_x, s_u, d_u and d_x[2] (2*theta0 or 0) are
+        exactly what build_reflection or build_scaling writes at beta11, Identity
+        when all four maps are the identity, else Custom. d_x[0:2] is the pose's
+        to judge (check_condition1), but at beta11 = 1 build_scaling writes the
+        identity at every pose, so a translation alone is Custom."""
+        state, command = self._state_map, self._command_map
+        beta11, heading = command[0], state[11]
+        if beta11 == 0.0 or command[4:] != (0.0, 0.0):
+            return KIND_CUSTOM
+        maps = state[:9] + command[:4]
+        if maps == _reflection(beta11, heading):
+            return KIND_REFLECTION
+        if heading == 0.0 and maps == _scaling(beta11):
+            if beta11 != 1.0:
+                return KIND_SCALING
+            if state[9:11] == (0.0, 0.0):
+                return KIND_IDENTITY
+        return KIND_CUSTOM
+
+
+def _reflection(beta11: float, heading: float) -> tuple:
+    """s_x then s_u, row-major in one tuple, of the reflection at beta11 about a
+    line at angle heading/2: build_reflection passes 2*theta0, which it also
+    writes as d_x[2]. A zero beta11 raises ZeroDivisionError."""
+    c2, s2 = math.cos(heading), math.sin(heading)
+    return (c2 / beta11, s2 / beta11, 0.0, s2 / beta11, -c2 / beta11, 0.0, 0.0, 0.0, -1.0,
+            beta11, 0.0, 0.0, -1.0)
+
+
+def _scaling(beta11: float) -> tuple:
+    """s_x then s_u, row-major in one tuple, of the scaling at beta11; the
+    identity's at beta11 = 1. A zero beta11 raises ZeroDivisionError."""
+    return (1.0 / beta11, 0.0, 0.0, 0.0, 1.0 / beta11, 0.0, 0.0, 0.0, 1.0,
+            beta11, 0.0, 0.0, 1.0)
+
+
+def _labelled(a: AffineAttack, kind, beta11) -> AffineAttack:
+    """a, when a declared kind and beta11 are the ones its maps carry; the one
+    rule for attack files and scenario documents. Else AttackError."""
+    if (kind, beta11) != (a.kind, a.beta11):
+        raise AttackError(f"the declared {_shown(kind)} with beta11 = {beta11!r} is not"
+                          f" what the maps carry: {a.kind} with beta11 = {a.beta11!r}")
+    return a
 
 
 def _scaled_rows(m: tuple):
@@ -123,7 +168,7 @@ def _inverse_state(a: AffineAttack, x, y, theta) -> tuple:
 
 def identity_attack() -> AffineAttack:
     """The do-nothing channel; useful as the null case in reports."""
-    return AffineAttack(np.eye(3), np.zeros(3), np.eye(2), np.zeros(2), kind=KIND_IDENTITY)
+    return AffineAttack(np.eye(3), np.zeros(3), np.eye(2), np.zeros(2))
 
 
 def build_reflection(beta11: float, p0: Posture) -> AffineAttack:
@@ -138,11 +183,8 @@ def build_reflection(beta11: float, p0: Posture) -> AffineAttack:
     """
     if not (math.isfinite(beta11) and beta11 != 0.0):
         raise ValueError(f"beta11 must be nonzero and finite, got {beta11}")
-    c2 = math.cos(2.0 * p0.theta)
-    s2 = math.sin(2.0 * p0.theta)
-    s_x = ((c2 / beta11, s2 / beta11, 0.0), (s2 / beta11, -c2 / beta11, 0.0), (0.0, 0.0, -1.0))
-    return AffineAttack(s_x, _hiding_offset(s_x, p0), ((beta11, 0.0), (0.0, -1.0)), (0.0, 0.0),
-                        kind=KIND_REFLECTION, beta11=beta11)
+    maps = _reflection(beta11, 2.0 * p0.theta)
+    return AffineAttack(maps[:9], _hiding_offset(maps, p0), maps[9:], (0.0, 0.0))
 
 
 def build_scaling(beta11: float, p0: Posture) -> AffineAttack:
@@ -153,16 +195,15 @@ def build_scaling(beta11: float, p0: Posture) -> AffineAttack:
     """
     if not (math.isfinite(beta11) and beta11 != 0.0):
         raise ValueError(f"beta11 must be nonzero and finite, got {beta11}")
-    s_x = ((1.0 / beta11, 0.0, 0.0), (0.0, 1.0 / beta11, 0.0), (0.0, 0.0, 1.0))
-    return AffineAttack(s_x, _hiding_offset(s_x, p0), ((beta11, 0.0), (0.0, 1.0)), (0.0, 0.0),
-                        kind=KIND_SCALING, beta11=beta11)
+    maps = _scaling(beta11)
+    return AffineAttack(maps[:9], _hiding_offset(maps, p0), maps[9:], (0.0, 0.0))
 
 
-def _hiding_offset(rows, p0: Posture) -> tuple:
-    """d_x = (I - s_x) p0 for the rows of s_x, each row summed left to right in plain floats
-    as attack_state sums it, so no BLAS kernel decides its bits. AffineAttack refuses an
-    overflow's inf or nan."""
-    (s00, s01, s02), (s10, s11, s12), (s20, s21, s22) = rows
+def _hiding_offset(m: tuple, p0: Posture) -> tuple:
+    """d_x = (I - s_x) p0 for the row-major s_x at the front of m, each row summed left to
+    right in plain floats as attack_state sums it, so no BLAS kernel decides its bits.
+    AffineAttack refuses an overflow's inf or nan."""
+    s00, s01, s02, s10, s11, s12, s20, s21, s22 = m[:9]
     x, y, theta = p0.x, p0.y, p0.theta
     return (x - (s00 * x + s01 * y + s02 * theta),
             y - (s10 * x + s11 * y + s12 * theta),
@@ -194,7 +235,7 @@ def check_condition1(a: AffineAttack, p0: Posture) -> float:
     """Max-norm residual of the initial-state hiding condition d_x = (I - s_x) p0, summed as
     the builders sum it (a built attack scores 0.0 at its pose); inf, not nan, on overflow."""
     m = a._state_map  # s_x row-major, then d_x
-    gaps = [abs(want - d) for want, d in zip(_hiding_offset((m[0:3], m[3:6], m[6:9]), p0), m[9:])]
+    gaps = [abs(want - d) for want, d in zip(_hiding_offset(m, p0), m[9:])]
     return math.inf if any(map(math.isnan, gaps)) else max(gaps)
 
 
@@ -256,8 +297,9 @@ def _closure_residual(a: AffineAttack) -> float:
                for q, want in zip(form, wants))
 
 
-def attack_to_dict(a: AffineAttack) -> dict:
-    """Flat JSON-ready form: matrices row-major, offsets as lists."""
+def _attack_to_dict(a: AffineAttack) -> dict:
+    """Flat JSON-ready form: matrices row-major, offsets as lists, and the labels
+    the maps carry."""
     return {
         "kind": a.kind,
         "beta11": a.beta11,
@@ -330,11 +372,12 @@ def _read_json(path, what: str, error):
         raise error(f"{what} file {path} is not valid JSON: {exc}") from exc
 
 
-def attack_from_dict(d: dict) -> AffineAttack:
+def _attack_from_dict(d: dict) -> AffineAttack:
     """Parse an attack document; anything malformed raises AttackError.
 
     s_x, d_x, s_u and d_u are required lists of 9, 3, 4 and 2 JSON numbers
-    (row-major); kind and beta11 are optional. Nothing is coerced.
+    (row-major); kind and beta11 are optional, and when given must be the
+    ones the maps carry. Nothing is coerced.
     """
     _fields(d, _DOC_KEYS, "attack", AttackError)
     maps = {}
@@ -346,18 +389,18 @@ def attack_from_dict(d: dict) -> AffineAttack:
         if not (isinstance(values, list) and len(values) == size):
             raise AttackError(f"{name} must be a list of {size} numbers")
         maps[name] = [_number(v, name) for v in values]
-    kind = d.get("kind", KIND_CUSTOM)
-    if not isinstance(kind, str):
-        raise AttackError(f"attack kind must be a string, got {type(kind).__name__}")
-    return AffineAttack(**maps, kind=kind, beta11=_number(d.get("beta11", 1.0), "beta11"))
+    if not isinstance(d.get("kind", ""), str):
+        raise AttackError(f"attack kind must be a string, got {type(d['kind']).__name__}")
+    a = AffineAttack(**maps)
+    return _labelled(a, d.get("kind", a.kind), _number(d.get("beta11", a.beta11), "beta11"))
 
 
 def save_attack(a: AffineAttack, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(attack_to_dict(a), fh, indent=2, sort_keys=True)
+        json.dump(_attack_to_dict(a), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def load_attack(path) -> AffineAttack:
     """Read an attack file; bad UTF-8, JSON or content raises AttackError."""
-    return attack_from_dict(_read_json(path, "attack", AttackError))
+    return _attack_from_dict(_read_json(path, "attack", AttackError))

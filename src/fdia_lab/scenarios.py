@@ -32,6 +32,7 @@ from .fdia import (
     _closure_residual,
     _fields,
     _integer,
+    _labelled,
     _number,
     _read_json,
     _shown,
@@ -113,19 +114,20 @@ def builtin_names() -> tuple:
 
 
 def _declared_attack(kind, beta11: float, p0: Posture) -> AffineAttack:
-    """Materialize a declared attack family and beta11 at the start pose."""
+    """Materialize a declared attack family and beta11 at the start pose; the
+    built maps must carry the declared kind and beta11."""
     if kind == KIND_CUSTOM:
         raise ScenarioError("custom attacks cannot be declared inline; use the attack file API")
     if kind not in (KIND_REFLECTION, KIND_SCALING, KIND_IDENTITY):
         raise ScenarioError(f"invalid attack declaration: unknown kind {_shown(kind)}")
     try:
-        if kind != KIND_IDENTITY:
-            return (build_reflection if kind == KIND_REFLECTION else build_scaling)(beta11, p0)
-        if beta11 != 1.0:
-            raise ValueError(f"Identity requires beta11 = 1, got {beta11}")
-    except ValueError as exc:
+        if kind == KIND_IDENTITY:
+            attack = identity_attack()
+        else:
+            attack = (build_reflection if kind == KIND_REFLECTION else build_scaling)(beta11, p0)
+        return _labelled(attack, kind, beta11)
+    except ValueError as exc:  # AttackError is one
         raise ScenarioError(f"invalid attack declaration: {exc}") from exc
-    return identity_attack()
 
 
 def _attack_doc(attack: AffineAttack | None) -> dict | None:

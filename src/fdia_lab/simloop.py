@@ -220,7 +220,6 @@ class UndetectabilityReport:
     sup_obs_dev: float
     sup_actual_dev: float
     undetectable: bool
-    tol: float
 
 
 def undetectability_report(attacked: SimTrace, nominal: SimTrace,
@@ -242,4 +241,4 @@ def undetectability_report(attacked: SimTrace, nominal: SimTrace,
     sup_obs = float(np.max(np.abs(attacked.data[:, _OBSERVED] - nom)))
     mapped = np.column_stack(_inverse_state(attack, *nom.T))
     sup_act = float(np.max(np.abs(attacked.data[:, _ACTUAL] - mapped)))
-    return UndetectabilityReport(sup_obs, sup_act, sup_obs <= tol, tol)
+    return UndetectabilityReport(sup_obs, sup_act, sup_obs <= tol)

@@ -136,7 +136,6 @@ def test_nrmse_basics():
 
 def test_spiral_geometry():
     samples = spiral_samples(200)
-    assert samples.source == "spiral"
     assert samples.count == 200
     radii = np.hypot(samples.x, samples.y)
     assert abs(float(radii.max()) - _SPIRAL_RADIUS) <= 1e-12
@@ -166,7 +165,6 @@ def test_spiral_noise_is_seeded_and_position_only():
 def test_trajectory_samples_prefix(scenario_runs):
     trace = scenario_runs["nominal"].nominal
     samples = trajectory_samples(trace, 150)
-    assert samples.source == "trajectory"
     np.testing.assert_array_equal(samples.x, trace.x[:150])
     np.testing.assert_array_equal(samples.phi, trace.phi_plant[:150])
     noisy = trajectory_samples(trace, 150, noise_std=0.01, seed=1)

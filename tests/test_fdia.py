@@ -14,12 +14,12 @@ from fdia_lab.fdia import (
     AffineAttack,
     KIND_CUSTOM,
     AttackError,
+    _attack_from_dict,
+    _attack_to_dict,
     _closure_residual,
     _inverse_state,
     attack_command,
-    attack_from_dict,
     attack_state,
-    attack_to_dict,
     build_reflection,
     build_scaling,
     check_condition1,
@@ -95,7 +95,7 @@ def test_invertibility_does_not_depend_on_the_rows_scale():
     # a large beta11 shrinks two rows of s_x, not its rank: the attack builds
     # and its document loads back
     for a in (build_scaling(1e7, P0), build_reflection(-1e9, P0_TILTED)):
-        assert attack_to_dict(attack_from_dict(attack_to_dict(a))) == attack_to_dict(a)
+        assert _attack_to_dict(_attack_from_dict(_attack_to_dict(a))) == _attack_to_dict(a)
     # and a map of rank 2 stays singular however its rows are scaled
     for scale in (1e-300, 1.0, 1e300):
         for rank2 in (scale * np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 0.0, 1.0]]),
@@ -166,7 +166,7 @@ def test_array_maps_equal_the_scalar_maps_bitwise():
     # resilience_check maps whole grids at once: each element must get the
     # scalar call's bits, for the builders and for a custom map from a document
     rng = np.random.default_rng(18)
-    custom = attack_from_dict({
+    custom = _attack_from_dict({
         "s_x": rng.uniform(-2, 2, 9).tolist(), "d_x": rng.uniform(-1, 1, 3).tolist(),
         "s_u": rng.uniform(-2, 2, 4).tolist(), "d_u": rng.uniform(-1, 1, 2).tolist(),
     })
@@ -193,10 +193,14 @@ def test_array_maps_equal_the_scalar_maps_bitwise():
 @given(st.sampled_from([build_reflection, build_scaling, None]),
        st.floats(0.25, 4.0) | st.floats(-4.0, -0.25), st.floats(-math.pi, math.pi),
        st.integers(0, 2**32 - 1))
+# d_x[2] = 4 beside a point whose largest |p| is 0.10: one ulp of 4 is past a
+# bound scaled by |p| alone, for np.linalg.solve's round trip too
+@example(build_reflection, -1.0, 2.0, 12551319)
 def test_the_inverse_state_is_lapack_solves_to_rounding(builder, beta11, theta0, seed):
     # _inverse_state replaces np.linalg.solve in undetectability_report; two
     # backward-stable solves of s_x u = p - d_x differ by a few units of
-    # cond(s_x) * eps of the solution's scale, and so does the round trip
+    # cond(s_x) * eps of the solution's scale, and the round trip s_x u + d_x
+    # by as many of the larger of p's and d_x's scales
     rng = np.random.default_rng(seed)
     if builder is None:
         s_x = rng.uniform(-2, 2, (3, 3))
@@ -211,7 +215,8 @@ def test_the_inverse_state_is_lapack_solves_to_rounding(builder, beta11, theta0,
     scale = np.abs(solved).max(axis=1, keepdims=True)
     assert (np.abs(mapped - solved) <= bound * scale).all()
     back = np.column_stack(attack_state(a, *mapped.T))
-    assert (np.abs(back - p) <= bound * np.abs(p).max(axis=1, keepdims=True)).all()
+    scale = np.maximum(np.abs(p).max(axis=1, keepdims=True), np.abs(a.d_x).max())
+    assert (np.abs(back - p) <= bound * scale).all()
     # each element gets the scalar call's bits
     scalar = np.array([_inverse_state(a, *row) for row in p.tolist()])
     assert scalar.tobytes() == mapped.tobytes()
@@ -334,6 +339,8 @@ def test_closure_residual_is_the_largest_coefficient_gap():
     swapped = AffineAttack([[1, 0, 0], [0, 0, 1], [0, 1, 0]], np.zeros(3), np.eye(2), np.zeros(2))
     assert _closure_residual(swapped) == 1.0
     assert _closure_residual(identity_attack()) == 0.0
+    # a turn of the plane by d_x[2] with a scaling closes too, though no builder writes it
+    assert _closure_residual(_ROTATED_SCALING) <= 1e-15
 
 
 def _closure_system(a):
@@ -383,10 +390,10 @@ def test_builders_fix_du_to_zero():
 
 def test_serialization_round_trip(tmp_path):
     a = build_reflection(1.0, P0_TILTED)
-    d = attack_to_dict(a)
+    d = _attack_to_dict(a)
     assert len(d["s_x"]) == 9 and len(d["d_x"]) == 3
     assert len(d["s_u"]) == 4 and len(d["d_u"]) == 2
-    back = attack_from_dict(d)
+    back = _attack_from_dict(d)
     assert np.array_equal(back.s_x, a.s_x) and np.array_equal(back.d_x, a.d_x)
     assert np.array_equal(back.s_u, a.s_u) and np.array_equal(back.d_u, a.d_u)
     assert back.kind == a.kind and back.beta11 == a.beta11
@@ -399,7 +406,7 @@ def test_serialization_round_trip(tmp_path):
 
 
 def _attack_doc(**overrides):
-    doc = attack_to_dict(build_reflection(1.0, P0_TILTED))
+    doc = _attack_to_dict(build_reflection(1.0, P0_TILTED))
     doc.update(overrides)
     return doc
 
@@ -430,18 +437,94 @@ _MALFORMED_ATTACKS = [
 def test_attack_documents_are_untrusted_input():
     for doc in _MALFORMED_ATTACKS:
         with pytest.raises(AttackError):
-            attack_from_dict(doc)
+            _attack_from_dict(doc)
     for missing in ("s_x", "d_x", "s_u", "d_u"):
         doc = _attack_doc()
         del doc[missing]
         with pytest.raises(AttackError, match=missing):
-            attack_from_dict(doc)
-    # kind and beta11 are optional; integers are JSON numbers too
+            _attack_from_dict(doc)
+    # kind and beta11 are optional, read off the maps; integers are JSON numbers too
     doc = _attack_doc(s_u=[1, 0, 0, -1])
     del doc["kind"], doc["beta11"]
-    a = attack_from_dict(doc)
-    assert (a.kind, a.beta11) == ("Custom", 1.0)
+    a = _attack_from_dict(doc)
+    assert (a.kind, a.beta11) == ("Reflection", 1.0)
     assert np.array_equal(a.s_u, np.diag([1.0, -1.0]))
+
+
+def test_a_relabelled_attack_document_is_refused(tmp_path):
+    # scenario1's reflection, relabelled: its maps carry Reflection and beta11 = 1
+    path = tmp_path / "attack.json"
+    save_attack(build_reflection(1.0, P0), path)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    assert (doc["kind"], doc["beta11"]) == ("Reflection", 1.0)
+    for relabel in ({"kind": "Scaling", "beta11": 5.0}, {"kind": "Scaling"}, {"beta11": 5.0},
+                    {"kind": "Custom"}, {"kind": "Identity", "beta11": 1.0}):
+        path.write_text(json.dumps({**doc, **relabel}), encoding="utf-8")
+        with pytest.raises(AttackError, match="is not what the maps carry: Reflection"):
+            load_attack(path)
+
+
+_ROTATION = math.pi / 5  # a turn of the plane, s_x[2, 2] = 1 and d_x[2] its angle
+_ROTATED_SCALING = AffineAttack(
+    [[math.cos(_ROTATION) / 2.0, -math.sin(_ROTATION) / 2.0, 0.0],
+     [math.sin(_ROTATION) / 2.0, math.cos(_ROTATION) / 2.0, 0.0], [0.0, 0.0, 1.0]],
+    [0.0, 0.0, _ROTATION], np.diag([2.0, 1.0]), np.zeros(2))
+
+
+@pytest.mark.parametrize("a, kind, beta11", [
+    (identity_attack(), "Identity", 1.0),
+    (AffineAttack(np.diag([2.0, 2.0, 1.0]), [0.3, -0.02, 0.0], np.diag([0.5, 1.0]), np.zeros(2)),
+     "Scaling", 0.5),
+    (build_scaling(-3.0, P0_TILTED), "Scaling", -3.0),
+    # a zero speed gain, and one whose 1/beta11 overflows, are no family
+    (AffineAttack(np.eye(3), np.zeros(3), np.diag([0.0, 1.0]), np.zeros(2)), "Custom", 0.0),
+    (AffineAttack(np.eye(3), np.zeros(3), np.diag([5e-324, 1.0]), np.zeros(2)), "Custom", 5e-324),
+    # a translation alone: build_scaling writes no offset at beta11 = 1
+    (AffineAttack(np.eye(3), [0.1, -0.2, 0.0], np.eye(2), np.zeros(2)), "Custom", 1.0),
+    # a reflection's maps beside a nonzero d_u
+    (AffineAttack(build_reflection(1.0, P0).s_x, build_reflection(1.0, P0).d_x,
+                  np.diag([1.0, -1.0]), [0.0, 0.1]), "Custom", 1.0),
+    # closes the kinematics, yet is neither family
+    (_ROTATED_SCALING, "Custom", 2.0),
+], ids=["identity", "scaling from its maps", "scaling", "zero beta11", "overflowing 1/beta11",
+        "translation", "offset command", "rotation and scaling"])
+def test_the_kind_is_read_off_the_maps(a, kind, beta11):
+    assert (a.kind, a.beta11) == (kind, beta11)
+    assert _attack_from_dict(_attack_to_dict(a)).kind == kind
+
+
+def test_a_reflection_at_any_heading_is_read_off_its_maps():
+    rng = np.random.default_rng(37)
+    for _ in range(50):
+        theta0, beta = float(rng.uniform(-10, 10)), -float(rng.uniform(0.1, 5.0))
+        a = build_reflection(beta, Posture(*rng.uniform(-1, 1, 2), theta0))
+        assert a.d_x[2] == 2.0 * theta0
+        assert (a.kind, a.beta11) == ("Reflection", beta)
+        # the same maps at another heading are no reflection
+        turned = AffineAttack(a.s_x, [*a.d_x[:2], a.d_x[2] + 0.5], a.s_u, a.d_u)
+        assert turned.kind == "Custom"
+
+
+def test_the_labels_cannot_be_passed_in():
+    for label in ({"kind": "Reflection"}, {"beta11": 2.0}):
+        with pytest.raises(TypeError):
+            AffineAttack(np.eye(3), np.zeros(3), np.eye(2), np.zeros(2), **label)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([build_reflection, build_scaling]),
+       _BETA | st.floats(allow_nan=False, allow_infinity=False).filter(bool), _POSTURE)
+@example(build_scaling, 1.0, P0_TILTED)
+@example(build_reflection, 1.0, P0)
+def test_each_builder_derives_its_own_labels(build, beta, p0):
+    try:
+        a = build(beta, p0)
+    except AttackError:  # a map past float64's range
+        assume(False)
+    kind = "Reflection" if build is build_reflection else "Scaling"
+    if build is build_scaling and beta == 1.0:
+        kind = "Identity"  # build_scaling's identity, at every pose
+    assert (a.kind, a.beta11) == (kind, beta)
 
 
 def test_attack_file_rejects_non_json(tmp_path):
@@ -478,7 +561,7 @@ _ATTACK_DOCS = (
 @given(_ATTACK_DOCS)
 def test_any_attack_document_loads_or_raises_attack_error(doc):
     try:
-        a = attack_from_dict(json.loads(json.dumps(doc)))
+        a = _attack_from_dict(json.loads(json.dumps(doc)))
     except AttackError:
         return
     assert a.s_x.shape == (3, 3) and np.all(np.isfinite(a.s_x))

@@ -33,7 +33,7 @@ from fdia_lab.fdia import (
     KIND_SCALING,
     AffineAttack,
     AttackError,
-    attack_from_dict,
+    _attack_from_dict,
     build_reflection,
     load_attack,
 )
@@ -191,7 +191,7 @@ def test_document_validation_errors():
      {"kind": "Reflection"}),
     (lambda sec: scenario_from_dict(_quick_doc(signature=sec)), ScenarioError, "signature",
      {"terms": {}}),
-    (attack_from_dict, AttackError, "attack", {}),
+    (_attack_from_dict, AttackError, "attack", {}),
     (signature_from_dict, ValueError, "signature", {"terms": {}}),
 ], ids=["scenario", "ref", "gains", "detection", "scenario attack", "scenario signature",
         "attack file", "signature"])
@@ -280,15 +280,27 @@ def test_validation_draws_no_random_numbers(monkeypatch):
     attacks = [validate_scenario(scenario_from_dict(_quick_doc(
         seed=seed, p0=[0.1, -0.2, 0.4], attack={"kind": "Reflection", "beta11": -1.5})))
         for seed in (0, 2**40)]
-    assert fdia.attack_to_dict(attacks[0]) == fdia.attack_to_dict(attacks[1])
+    assert fdia._attack_to_dict(attacks[0]) == fdia._attack_to_dict(attacks[1])
 
 
 def test_identity_attack_declares_beta11_one():
     # the identity channel has no beta11 knob: a document may not claim another one
-    with pytest.raises(ScenarioError, match="Identity requires beta11 = 1"):
+    with pytest.raises(ScenarioError, match="not what the maps carry: Identity with beta11 = 1.0"):
         scenario_from_dict(_quick_doc(attack={"kind": "Identity", "beta11": 2.0}))
     sc = scenario_from_dict(_quick_doc(attack={"kind": "Identity"}))
     assert (sc.attack.kind, sc.attack.beta11) == (KIND_IDENTITY, 1.0)
+
+
+def test_a_declaration_whose_maps_carry_another_label_is_refused():
+    # a scaling by 1 builds the identity maps: refused rather than relabelled
+    with pytest.raises(ScenarioError, match="^invalid attack declaration: the declared 'Scaling'"
+                                            " with beta11 = 1.0 is not what the maps carry:"
+                                            " Identity with beta11 = 1.0$"):
+        scenario_from_dict(_quick_doc(attack={"kind": "Scaling", "beta11": 1}))
+    for kind, beta11 in (("Scaling", -1.0), ("Reflection", 1.0), ("Reflection", 0.25)):
+        sc = scenario_from_dict(_quick_doc(p0=[0.3, -0.1, 2.5],
+                                           attack={"kind": kind, "beta11": beta11}))
+        assert (sc.attack.kind, sc.attack.beta11) == (kind, beta11)
 
 
 @pytest.mark.parametrize("name", ["/elsewhere", "../escaped", "a/b", "a\\b", "a\0b", ".", ".."])
@@ -757,6 +769,23 @@ def test_cli_proxy_refuses_a_malformed_attack_file(doc, tmp_path, capsys):
     assert main(["proxy", "--attack", str(path), "--listen", "127.0.0.1:0"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_cli_proxy_refuses_a_relabelled_attack_file_before_binding(tmp_path, capsys,
+                                                                   monkeypatch):
+    # scenario1's reflection, announced as a scaling
+    path = tmp_path / "attack.json"
+    fdia.save_attack(load_scenario("scenario1").attack, path)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    path.write_text(json.dumps({**doc, "kind": "Scaling", "beta11": 5.0}), encoding="utf-8")
+
+    def bound(*args, **kwargs):
+        raise AssertionError("the proxy bound a socket")
+
+    monkeypatch.setattr(netlink, "serve_proxy", bound)
+    assert main(["proxy", "--attack", str(path), "--listen", "127.0.0.1:0"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: the declared 'Scaling' with beta11 = 5.0")
 
 
 def test_cli_proxy_flags_are_mutually_exclusive(capsys):
