@@ -143,7 +143,7 @@ def encode(msg: WireMessage) -> bytes:
     return _PREFIX.pack(len(data)) + data
 
 
-def decode(frame: bytes) -> WireMessage:
+def decode(frame: bytes | bytearray) -> WireMessage:
     """Parse one complete frame (prefix included); distinct errors per failure mode."""
     length = _frame_end(frame)
     if not length:
@@ -172,9 +172,10 @@ def decode(frame: bytes) -> WireMessage:
     return _checked(kind, seq, t, payload)
 
 
-# the bytes each connection has read past the last frame returned, in a
-# bytearray that lives as long as its socket object
-_inboxes: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+# the bytes each connection has read past the last frame returned, keyed by
+# the id of its socket object; a finalizer drops the entry as the socket is
+# freed, before the id can name another socket
+_inboxes: dict[int, bytearray] = {}
 
 
 def _frame_end(buf: bytes | bytearray) -> int:
@@ -189,10 +190,22 @@ def _frame_end(buf: bytes | bytearray) -> int:
 
 def _inbox(sock: socket.socket) -> bytearray:
     """The buffer recv_message keeps for sock, made on first use."""
-    buf = _inboxes.get(sock)
+    buf = _inboxes.get(id(sock))
     if buf is None:
-        buf = _inboxes[sock] = bytearray()
+        weakref.finalize(sock, _inboxes.pop, id(sock), None)
+        buf = _inboxes[id(sock)] = bytearray()
     return buf
+
+
+def _read_into(sock: socket.socket, buf: bytearray) -> None:
+    """Append one read of sock to buf, which holds part of a frame.
+
+    EOF raises TruncatedFrameError.
+    """
+    chunk = sock.recv(_READ_SIZE)
+    if not chunk:
+        raise TruncatedFrameError(f"connection closed {len(buf)} bytes into a frame")
+    buf += chunk
 
 
 def recv_message(sock: socket.socket) -> WireMessage | None:
@@ -200,20 +213,35 @@ def recv_message(sock: socket.socket) -> WireMessage | None:
 
     Reads go through a per-connection buffer, so one recv may deliver
     several frames; the ones not yet returned wait there for the next call.
+    A read on an empty buffer that starts with a whole frame decodes it from
+    the read's own bytes and keeps only what follows. Each frame's prefix is
+    read once here, once more by decode, and the frame copied at most once.
     An oversized prefix raises FrameLengthError as soon as it arrives, and
     EOF mid-frame raises TruncatedFrameError.
     """
     buf = _inbox(sock)
-    end = _frame_end(buf)
-    while not end:
+    end = 0  # the frame's length, prefix included, once its prefix is read
+    if not buf:
         chunk = sock.recv(_READ_SIZE)
-        if not chunk:
-            if not buf:
-                return None
-            raise TruncatedFrameError(f"connection closed {len(buf)} bytes into a frame")
+        if len(chunk) >= 4:
+            end = 4 + _PREFIX.unpack_from(chunk)[0]
+            if end == len(chunk):
+                return decode(chunk)
+            if end < len(chunk):
+                buf += chunk[end:]
+                return decode(chunk[:end])
+        elif not chunk:
+            return None
         buf += chunk
-        end = _frame_end(buf)
-    frame = bytes(buf[:end])
+    if not end:
+        while len(buf) < 4:
+            _read_into(sock, buf)
+        end = 4 + _PREFIX.unpack_from(buf)[0]
+    if end > 4 + MAX_FRAME:
+        raise FrameLengthError(f"declared length {end - 4} exceeds {MAX_FRAME}")
+    while len(buf) < end:
+        _read_into(sock, buf)
+    frame = buf[:end]
     del buf[:end]
     return decode(frame)
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import gc
+import itertools
 import json
 import math
 import re
@@ -12,6 +13,7 @@ import struct
 import sys
 import threading
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import JSON_SCALARS, JSONISH
+from fdia_lab import netlink
 from fdia_lab.adversary import STUDY_NOISE_STD, fit_signature, spiral_samples, spoof
 from fdia_lab.cli import main
 from fdia_lab.fdia import AttackError, build_reflection, build_scaling
@@ -507,6 +510,88 @@ def test_recv_message_equals_json_loads_whole_or_split(frame, data):
             assert recv_message(wire) is None
 
 
+_FRAMES = _canonical_frames() | _perturbed_bodies().map(_frame)
+
+
+def _said(fn, *args):
+    """repr of what fn returns, or the type and text of the NetlinkError it raises."""
+    try:
+        return repr(fn(*args))
+    except NetlinkError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def _feeds(draw):
+    """A stream of 1-5 whole frames, the last of them maybe an oversized prefix,
+    or else maybe followed by part of one more frame, cut into reads at drawn
+    offsets and at drawn bytes inside prefixes: (frames, the partial tail, reads)."""
+    frames = draw(st.lists(_FRAMES, min_size=1, max_size=5))
+    tail = b""
+    if draw(st.booleans()):
+        frames.append(struct.pack(">I", draw(st.integers(MAX_FRAME + 1, 2**32 - 1)))
+                      + draw(st.binary(max_size=8)))
+    elif draw(st.booleans()):
+        extra = draw(_FRAMES)
+        tail = extra[:draw(st.integers(1, len(extra) - 1))]
+    data = b"".join(frames) + tail
+    starts = [0, *itertools.accumulate(len(frame) for frame in frames)]
+    cuts = draw(st.sets(st.integers(1, len(data) - 1), max_size=6))
+    cuts |= {start + draw(st.integers(1, 3)) for start in starts if draw(st.booleans())}
+    edges = [0, *sorted(cut for cut in cuts if cut < len(data)), len(data)]
+    return frames, tail, [data[i:j] for i, j in zip(edges, edges[1:])]
+
+
+@settings(max_examples=500, deadline=None)
+@given(_feeds())
+def test_recv_message_gives_decodes_outcome_frame_by_frame_under_any_chunking(feed):
+    # one read may hold several frames, or a part of one, or end inside a prefix
+    frames, tail, reads = feed
+    wire = _Wire(reads)
+    for frame in frames:
+        assert _said(recv_message, wire) == _said(decode, frame)
+    if struct.unpack_from(">I", frames[-1])[0] > MAX_FRAME:
+        return  # the oversized prefix stays unread: the stream cannot go on
+    if tail:
+        with pytest.raises(TruncatedFrameError):
+            recv_message(wire)
+    else:
+        assert recv_message(wire) is None
+
+
+class _CountingPrefix:
+    """The length prefix's struct, counting the prefixes it reads."""
+
+    def __init__(self, prefix):
+        self.prefix = prefix
+        self.reads = 0
+
+    def unpack_from(self, buf):
+        self.reads += 1
+        return self.prefix.unpack_from(buf)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_feeds())
+def test_recv_message_reads_each_prefix_at_most_twice(feed):
+    # once to find the frame and once in decode, however the reads cut it
+    frames, tail, reads = feed
+    wire = _Wire(reads)
+    prefix = _CountingPrefix(netlink._PREFIX)
+    with mock.patch.object(netlink, "_PREFIX", prefix):
+        for _ in range(len(frames) + 1):
+            prefix.reads = 0
+            _said(recv_message, wire)
+            assert prefix.reads <= 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(_FRAMES | st.binary(max_size=64))
+def test_decode_reads_bytes_and_bytearray_alike(frame):
+    # recv_message passes decode a read's own bytes or a bytearray cut from its buffer
+    assert _said(decode, bytearray(frame)) == _said(decode, frame)
+
+
 _OBS = WireMessage("Obs", 0, 0.5, (0.1, -0.2, 1.5))
 _SIG = WireMessage("Sig", 1, 0.5, (2419.0,))
 _CMD = WireMessage("Cmd", 2, 0.5, (0.02, -0.3))
@@ -608,6 +693,17 @@ def test_concurrent_connections_keep_their_own_buffers():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert failures == []
+
+
+def test_a_freed_connection_takes_its_unread_bytes_with_it():
+    # the buffers are keyed by socket id, so a later socket at the same
+    # address must not find the bytes of one that is gone
+    wire = _Wire([encode(_OBS) + encode(_SIG)])
+    assert recv_message(wire) == _OBS
+    key = id(wire)
+    assert netlink._inboxes[key] == encode(_SIG)
+    del wire
+    assert key not in netlink._inboxes
 
 
 def test_the_pump_forwards_what_one_read_delivered_in_one_write():
