@@ -80,19 +80,21 @@ class PolySignature:
     """Sparse bivariate polynomial: terms maps (i, j) to the x^i y^j coefficient.
 
     Immutable: terms is a read-only mapping in sorted key order, checked once
-    here, so every exponent stays within max_degree.
+    here, so every exponent stays within max_degree. Exponents and max_degree
+    are ints, never bools, so the document form reads back what it wrote.
     """
 
     terms: Mapping
     max_degree: int = 4
 
     def __post_init__(self):
-        if not isinstance(self.max_degree, int) or self.max_degree < 1:
+        if (isinstance(self.max_degree, bool) or not isinstance(self.max_degree, int)
+                or self.max_degree < 1):
             raise ValueError(f"max_degree must be a positive int, got {self.max_degree}")
         canon = {}
         for key, coeff in self.terms.items():
             i, j = key
-            if not (isinstance(i, int) and isinstance(j, int) and i >= 0 and j >= 0):
+            if not all(isinstance(k, int) and not isinstance(k, bool) and k >= 0 for k in key):
                 raise ValueError(f"exponents must be non-negative ints, got {key}")
             if i + j > self.max_degree:
                 raise ValueError(f"term {key} exceeds max total degree {self.max_degree}")
@@ -110,6 +112,48 @@ class PolySignature:
 
     def __reduce__(self):
         return PolySignature, (dict(self.terms), self.max_degree)
+
+    @functools.cached_property
+    def _refusal(self) -> str | None:
+        """validate_smsf's refusal text, or None for a pass: computed on first
+        use and kept on this instance (its terms never change).
+
+        The verdict is the dense 201 x 201 grid's, but only rows that may hold
+        a negative value are evaluated. On the row y = y_r, Phi is sum_i a_i x^i
+        with a_i = sum_j c_ij y_r^j. A chain power of an |x| <= 1 is a float in
+        [-1, 1], and an even one, a float square, is >= 0, so the row's grid
+        values are at least
+            L_r = a_0 + sum_{even i > 0} min(a_i, 0) - sum_{odd i} |a_i|
+        less rounding. The y powers are eval_signature's own floats and the x
+        powers enter only through that range, so no chain length enters the
+        rounding: with n terms and m_r = sum_t |c_t y_r^j|, the grid's products
+        and sum and this L_r's are each off by at most 2(n + 1) eps m_r, plus
+        n * 2^-1074 for underflow. The slack 8(n + 1) eps m_r + n tiny covers
+        both, and the rounding of m_r itself. A row is skipped only when L_r
+        beats the slack and 2 m_r is finite, so no partial sum on it can
+        overflow; every other row, a bound that is not finite included, is
+        evaluated as Phi of the axis against those rows' y, bitwise the dense
+        grid's rows.
+        """
+        if self.terms.get((0, 0), 0.0) != 0.0:
+            return "signature has a constant term: Phi(0,0) != 0"
+        axis = _GRID_AXIS
+        coeffs, mass = {}, np.zeros_like(axis)
+        with np.errstate(over="ignore", invalid="ignore"):
+            py = _powers(axis, [j for _i, j in self.terms])
+            for (i, j), coeff in self.terms.items():
+                cy = coeff * py[j]
+                coeffs[i] = coeffs.get(i, 0.0) + cy
+                mass = mass + np.abs(cy)
+            low = sum(a if i == 0 else -np.abs(a) if i % 2 else np.minimum(a, 0.0)
+                      for i, a in coeffs.items())
+            n = len(self.terms)
+            slack = 8.0 * (n + 1) * _EPS * mass + n * _TINY
+            skip = (low - slack > 0.0) & np.isfinite(mass + mass)
+        rows = axis[~skip, None]
+        if rows.size and float(eval_signature(self, axis, rows).min()) < 0.0:
+            return "signature is negative on the operational grid"
+        return None
 
 
 _DEFAULT_SIGNATURE = PolySignature({(4, 0): 1.0, (0, 4): 1.0, (2, 0): 1.0, (0, 2): 25.0,
@@ -149,41 +193,13 @@ def validate_smsf(sig: PolySignature) -> bool:
     residual) and nonnegativity on the operational grid [-1, 1]^2 sampled at
     0.01 resolution. Raises ValueError on violation.
 
-    The verdict is the dense 201 x 201 grid's, but only rows that may hold a
-    negative value are evaluated. On the row y = y_r, Phi is sum_i a_i x^i
-    with a_i = sum_j c_ij y_r^j. A chain power of an |x| <= 1 is a float in
-    [-1, 1], and an even one, a float square, is >= 0, so the row's grid
-    values are at least
-        L_r = a_0 + sum_{even i > 0} min(a_i, 0) - sum_{odd i} |a_i|
-    less rounding. The y powers are eval_signature's own floats and the x
-    powers enter only through that range, so no chain length enters the
-    rounding: with n terms and m_r = sum_t |c_t y_r^j|, the grid's products
-    and sum and this L_r's are each off by at most 2(n + 1) eps m_r, plus
-    n * 2^-1074 for underflow. The slack 8(n + 1) eps m_r + n tiny covers
-    both, and the rounding of m_r itself. A row is skipped only when L_r
-    beats the slack and 2 m_r is finite, so no partial sum on it can
-    overflow; every other row, a bound that is not finite included, is
-    evaluated as Phi of the axis against those rows' y, bitwise the dense
-    grid's rows.
+    The verdict is computed on a signature's first check and kept on that
+    instance, which is immutable, so every later check of it is an attribute
+    read. A pickle, a copy or a document round trip rebuilds the signature
+    from its terms and checks again.
     """
-    if sig.terms.get((0, 0), 0.0) != 0.0:
-        raise ValueError("signature has a constant term: Phi(0,0) != 0")
-    axis = _GRID_AXIS
-    coeffs, mass = {}, np.zeros_like(axis)
-    with np.errstate(over="ignore", invalid="ignore"):
-        py = _powers(axis, [j for _i, j in sig.terms])
-        for (i, j), coeff in sig.terms.items():
-            cy = coeff * py[j]
-            coeffs[i] = coeffs.get(i, 0.0) + cy
-            mass = mass + np.abs(cy)
-        low = sum(a if i == 0 else -np.abs(a) if i % 2 else np.minimum(a, 0.0)
-                  for i, a in coeffs.items())
-        n = len(sig.terms)
-        slack = 8.0 * (n + 1) * _EPS * mass + n * _TINY
-        skip = (low - slack > 0.0) & np.isfinite(mass + mass)
-    rows = axis[~skip, None]
-    if rows.size and float(eval_signature(sig, axis, rows).min()) < 0.0:
-        raise ValueError("signature is negative on the operational grid")
+    if sig._refusal is not None:
+        raise ValueError(sig._refusal)
     return True
 
 
@@ -322,7 +338,9 @@ def signature_from_dict(d) -> PolySignature:
 
     An object over "terms" and an optional "max_degree" (default 4): terms
     maps canonical "i,j" exponent keys to JSON numbers that float64 holds
-    exactly, and max_degree is an integral number. Nothing is coerced.
+    exactly, and max_degree is an integral number: an int of any size, as the
+    exponents are, so every signature's document reads back. Nothing is
+    coerced.
     """
     raw = _fields(d, _SIGNATURE_KEYS, "signature", ValueError).get("terms")
     if not isinstance(raw, dict):
@@ -333,5 +351,7 @@ def signature_from_dict(d) -> PolySignature:
         if exps is None:
             raise ValueError(f'signature term keys must read "i,j", got {key!r}')
         terms[int(exps[1]), int(exps[2])] = _number(coeff, f"signature.terms.{key}", ValueError)
-    max_degree = _integer(d.get("max_degree", 4), "signature.max_degree", ValueError)
+    degree = d.get("max_degree", 4)
+    max_degree = (degree if type(degree) is int
+                  else _integer(degree, "signature.max_degree", ValueError))
     return PolySignature(terms, max_degree=max_degree)

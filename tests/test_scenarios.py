@@ -25,7 +25,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import JSON_SCALARS, JSONISH
-from fdia_lab import cli, fdia, netlink
+from fdia_lab import cli, fdia, netlink, scenarios, smsf
 from fdia_lab.cli import main
 from fdia_lab.fdia import (
     KIND_IDENTITY,
@@ -48,7 +48,7 @@ from fdia_lab.scenarios import (
     validate_scenario,
 )
 from fdia_lab.simloop import SimConfig, SimTrace, run
-from fdia_lab.smsf import eval_signature, signature_from_dict
+from fdia_lab.smsf import default_signature, eval_signature, signature_from_dict
 
 ARTIFACTS = ("trace.csv", "nominal.csv", "attack.json", "monitor.csv", "summary.json")
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -539,6 +539,32 @@ def test_cli_simulate(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "scenario1" in out and "undetectable" in out
     assert (tmp_path / "summary.json").is_file()
+
+
+def test_two_simulates_check_the_shared_signature_once(tmp_path, capsys, monkeypatch):
+    # every builtin monitors the one default instance; drop any verdict an
+    # earlier test kept on it, so that exactly one check is left to count
+    assert {load_scenario(n).signature is default_signature() for n in builtin_names()} == {True}
+    monkeypatch.delitem(vars(default_signature()), "_refusal", raising=False)
+    validations, grid_checks = [], []
+    validate, powers = scenarios.validate_scenario, smsf._powers
+
+    def counting_validate(sc):
+        validations.append(sc.name)
+        return validate(sc)
+
+    def counting_powers(v, ks):
+        if v is smsf._GRID_AXIS:
+            grid_checks.append(len(ks))
+        return powers(v, ks)
+
+    monkeypatch.setattr(scenarios, "validate_scenario", counting_validate)
+    monkeypatch.setattr(smsf, "_powers", counting_powers)
+    for name in ["scenario1", "scenario3"]:
+        assert main(["simulate", "--scenario", name, "--out-dir", str(tmp_path / name)]) == 0
+    capsys.readouterr()
+    assert validations == ["scenario1"] * 3 + ["scenario3"] * 3
+    assert len(grid_checks) == 1
 
 
 def test_cli_verify_pass_and_fail(capsys):

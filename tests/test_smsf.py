@@ -307,6 +307,12 @@ def test_constructor_rejects_bad_terms():
         PolySignature({(1, 0): float("nan")})
     with pytest.raises(ValueError):
         PolySignature({(1, 0): 1.0}, max_degree=0)
+    # a bool's document would read "True,0" or true, which signature_from_dict refuses
+    for key in [(True, 0), (0, False), (True, True)]:
+        with pytest.raises(ValueError, match="exponents must be non-negative ints"):
+            PolySignature({key: 1.0})
+    with pytest.raises(ValueError, match="max_degree must be a positive int"):
+        PolySignature({(1, 0): 1.0}, max_degree=True)
 
 
 def test_validate_accepts_default_signature():
@@ -371,8 +377,12 @@ def _far_exponents(draw):
     return {**base, **far}, max_degree
 
 
+# (terms, max_degree) for the grid check
+_GRID_CASES = (_LOW_DEGREE | _NEAR_MAX).map(lambda terms: (terms, 6)) | _far_exponents()
+
+
 @settings(max_examples=300, deadline=None)
-@given((_LOW_DEGREE | _NEAR_MAX).map(lambda terms: (terms, 6)) | _far_exponents())
+@given(_GRID_CASES)
 @example(({(2, 2): 1.0, (2, 1): -0.2, (2, 0): 0.01}, 4))  # x^2 (y - 0.1)^2: rounds below 0
 # row bounds just above 0 where the grid rounds below it
 @example((_damped_square(-0.5199999999940248, 9.405004050258244, 0.7323847363374834), 6))
@@ -393,10 +403,68 @@ def test_grid_check_verdict_equals_the_dense_check(sig_args):
             assert validate_smsf(sig) is True
 
 
+def _outcome(sig):
+    """validate_smsf's verdict: True, or the text of the ValueError it raised."""
+    try:
+        return validate_smsf(sig)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_GRID_CASES)
+@example(({(0, 0): 0.5, (2, 0): 1.0}, 4))  # a constant term
+@example(({(2, 2): 1.0, (2, 1): -0.2, (2, 0): 0.01}, 4))  # rounds below 0 on one row
+def test_a_signature_is_checked_once_and_an_equal_copy_again(sig_args):
+    sig = PolySignature(*sig_args)
+    with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore"):
+        grids = _record_grid_rows(mp)
+        first = _outcome(sig)
+        rows_checked = len(grids)
+        second = _outcome(sig)
+        assert len(grids) == rows_checked  # the second check evaluates no grid row
+        fresh = _outcome(PolySignature(*sig_args))
+    assert first == second == fresh  # a refusal is never turned into a pass
+    with np.errstate(over="ignore"):
+        negative = float(eval_signature(sig, _AXIS, _AXIS[:, None]).min()) < 0.0
+    if (0, 0) in sig.terms:
+        assert first == "signature has a constant term: Phi(0,0) != 0"
+    else:
+        assert first == ("signature is negative on the operational grid" if negative else True)
+
+
 def test_the_default_signature_evaluates_at_most_three_grid_rows(monkeypatch):
+    # an equal copy, since an earlier check of the shared instance is kept on it
+    sig = PolySignature(dict(default_signature().terms))
+    assert "_refusal" not in vars(sig)
     grids = _record_grid_rows(monkeypatch)
-    assert validate_smsf(default_signature()) is True
+    assert validate_smsf(sig) is True
     assert sum(len(rows) for rows, _ in grids) <= 3
+
+
+def test_a_pickle_copy_or_document_of_a_checked_signature_checks_again(monkeypatch):
+    sig = PolySignature(dict(default_signature().terms))
+    assert validate_smsf(sig) is True
+    clones = [pickle.loads(pickle.dumps(sig)), copy.copy(sig), copy.deepcopy(sig),
+              signature_from_dict(json.loads(json.dumps(signature_to_dict(sig))))]
+    grids = _record_grid_rows(monkeypatch)
+    assert validate_smsf(sig) is True and grids == []
+    for clone in clones:
+        assert clone == sig and "_refusal" not in vars(clone)
+        before = len(grids)
+        assert validate_smsf(clone) is True
+        assert len(grids) == before + 1  # the default's check evaluates one grid row
+
+
+@settings(max_examples=200, deadline=None)
+@given(_signatures() | _far_exponents().map(lambda args: PolySignature(*args)))
+@example(PolySignature({(2, 0): -0.0, (0, 2): 1.0}, max_degree=1001))
+@example(PolySignature({(2, 0): 1.0, (0, 2): 1.0}, max_degree=10**400))  # past float64's range
+def test_a_signature_round_trips_through_its_document(sig):
+    doc = signature_to_dict(sig)
+    back = signature_from_dict(json.loads(json.dumps(doc)))
+    assert back == sig
+    assert json.dumps(signature_to_dict(back)) == json.dumps(doc)  # -0.0 stays -0.0
 
 
 def test_default_signature_is_zero_only_at_origin_on_grid():
