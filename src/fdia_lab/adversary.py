@@ -18,8 +18,10 @@ import numpy as np
 from .simloop import SimTrace
 from .smsf import PolySignature, _powers, default_signature, eval_signature
 
-# study protocol defaults: interception noise [m]
+# study protocol defaults: interception noise [m], sample counts and noise seed
 STUDY_NOISE_STD = 0.01
+_STUDY_NS = (150, 500, 1000)
+_STUDY_SEED = 0
 # the spiral probe's turns and radius [m], and the held-out grid's points per
 # axis and its inflation of the trajectory's bounding box
 _SPIRAL_TURNS = 4.0
@@ -173,8 +175,8 @@ class StudyRow:
     nrmse: float
 
 
-def estimation_study(trace, truth: PolySignature = default_signature(), ns=(150, 500, 1000),
-                     noise_std: float = STUDY_NOISE_STD, seed: int = 0):
+def estimation_study(trace, truth: PolySignature = default_signature(), ns=_STUDY_NS,
+                     noise_std: float = STUDY_NOISE_STD, seed: int = _STUDY_SEED):
     """Coverage study: fit quality versus sample count and eavesdropping source.
 
     For each n, fits once from the run's own trajectory prefix and once from

@@ -32,8 +32,8 @@ from .scenarios import (
     run_scenario,
     write_monitor_csv,
 )
-from .simloop import RunDiverged, run, write_csv, write_trace_csv
-from .smsf import DetectionConfig, monitor
+from .simloop import _UNDETECTABLE_TOL, RunDiverged, run, write_csv, write_trace_csv
+from .smsf import monitor
 
 
 def _hostport(text: str, default_host: str = "127.0.0.1") -> tuple:
@@ -80,17 +80,15 @@ _positive = _float_type(lambda v: v > 0.0, "a finite number > 0")
 _non_negative = _float_type(lambda v: v >= 0.0, "a finite number >= 0")
 
 
-def _int_type(low: int):
-    """An argparse type: an int >= low."""
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            value = low - 1
-        if value < low:
-            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
-        return value
-    return parse
+def _non_negative_int(text: str) -> int:
+    """An argparse type: an int >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return value
 
 
 @functools.cache  # built once per process: parse_args leaves the parser unchanged
@@ -111,28 +109,25 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check attacked run is undetectable vs nominal")
     p.add_argument("--scenario", default="scenario1")
-    p.add_argument("--tol", type=_non_negative, default=1e-9)
+    p.add_argument("--tol", type=_non_negative, default=_UNDETECTABLE_TOL)
 
-    p = sub.add_parser("monitor", help="run the residual detector over a scenario")
+    p = sub.add_parser("monitor", help="run the scenario's residual detector over its run")
     p.add_argument("--scenario", default="scenario1")
-    p.add_argument("--epsilon", type=_positive, default=None, help="override detector threshold")
-    p.add_argument("--window", type=_int_type(1), default=None,
-                   help="override consecutive-sample window")
     p.add_argument("--out", default=None, help="write t,residual,exceeds CSV here")
 
     p = sub.add_parser("estimate", help="signature regression study")
     p.add_argument("--scenario", default="scenario1",
                    help="scenario whose attacked trace the eavesdropper samples")
     p.add_argument("--source", choices=("both", "trajectory", "spiral"), default="both")
-    p.add_argument("--n", type=_int_list, default=(150, 500, 1000),
+    p.add_argument("--n", type=_int_list, default=adversary._STUDY_NS,
                    help="comma-separated sample counts")
     p.add_argument("--noise-std", type=_non_negative, default=adversary.STUDY_NOISE_STD,
                    help="position measurement noise (standard deviation, meters)")
-    p.add_argument("--seed", type=_int_type(0), default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=adversary._STUDY_SEED)
     p.add_argument("--out", default=None, help="write source,n,nrmse CSV here")
 
     p = sub.add_parser("vulncheck", help="classify scalar signature families")
-    p.add_argument("--tol", type=_positive, default=1e-9)
+    p.add_argument("--tol", type=_positive, default=vulncheck._TOL)
     p.add_argument("--out", default=None, help="write the verdict table CSV here")
 
     p = sub.add_parser("serve-plant", help="serve one lock-step plant session")
@@ -193,13 +188,9 @@ def _cmd_verify(args) -> int:
 def _cmd_monitor(args) -> int:
     sc = load_scenario(args.scenario)
     trace = run(sc.sim, sc.attack, sc.signature)
-    cfg = DetectionConfig(
-        epsilon=args.epsilon if args.epsilon is not None else sc.detection.epsilon,
-        window=args.window if args.window is not None else sc.detection.window,
-    )
-    result = monitor(trace, sc.signature, cfg=cfg)
+    result = monitor(trace, sc.signature, cfg=sc.detection)
     print(f"scenario {sc.name}: peak residual {result.residual.max():.3e}"
-          f" (epsilon {cfg.epsilon:g}, window {cfg.window})")
+          f" (epsilon {sc.detection.epsilon:g}, window {sc.detection.window})")
     if result.flag:
         print(f"DETECTED: first exceed t={result.first_exceed_t:.2f} s,"
               f" flag t={result.detect_t:.2f} s")
@@ -218,8 +209,14 @@ def _cmd_estimate(args) -> int:
     most = max(args.n)
     if most > len(trace):
         raise ScenarioError(f"scenario {sc.name} logs {len(trace)} samples, fewer than --n {most}")
-    rows = adversary.estimation_study(trace, truth=sc.signature, ns=args.n,
-                                      noise_std=args.noise_std, seed=args.seed)
+    try:
+        rows = adversary.estimation_study(trace, truth=sc.signature, ns=args.n,
+                                          noise_std=args.noise_std, seed=args.seed)
+    except adversary.UnderdeterminedFit:
+        raise
+    except ValueError as exc:  # nrmse: the signature is flat on the hold-out grid
+        raise ScenarioError(f"scenario {sc.name}: the study cannot score its signature:"
+                            f" {exc}") from exc
     if args.source != "both":
         rows = [r for r in rows if r.source == args.source]
     print(f"scenario {sc.name}, noise std {args.noise_std:g}, seed {args.seed}")

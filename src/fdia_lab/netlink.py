@@ -50,6 +50,7 @@ _TEMPLATES = {
     for kind, n in _ARITY.items()
 }
 _READ_SIZE = 1 << 12  # bytes asked of each recv; a longer frame takes several
+_SESSION_TIMEOUT = 30.0  # seconds any one socket wait may take
 _FLOAT = frozenset({float})
 # json's C scanner, the one json.loads runs after skipping leading whitespace:
 # it reads one value from an index, raises StopIteration when none starts
@@ -311,7 +312,7 @@ def _part(sock: socket.socket, rx, tx, t: float) -> None:
 
 def serve_plant(cfg: SimConfig, signature: smsf.PolySignature = smsf.default_signature(),
                 host: str = "127.0.0.1", port: int = DEFAULT_PLANT_PORT,
-                on_bound=None, timeout: float = 30.0) -> SimTrace:
+                on_bound=None, timeout: float = _SESSION_TIMEOUT) -> SimTrace:
     """Serve one lock-step session as the plant; returns its view (PLANT_VIEW_COLUMNS).
 
     Connection loss mid-run returns the partial log with complete=False.
@@ -371,7 +372,7 @@ def _plant_session(conn: socket.socket, cfg: SimConfig, sig) -> SimTrace:
 
 def run_controller(cfg: SimConfig, connect=("127.0.0.1", DEFAULT_PROXY_PORT),
                    signature: smsf.PolySignature = smsf.default_signature(),
-                   timeout: float = 30.0) -> SimTrace:
+                   timeout: float = _SESSION_TIMEOUT) -> SimTrace:
     """Drive one lock-step session as the controller; returns its view (CTRL_VIEW_COLUMNS)."""
     with _lock_step(socket.create_connection(connect, timeout=timeout), timeout) as sock:
         return _controller_session(sock, cfg, signature)
@@ -450,7 +451,7 @@ def serve_proxy(attack: AffineAttack | None = None,
                 listen=("127.0.0.1", DEFAULT_PROXY_PORT),
                 upstream=("127.0.0.1", DEFAULT_PLANT_PORT),
                 sig_scale: float = 1.0, sig_offset: float = 0.0,
-                on_bound=None, timeout: float = 30.0) -> None:
+                on_bound=None, timeout: float = _SESSION_TIMEOUT) -> None:
     """Man-in-the-middle for one session: accept the controller, dial the plant.
 
     With attack=None and the identity Sig channel this is a transparent

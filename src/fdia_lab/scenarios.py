@@ -44,6 +44,7 @@ from .fdia import (
 )
 from .kinematics import Posture
 from .simloop import (
+    _UNDETECTABLE_TOL,
     SimConfig,
     SimTrace,
     UndetectabilityReport,
@@ -74,7 +75,6 @@ _BUILTIN_DOCS = {
 
 _CONDITION1_TOL = 1e-12
 _CONDITION2_TOL = 1e-10
-_UNDETECTABLE_TOL = 1e-9
 
 _TOP_KEYS = {"name", "seed", "p0", "dt", "duration", "log_stride",
              "ref", "gains", "signature", "attack", "detection"}

@@ -42,6 +42,7 @@ TRACE_COLUMNS = (
 )
 _ACTUAL = slice(TRACE_COLUMNS.index("x"), TRACE_COLUMNS.index("theta") + 1)
 _OBSERVED = slice(TRACE_COLUMNS.index("x_obs"), TRACE_COLUMNS.index("theta_obs") + 1)
+_UNDETECTABLE_TOL = 1e-9  # undetectability_report's default sup_obs_dev bound
 
 
 @dataclass(frozen=True)
@@ -53,7 +54,7 @@ class SimConfig:
     p0: Posture = Posture(0.0, 0.02, 0.0)
     dt: float = 0.01  # s
     log_stride: int = 2  # log every log_stride-th tick
-    duration: float = 30.0  # s
+    duration: float = RefConfig.duration  # s: as long as the default reference
 
     def __post_init__(self):
         if not (math.isfinite(self.dt) and self.dt > 0.0):
@@ -222,8 +223,8 @@ class UndetectabilityReport:
     undetectable: bool
 
 
-def undetectability_report(attacked: SimTrace, nominal: SimTrace,
-                           attack: AffineAttack, tol: float = 1e-9) -> UndetectabilityReport:
+def undetectability_report(attacked: SimTrace, nominal: SimTrace, attack: AffineAttack,
+                           tol: float = _UNDETECTABLE_TOL) -> UndetectabilityReport:
     """Compare the observed stream of an attacked run against the nominal run.
 
     sup_obs_dev is the max-norm deviation between the attacked run's observed

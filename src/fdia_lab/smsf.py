@@ -19,9 +19,9 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .fdia import _fields, _integer, _number, attack_state
+from .fdia import _fields, _number, attack_state
 
-_SIGNATURE_KEYS = {"terms", "max_degree"}
+_SIGNATURE_KEYS = {"terms"}
 _TERM_KEY = re.compile(r"(0|[1-9][0-9]*),(0|[1-9][0-9]*)")  # canonical exponents only
 _EPS, _TINY = float(np.finfo(float).eps), float(np.finfo(float).tiny)
 _GRID_AXIS = np.linspace(-1.0, 1.0, 201)  # validate_smsf's grid: [-1, 1] at 0.01
@@ -80,24 +80,18 @@ class PolySignature:
     """Sparse bivariate polynomial: terms maps (i, j) to the x^i y^j coefficient.
 
     Immutable: terms is a read-only mapping in sorted key order, checked once
-    here, so every exponent stays within max_degree. Exponents and max_degree
-    are ints, never bools, so the document form reads back what it wrote.
+    here. Exponents are ints of any size, never bools, so the document form
+    reads back what it wrote.
     """
 
     terms: Mapping
-    max_degree: int = 4
 
     def __post_init__(self):
-        if (isinstance(self.max_degree, bool) or not isinstance(self.max_degree, int)
-                or self.max_degree < 1):
-            raise ValueError(f"max_degree must be a positive int, got {self.max_degree}")
         canon = {}
         for key, coeff in self.terms.items():
             i, j = key
             if not all(isinstance(k, int) and not isinstance(k, bool) and k >= 0 for k in key):
                 raise ValueError(f"exponents must be non-negative ints, got {key}")
-            if i + j > self.max_degree:
-                raise ValueError(f"term {key} exceeds max total degree {self.max_degree}")
             coeff = float(coeff)
             if not math.isfinite(coeff):
                 raise ValueError(f"coefficient for {key} must be finite")
@@ -111,7 +105,7 @@ class PolySignature:
         object.__setattr__(self, "_plan", (steps, terms))
 
     def __reduce__(self):
-        return PolySignature, (dict(self.terms), self.max_degree)
+        return PolySignature, (dict(self.terms),)
 
     @functools.cached_property
     def _refusal(self) -> str | None:
@@ -327,20 +321,15 @@ def monitor(trace, sig: PolySignature, cfg: DetectionConfig = DetectionConfig())
 
 def signature_to_dict(sig: PolySignature) -> dict:
     """JSON-ready form with "i,j" string keys in sorted order."""
-    return {
-        "max_degree": sig.max_degree,
-        "terms": {f"{i},{j}": coeff for (i, j), coeff in sorted(sig.terms.items())},
-    }
+    return {"terms": {f"{i},{j}": coeff for (i, j), coeff in sorted(sig.terms.items())}}
 
 
 def signature_from_dict(d) -> PolySignature:
     """Parse a signature document; anything malformed raises ValueError.
 
-    An object over "terms" and an optional "max_degree" (default 4): terms
-    maps canonical "i,j" exponent keys to JSON numbers that float64 holds
-    exactly, and max_degree is an integral number: an int of any size, as the
-    exponents are, so every signature's document reads back. Nothing is
-    coerced.
+    An object over "terms" alone: it maps canonical "i,j" exponent keys, ints
+    of any size, to JSON numbers that float64 holds exactly, so every
+    signature's document reads back. Nothing is coerced.
     """
     raw = _fields(d, _SIGNATURE_KEYS, "signature", ValueError).get("terms")
     if not isinstance(raw, dict):
@@ -351,7 +340,4 @@ def signature_from_dict(d) -> PolySignature:
         if exps is None:
             raise ValueError(f'signature term keys must read "i,j", got {key!r}')
         terms[int(exps[1]), int(exps[2])] = _number(coeff, f"signature.terms.{key}", ValueError)
-    degree = d.get("max_degree", 4)
-    max_degree = (degree if type(degree) is int
-                  else _integer(degree, "signature.max_degree", ValueError))
-    return PolySignature(terms, max_degree=max_degree)
+    return PolySignature(terms)

@@ -19,7 +19,7 @@ scan of the whole grid, so the verdicts stay the exhaustive scan's.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import groupby
 
 import numpy as np
@@ -55,6 +55,7 @@ _ALPHA_MAX = 3.0
 # on a 2-vCPU Intel Xeon (numpy 2.4), a cache effect
 _BOUND_AT = (0.05, 0.17, 0.28, 0.41, 0.53, 0.66, 0.79, 0.92)
 _BOUND_BETAS = 16 * _BETA_BLOCK
+_TOL = 1e-9  # classify's default max-residual tolerance
 
 
 @dataclass(frozen=True)
@@ -84,8 +85,8 @@ class VulnVerdict:
     family: str
     kind: str  # CLASS_CONTINUOUS | CLASS_DISCRETE | CLASS_TRIVIAL
     constraint: str | None
-    candidates: list = field(default_factory=list)  # (alpha, beta) pairs
-    residual: float = math.inf  # best residual over nontrivial pairs
+    candidates: list  # (alpha, beta) pairs
+    residual: float  # best residual over nontrivial pairs
 
 
 def _manifold_label(candidates, tol: float) -> str:
@@ -162,7 +163,7 @@ def _nontrivial(alphas) -> np.ndarray:
     return (np.abs(alphas) <= _ALPHA_MAX) & ~trivial
 
 
-def classify(fam: ScalarFamily, tol: float = 1e-9) -> VulnVerdict:
+def classify(fam: ScalarFamily, tol: float = _TOL) -> VulnVerdict:
     """Grid search for nontrivial (alpha, beta) pairs with residual <= tol.
 
     beta runs over the module's fixed grid; the best alpha for each beta is
@@ -207,6 +208,6 @@ def classify(fam: ScalarFamily, tol: float = 1e-9) -> VulnVerdict:
     return VulnVerdict(fam.tag, CLASS_TRIVIAL, None, [], best)
 
 
-def verdict_table(tol: float = 1e-9):
+def verdict_table(tol: float = _TOL):
     """Classify every default family; returns the verdicts in _FAMILY_TAGS order."""
     return [classify(fam, tol=tol) for fam in _FAMILIES]

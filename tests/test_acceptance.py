@@ -202,7 +202,7 @@ def test_criterion_05_monitor_detection(scenario_runs):
 
 
 def test_criterion_06_resilience_separation(scenario_runs):
-    vulnerable_sig = PolySignature({(2, 0): 1.0, (0, 2): 1.0}, max_degree=2)
+    vulnerable_sig = PolySignature({(2, 0): 1.0, (0, 2): 1.0})
     origin_trace = run(SimConfig(p0=Posture(0.0, 0.0, 0.0), duration=1.0))
     weak = resilience_check(
         vulnerable_sig, build_scaling(2.0, Posture(0.0, 0.0, 0.0)), origin_trace

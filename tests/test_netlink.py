@@ -809,7 +809,7 @@ def test_config_digest_is_stable_and_sensitive():
     assert all(c in "0123456789abcdef" for c in digest)
     assert digest == _config_digest(SimConfig(duration=2.0), default_signature())
     assert digest != _config_digest(SimConfig(duration=3.0), sig)
-    assert digest != _config_digest(cfg, PolySignature({(2, 0): 1.0, (0, 2): 1.0}, max_degree=2))
+    assert digest != _config_digest(cfg, PolySignature({(2, 0): 1.0, (0, 2): 1.0}))
 
 
 # ---------------------------------------------------------------------------

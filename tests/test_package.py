@@ -121,11 +121,10 @@ DEFAULTED = {
     "simloop": "SimConfig.ref SimConfig.gains SimConfig.p0 SimConfig.dt SimConfig.log_stride"
                " SimConfig.duration SimTrace.columns SimTrace.complete run.attack"
                " run.signature undetectability_report.tol",
-    "smsf": "PolySignature.max_degree DetectionConfig.epsilon DetectionConfig.window"
-            " monitor.cfg",
+    "smsf": "DetectionConfig.epsilon DetectionConfig.window monitor.cfg",
     "tracking": "ControllerGains.kx ControllerGains.ky ControllerGains.ktheta RefConfig.v_ref"
                 " RefConfig.omega_amp RefConfig.omega_period RefConfig.duration",
-    "vulncheck": "VulnVerdict.candidates VulnVerdict.residual classify.tol verdict_table.tol",
+    "vulncheck": "classify.tol verdict_table.tol",
 }
 
 

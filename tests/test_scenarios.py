@@ -46,9 +46,10 @@ from fdia_lab.scenarios import (
     run_scenario,
     scenario_from_dict,
     validate_scenario,
+    write_monitor_csv,
 )
 from fdia_lab.simloop import SimConfig, SimTrace, run
-from fdia_lab.smsf import default_signature, eval_signature, signature_from_dict
+from fdia_lab.smsf import default_signature, eval_signature, monitor, signature_from_dict
 
 ARTIFACTS = ("trace.csv", "nominal.csv", "attack.json", "monitor.csv", "summary.json")
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -369,10 +370,22 @@ def test_custom_file_loads_and_validates(tmp_path):
 
 def test_invalid_signature_fails_at_load(tmp_path):
     path = tmp_path / "bad.json"
-    doc = _quick_doc(signature={"max_degree": 2, "terms": {"0,0": 1.0, "2,0": 1.0}})
+    doc = _quick_doc(signature={"terms": {"0,0": 1.0, "2,0": 1.0}})
     path.write_text(json.dumps(doc), encoding="utf-8")
     with pytest.raises(ScenarioError, match="invalid signature"):
         load_scenario(path)
+
+
+def test_a_degree_nine_signature_loads_without_a_declaration():
+    sc = scenario_from_dict(_quick_doc(signature={"terms": {"2,0": 1, "0,2": 1, "9,0": 1e-3}}))
+    assert sc.signature.terms == {(0, 2): 1.0, (2, 0): 1.0, (9, 0): 1e-3}
+    validate_scenario(sc)
+
+
+def test_a_signature_that_declares_max_degree_is_a_scenario_error():
+    doc = _quick_doc(signature={"terms": {"2,0": 1.0, "0,2": 1.0}, "max_degree": 4})
+    with pytest.raises(ScenarioError, match=r"unknown signature keys: \['max_degree'\]$"):
+        scenario_from_dict(doc)
 
 
 def test_validate_scenario_refuses_an_attack_that_breaks_either_condition():
@@ -422,7 +435,7 @@ def test_a_sparse_high_degree_signature_costs_only_its_chain(tmp_path):
     # products each, never a table of every power up to the highest exponent
     path = tmp_path / "sparse.json"
     terms = {"2,0": 1, "0,2": 1, "100000,0": 1}
-    path.write_text(json.dumps(_quick_doc(signature={"max_degree": 100000, "terms": terms})),
+    path.write_text(json.dumps(_quick_doc(signature={"terms": terms})),
                     encoding="utf-8")
     tracemalloc.start()
     try:
@@ -446,8 +459,7 @@ def test_a_sparse_high_degree_signature_costs_only_its_chain(tmp_path):
 
 def test_an_exponent_of_three_hundred_digits_loads_and_validates():
     k = 10**300
-    sc = scenario_from_dict(_quick_doc(signature={"max_degree": k,
-                                                  "terms": {"2,0": 1, "0,2": 1, f"{k},0": 1}}))
+    sc = scenario_from_dict(_quick_doc(signature={"terms": {"2,0": 1, "0,2": 1, f"{k},0": 1}}))
     validate_scenario(sc)
     assert eval_signature(sc.signature, 0.5, 0.5) == 0.5
     assert eval_signature(sc.signature, -1.0, 0.0) == 2.0
@@ -591,6 +603,27 @@ def test_cli_monitor_writes_csv(tmp_path, capsys):
     assert out.read_bytes() == (tmp_path / "s2" / "monitor.csv").read_bytes()
 
 
+def test_cli_monitor_judges_with_the_scenarios_own_detection(tmp_path, capsys):
+    # the document's detection section is the only detector setting, so
+    # monitor --out is simulate's monitor.csv byte for byte
+    doc = tmp_path / "strict.json"
+    doc.write_text(json.dumps(_quick_doc(attack={"kind": "Scaling", "beta11": 0.5},
+                                         detection={"epsilon": 1e-3, "window": 3})),
+                   encoding="utf-8")
+    out = tmp_path / "mon.csv"
+    assert main(["monitor", "--scenario", str(doc), "--out", str(out)]) == 0
+    assert "(epsilon 0.001, window 3)" in capsys.readouterr().out
+    run_scenario(doc, tmp_path / "sim")
+    written = out.read_bytes()
+    assert written == (tmp_path / "sim" / "monitor.csv").read_bytes()
+    # and the section matters: the default detector marks other samples
+    default = scenario_from_dict(_quick_doc(attack={"kind": "Scaling", "beta11": 0.5}))
+    write_monitor_csv(tmp_path / "default.csv",
+                      monitor(run(default.sim, default.attack, default.signature),
+                              default.signature))
+    assert (tmp_path / "default.csv").read_bytes() != written
+
+
 def test_cli_estimate_spiral_band(tmp_path, capsys):
     out = tmp_path / "study.csv"
     code = main(["estimate", "--scenario", "scenario1", "--source", "spiral",
@@ -639,9 +672,6 @@ def test_cli_unknown_scenario_exits_2(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["monitor", "--epsilon", "-1"],
-    ["monitor", "--epsilon", "nan"],
-    ["monitor", "--window", "0"],
     ["vulncheck", "--tol", "0"],
     ["vulncheck", "--tol", "x"],
     ["verify", "--tol", "nan"],
@@ -675,6 +705,18 @@ def test_cli_estimate_refuses_more_samples_than_the_run_logs(source, capsys):
     assert main(["estimate", "--n", "150,2000", "--source", source]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: scenario scenario1 logs 1501 samples, fewer than --n 2000")
+
+
+@pytest.mark.parametrize("terms", [{}, {"2,0": 0.0}], ids=["no terms", "zero coefficient"])
+def test_cli_estimate_refuses_a_signature_that_is_identically_zero(terms, tmp_path, capsys):
+    # nrmse normalizes by the truth's range on the hold-out grid, which is 0
+    doc = tmp_path / "z.json"
+    doc.write_text(json.dumps({"seed": 1, "duration": 5.0, "signature": {"terms": terms}}),
+                   encoding="utf-8")
+    assert main(["estimate", "--n", "150", "--scenario", str(doc)]) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: scenario z: the study cannot score its signature:"
+                   " truth has zero range on the evaluation set\n")
 
 
 def test_cli_estimate_refuses_noise_that_overflows_the_design(capsys):

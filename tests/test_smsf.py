@@ -54,7 +54,6 @@ def origin_trace():
 
 def test_default_signature_coefficients():
     sig = default_signature()
-    assert sig.max_degree == 4
     assert sig.terms == {
         (0, 2): 25.0,
         (0, 4): 1.0,
@@ -106,21 +105,21 @@ def test_scalar_path_equals_the_array_path_bitwise(make_sig):
 
 @st.composite
 def _signatures(draw):
-    """A PolySignature of max_degree 1 to 8 over a random subset of its monomials."""
-    max_degree = draw(st.integers(min_value=1, max_value=8))
-    monomials = [(i, d - i) for d in range(max_degree + 1) for i in range(d + 1)]
+    """A PolySignature over a random subset of the monomials of total degree 1 to 8 or less."""
+    degree = draw(st.integers(min_value=1, max_value=8))
+    monomials = [(i, d - i) for d in range(degree + 1) for i in range(d + 1)]
     keys = draw(st.lists(st.sampled_from(monomials), min_size=1, unique=True))
     coeffs = draw(st.lists(st.floats(min_value=-1e4, max_value=1e4), min_size=len(keys),
                            max_size=len(keys)))
-    return PolySignature(dict(zip(keys, coeffs)), max_degree=max_degree)
+    return PolySignature(dict(zip(keys, coeffs)))
 
 
 @settings(max_examples=200, deadline=None)
 @given(_signatures(), st.integers(min_value=0, max_value=2**32 - 1))
-# max_degree above the highest exponent, and powers of at most 2
-@example(PolySignature({(3, 0): 1.5, (1, 2): -2.0}, max_degree=8), 1)
-@example(PolySignature({(2, 0): 1.0, (1, 1): -3.0, (0, 2): 25.0, (0, 1): 0.5}, max_degree=8), 2)
-@example(PolySignature({(1, 0): 1.0, (0, 1): 1.0}, max_degree=1), 3)
+# powers of at most 3, of at most 2, and none
+@example(PolySignature({(3, 0): 1.5, (1, 2): -2.0}), 1)
+@example(PolySignature({(2, 0): 1.0, (1, 1): -3.0, (0, 2): 25.0, (0, 1): 0.5}), 2)
+@example(PolySignature({(1, 0): 1.0, (0, 1): 1.0}), 3)
 def test_scalar_path_equals_the_array_path_on_random_signatures(sig, seed):
     rng = np.random.default_rng(seed)
     n = 500
@@ -143,7 +142,7 @@ def test_scalar_path_takes_ints_and_numpy_floats():
 
 
 def test_eval_broadcasts_over_arrays():
-    sig = PolySignature({(2, 0): 1.0, (0, 2): 1.0}, max_degree=2)
+    sig = PolySignature({(2, 0): 1.0, (0, 2): 1.0})
     x = np.linspace(-1.0, 1.0, 7)
     y = np.linspace(0.0, 2.0, 7)
     vals = eval_signature(sig, x, y)
@@ -156,9 +155,8 @@ def test_eval_broadcasts_over_arrays():
 
 
 def test_scalar_path_takes_no_power_the_terms_do_not_use():
-    # x**8 overflows at 1e40; a signature of quadratic terms never needs it,
-    # even when its max_degree allows it
-    sig = PolySignature({(2, 0): 1.0, (1, 1): -3.0, (0, 2): 25.0}, max_degree=8)
+    # x**8 overflows at 1e40; a signature of quadratic terms never needs it
+    sig = PolySignature({(2, 0): 1.0, (1, 1): -3.0, (0, 2): 25.0})
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         val = eval_signature(sig, 1e40, 0.5)
@@ -188,7 +186,7 @@ _CHAIN_TERMS = {**{(k, 8 - k): 0.5 + k for k in range(9)}, (3, 1): -2.0, (0, 1):
 
 
 def test_every_power_is_the_written_chain(monkeypatch):
-    sig = PolySignature(_CHAIN_TERMS, max_degree=1001)
+    sig = PolySignature(_CHAIN_TERMS)
     rng = np.random.default_rng(11)
     x, y = rng.uniform(-1.002, 1.002, (2, 400))
     x = np.concatenate([[0.0, -0.0, 1.0, -1.0], x])
@@ -234,11 +232,11 @@ def _chain_exponents(k):
 
 @settings(max_examples=200, deadline=None)
 @given(_signatures())
-@example(PolySignature(_CHAIN_TERMS, max_degree=1001))
-@example(PolySignature({(2, 0): 1.0, (1, 1): -3.0, (0, 2): 25.0}, max_degree=8))
+@example(PolySignature(_CHAIN_TERMS))
+@example(PolySignature({(2, 0): 1.0, (1, 1): -3.0, (0, 2): 25.0}))
 def test_the_plan_computes_the_powers_the_terms_use_once_each(sig):
     # the plan multiplies out each power _powers fills for these terms once,
-    # no other (max_degree allows more), and each term reads its own two
+    # no other, and each term reads its own two
     xs, ys = [i for i, _j in sig.terms], [j for _i, j in sig.terms]
     filled = ({(0, k) for k in smsf._powers(1.5, xs) if k > 1}
               | {(1, k) for k in smsf._powers(-0.5, ys) if k > 1})
@@ -251,7 +249,7 @@ def test_the_plan_computes_the_powers_the_terms_use_once_each(sig):
 
 
 @pytest.mark.parametrize("make_sig", [default_signature,
-                                      lambda: PolySignature(_CHAIN_TERMS, max_degree=1001),
+                                      lambda: PolySignature(_CHAIN_TERMS),
                                       _fitted_estimate], ids=["default", "chain", "estimate"])
 def test_the_plan_survives_pickle_copy_and_the_document_form(make_sig):
     sig = make_sig()
@@ -290,8 +288,6 @@ def test_a_signature_is_immutable():
     with pytest.raises(TypeError):
         sig.terms[(5, 0)] = 1.0
     with pytest.raises(AttributeError):
-        sig.max_degree = 8
-    with pytest.raises(AttributeError):
         sig.terms = {(5, 0): 1.0}
     assert sig == default_signature()
     assert pickle.loads(pickle.dumps(sig)) == sig
@@ -300,19 +296,13 @@ def test_a_signature_is_immutable():
 
 def test_constructor_rejects_bad_terms():
     with pytest.raises(ValueError):
-        PolySignature({(3, 2): 1.0}, max_degree=4)
-    with pytest.raises(ValueError):
         PolySignature({(-1, 0): 1.0})
     with pytest.raises(ValueError):
         PolySignature({(1, 0): float("nan")})
-    with pytest.raises(ValueError):
-        PolySignature({(1, 0): 1.0}, max_degree=0)
     # a bool's document would read "True,0" or true, which signature_from_dict refuses
     for key in [(True, 0), (0, False), (True, True)]:
         with pytest.raises(ValueError, match="exponents must be non-negative ints"):
             PolySignature({key: 1.0})
-    with pytest.raises(ValueError, match="max_degree must be a positive int"):
-        PolySignature({(1, 0): 1.0}, max_degree=True)
 
 
 def test_validate_accepts_default_signature():
@@ -367,33 +357,33 @@ _NEAR_MAX = _LOW_DEGREE.flatmap(lambda terms: st.sampled_from([1e299, -1e300, 1.
 
 @st.composite
 def _far_exponents(draw):
-    """Up to two terms with exponents up to 100000, 10**300 or 10**400, with
-    or without a nonnegative x^2 + y^2 beside them: (terms, max_degree)."""
-    max_degree = draw(st.sampled_from([100_000, 10**300, 10**400]))
-    k = st.integers(0, max_degree // 2)
+    """Up to two terms of total degree up to 100000, 10**300 or 10**400,
+    with or without a nonnegative x^2 + y^2 beside them."""
+    degree = draw(st.sampled_from([100_000, 10**300, 10**400]))
+    k = st.integers(0, degree // 2)
     far = draw(st.dictionaries(st.tuples(k, k).filter(any), st.floats(-10.0, 10.0),
                                min_size=1, max_size=2))
     base = draw(st.sampled_from([{}, {(2, 0): 1.0, (0, 2): 1.0}]))
-    return {**base, **far}, max_degree
+    return {**base, **far}
 
 
-# (terms, max_degree) for the grid check
-_GRID_CASES = (_LOW_DEGREE | _NEAR_MAX).map(lambda terms: (terms, 6)) | _far_exponents()
+# terms for the grid check
+_GRID_CASES = _LOW_DEGREE | _NEAR_MAX | _far_exponents()
 
 
 @settings(max_examples=300, deadline=None)
 @given(_GRID_CASES)
-@example(({(2, 2): 1.0, (2, 1): -0.2, (2, 0): 0.01}, 4))  # x^2 (y - 0.1)^2: rounds below 0
+@example({(2, 2): 1.0, (2, 1): -0.2, (2, 0): 0.01})  # x^2 (y - 0.1)^2: rounds below 0
 # row bounds just above 0 where the grid rounds below it
-@example((_damped_square(-0.5199999999940248, 9.405004050258244, 0.7323847363374834), 6))
-@example((_damped_square(-0.3999999999272024, 1.639849269918533, 0.5049385935889814), 6))
-@example(({(2, 0): 1.7e308, (0, 2): 1.7e308, (2, 2): 1.7e308}, 4))  # sums overflow to inf
-@example(({(2, 0): 1.7e308, (1, 0): -1.7e308, (0, 1): 1.7e308}, 4))
-@example(({(2, 0): 1.0, (0, 2): 1.0, (10**300, 0): 1.0}, 10**300))
-@example(({(2, 0): 1.0, (0, 2): 1.0, (10**400 + 1, 0): 1e-3}, 10**400 + 1))
-@example(({(2, 0): 1.0, (100_001, 0): -1.0, (0, 100_000): 1.0}, 200_001))
-def test_grid_check_verdict_equals_the_dense_check(sig_args):
-    sig = PolySignature(*sig_args)
+@example(_damped_square(-0.5199999999940248, 9.405004050258244, 0.7323847363374834))
+@example(_damped_square(-0.3999999999272024, 1.639849269918533, 0.5049385935889814))
+@example({(2, 0): 1.7e308, (0, 2): 1.7e308, (2, 2): 1.7e308})  # sums overflow to inf
+@example({(2, 0): 1.7e308, (1, 0): -1.7e308, (0, 1): 1.7e308})
+@example({(2, 0): 1.0, (0, 2): 1.0, (10**300, 0): 1.0})
+@example({(2, 0): 1.0, (0, 2): 1.0, (10**400 + 1, 0): 1e-3})
+@example({(2, 0): 1.0, (100_001, 0): -1.0, (0, 100_000): 1.0})
+def test_grid_check_verdict_equals_the_dense_check(terms):
+    sig = PolySignature(terms)
     with np.errstate(over="ignore"):  # the near-overflow cases sum to inf
         # every value of the 201 x 201 grid, as outer products of axis powers
         if float(eval_signature(sig, _AXIS, _AXIS[:, None]).min()) < 0.0:
@@ -413,17 +403,17 @@ def _outcome(sig):
 
 @settings(max_examples=200, deadline=None)
 @given(_GRID_CASES)
-@example(({(0, 0): 0.5, (2, 0): 1.0}, 4))  # a constant term
-@example(({(2, 2): 1.0, (2, 1): -0.2, (2, 0): 0.01}, 4))  # rounds below 0 on one row
-def test_a_signature_is_checked_once_and_an_equal_copy_again(sig_args):
-    sig = PolySignature(*sig_args)
+@example({(0, 0): 0.5, (2, 0): 1.0})  # a constant term
+@example({(2, 2): 1.0, (2, 1): -0.2, (2, 0): 0.01})  # rounds below 0 on one row
+def test_a_signature_is_checked_once_and_an_equal_copy_again(terms):
+    sig = PolySignature(terms)
     with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore"):
         grids = _record_grid_rows(mp)
         first = _outcome(sig)
         rows_checked = len(grids)
         second = _outcome(sig)
         assert len(grids) == rows_checked  # the second check evaluates no grid row
-        fresh = _outcome(PolySignature(*sig_args))
+        fresh = _outcome(PolySignature(terms))
     assert first == second == fresh  # a refusal is never turned into a pass
     with np.errstate(over="ignore"):
         negative = float(eval_signature(sig, _AXIS, _AXIS[:, None]).min()) < 0.0
@@ -457,9 +447,10 @@ def test_a_pickle_copy_or_document_of_a_checked_signature_checks_again(monkeypat
 
 
 @settings(max_examples=200, deadline=None)
-@given(_signatures() | _far_exponents().map(lambda args: PolySignature(*args)))
-@example(PolySignature({(2, 0): -0.0, (0, 2): 1.0}, max_degree=1001))
-@example(PolySignature({(2, 0): 1.0, (0, 2): 1.0}, max_degree=10**400))  # past float64's range
+@given(_signatures() | _far_exponents().map(PolySignature))
+@example(PolySignature({(2, 0): -0.0, (0, 2): 1.0}))
+@example(PolySignature({(2, 0): 1.0, (0, 2): 1.0}))
+@example(PolySignature({(2, 0): 1.0, (0, 2): 1.0, (10**400, 0): 1.0}))  # past float64's range
 def test_a_signature_round_trips_through_its_document(sig):
     doc = signature_to_dict(sig)
     back = signature_from_dict(json.loads(json.dumps(doc)))
@@ -513,7 +504,7 @@ def test_affine_fit_input_validation():
 def test_squared_radius_scales_quadratically_under_position_scaling():
     # For Phi = x^2 + y^2, pairs (Phi(p), Phi(alpha p)) lie exactly on the
     # channel s_phi = alpha^2, d_phi = 0.
-    sig = PolySignature({(2, 0): 1.0, (0, 2): 1.0}, max_degree=2)
+    sig = PolySignature({(2, 0): 1.0, (0, 2): 1.0})
     axis = np.linspace(-1.0, 1.0, 21)
     gx, gy = np.meshgrid(axis, axis)
     rng = np.random.default_rng(21)
@@ -556,7 +547,7 @@ def test_default_signature_resists_tilted_reflection(scenario_runs):
 
 
 def test_squared_radius_is_vulnerable_to_origin_scaling(origin_trace):
-    sig = PolySignature({(2, 0): 1.0, (0, 2): 1.0}, max_degree=2)
+    sig = PolySignature({(2, 0): 1.0, (0, 2): 1.0})
     origin = Posture(0.0, 0.0, 0.0)
     for beta, s_expected in ((2.0, 0.25), (0.5, 4.0)):
         res = resilience_check(sig, build_scaling(beta, origin), origin_trace)
@@ -736,12 +727,23 @@ def test_monitor_residual_is_received_minus_expected_on_builtins(scenario_runs):
 def test_signature_dict_round_trip():
     sig = default_signature()
     d = signature_to_dict(sig)
-    assert d["max_degree"] == 4
+    assert list(d) == ["terms"]
     assert list(d["terms"]) == sorted(d["terms"])
     assert d["terms"]["2,2"] == 2501.0
     back = signature_from_dict(d)
     assert back.terms == sig.terms
-    assert back.max_degree == sig.max_degree
+
+
+def test_a_document_is_its_terms_whatever_their_degree():
+    # no degree bound is declared or read: a degree-9 term loads as written
+    sig = signature_from_dict({"terms": {"9,0": 2.0, "2,0": 1.0, "4,5": -0.5}})
+    assert sig.terms == {(2, 0): 1.0, (4, 5): -0.5, (9, 0): 2.0}
+    assert signature_to_dict(sig) == {"terms": {"2,0": 1.0, "4,5": -0.5, "9,0": 2.0}}
+
+
+def test_a_document_that_declares_max_degree_is_refused_by_name():
+    with pytest.raises(ValueError, match=r"^unknown signature keys: \['max_degree'\]$"):
+        signature_from_dict({"terms": {"2,0": 1.0, "0,2": 1.0}, "max_degree": 4})
 
 
 def test_signature_from_dict_refuses_what_a_scenario_document_refuses():
